@@ -258,17 +258,29 @@ def estimate_compatibility(problem: RegressionProblem, support, samples: int = 2
 # bound reports
 
 
+def _nu_gate(nu: float) -> AssumptionCheck:
+    """A zero compatibility constant (e.g. a duplicated pair in the support)
+    makes every fast-rate bound vacuous."""
+    return AssumptionCheck("nu_positive", nu > 0.0, nu, 0.0)
+
+
+def _fast_rhs(coef: float, s: int, lam: float, nu: float, n: int) -> float:
+    """coef * s * lam^2 / (nu^2 n^2); infinite (vacuous) when nu is zero."""
+    return coef * s * lam**2 / (nu**2 * n**2) if nu > 0.0 else float("inf")
+
+
 def verify_lasso_fast(problem: RegressionProblem, truth: GroundTruth,
                       fit: LassoFit, nu: float) -> BoundReport:
-    """Fast-rate bound 16 s lam^2 / (nu^2 n^2), gated on lam >= 2 * noise dual."""
+    """Fast-rate bound 16 s lam^2 / (nu^2 n^2), gated on lam >= 2 * noise dual
+    and nu > 0."""
     noise = float(np.max(np.abs(problem.x.T @ truth.epsilon)))
     gate = AssumptionCheck("penalty_ge_2_noise", fit.lam >= 2.0 * noise,
                            fit.lam, 2.0 * noise)
     s = truth.sparsity
     n = problem.n
     lhs = prediction_loss(problem, truth, fit.beta_hat)
-    rhs = 16.0 * s * fit.lam**2 / (nu**2 * n**2)
-    return BoundReport("lasso_fast", (gate,), lhs, rhs,
+    rhs = _fast_rhs(16.0, s, fit.lam, nu, n)
+    return BoundReport("lasso_fast", (gate, _nu_gate(nu)), lhs, rhs,
                        inputs={"lambda": fit.lam, "noise_dual": noise, "nu": nu,
                                "s": s})
 
@@ -340,7 +352,7 @@ def verify_trex_fast_compat(problem: RegressionProblem, truth: GroundTruth,
     At the default constants the leading constant is exactly 12. A sampled
     compatibility estimate risks overshooting the true constant, so unless
     ``nu_exact`` the verdict uses a deflated nu; both right-hand sides are
-    recorded.
+    recorded. A zero nu fails the ``nu_positive`` gate.
     """
     a_small, u_gate = _fast_gates(problem, truth, fit, kappa1, kappa2)
     c = fit.config.c
@@ -352,13 +364,14 @@ def verify_trex_fast_compat(problem: RegressionProblem, truth: GroundTruth,
     s = truth.sparsity
     n = problem.n
     coef = (1.0 / kappa1 + 2.0 / kappa2) * 16.0
-    rhs_est = coef * s * lam**2 / (nu**2 * n**2)
+    rhs_est = _fast_rhs(coef, s, lam, nu, n)
     nu_eff = nu if nu_exact else nu * nu_deflation
-    rhs_defl = coef * s * lam**2 / (nu_eff**2 * n**2)
+    rhs_defl = _fast_rhs(coef, s, lam, nu_eff, n)
     lhs = prediction_loss(problem, truth, fit.beta_hat)
     theorem_id = ("trex_fast_compat" if (kappa1, kappa2) == (2.0, 8.0)
                   else "trex_fast_compat_kappa")
-    return BoundReport(theorem_id, (a_small, u_gate, cond), lhs, rhs_defl,
+    return BoundReport(theorem_id, (a_small, u_gate, cond, _nu_gate(nu_eff)),
+                       lhs, rhs_defl,
                        inputs={"u_hat": fit.u_hat, "lambda_tilde": lam,
                                "nu": nu, "nu_effective": nu_eff,
                                "nu_exact": nu_exact, "rhs_estimate": rhs_est,

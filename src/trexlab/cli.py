@@ -58,7 +58,8 @@ def cmd_fit(args) -> int:
         else:
             raise TrexlabError(f"unknown estimator {args.estimator!r}")
         payload = trex_fit_to_dict(fit)
-        converged = all(r.converged for r in fit.per_subproblem if r.feasible)
+        converged = all(r.converged or r.pruned
+                        for r in fit.per_subproblem if r.feasible)
     out = args.out or "fit.json"
     with open(out, "w") as fh:
         json.dump(payload, fh, indent=1)

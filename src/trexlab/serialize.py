@@ -122,7 +122,8 @@ def trex_fit_to_dict(fit: TrexFit) -> dict:
         "winner": list(fit.winner) if fit.winner is not None else None,
         "per_subproblem": [
             {"identity": list(r.identity), "objective": r.objective,
-             "converged": r.converged, "feasible": r.feasible}
+             "converged": r.converged, "feasible": r.feasible,
+             "pruned": r.pruned}
             for r in fit.per_subproblem
         ],
         "spec": fit.spec.to_dict(),
@@ -165,8 +166,7 @@ class ExperimentConfig:
         bad = [t for t in self.theorems if t not in THEOREM_IDS]
         if bad:
             raise ConfigError(f"unknown theorem ids: {bad}")
-        known = {"trex", "trex_constrained", "lasso_grid", "trex_unpenalized"}
-        bad = [e for e in self.estimators if e not in known]
+        bad = [e for e in self.estimators if e not in ("trex", "trex_constrained")]
         if bad:
             raise ConfigError(f"unknown estimators: {bad}")
         if self.replicates < 1:

@@ -7,9 +7,15 @@ The nonconvex objective
 equals, pointwise, the minimum over 2p convex quadratic-over-linear
 subproblems when the penalty is an (optionally weighted) l1 norm: one
 subproblem per coordinate j and sign s, with denominator s * x_j @ (y - x b).
-Solving every subproblem by proximal gradient descent with backtracking and
-taking the best optimum therefore certifies the global solution up to the
-subproblem tolerance. Group penalties yield one subproblem per group whose
+The subproblems are solved together by proximal gradient descent with
+backtracking, and the best optimum is the global one. Each subproblem also
+yields a dual lower bound from its rescaled gradient (Fercoq, Gramfort &
+Salmon, "Mind the duality gap", 2015). A subproblem whose bound already lies
+above the best objective found so far, by more than the window in which
+near-best subproblems are refined, cannot win and is stopped (pruned). The
+fit reports ``certified_gap``, the objective minus the smallest bound over
+the feasible subproblems: the global optimum lies at most that far below the
+returned objective. Group penalties yield one subproblem per group whose
 denominator is an l2 norm of a linear map; those are not provably convex and
 are handled by seeded multistart descent, flagged as heuristic.
 """
@@ -66,6 +72,7 @@ class SubproblemRecord:
     objective: float
     converged: bool
     feasible: bool = True
+    pruned: bool = False
 
 
 @dataclass(frozen=True)
@@ -120,13 +127,22 @@ def _soft(v, th):
     return np.sign(v) * np.maximum(np.abs(v) - th, 0.0)
 
 
+def _near_margin(f):
+    """Objective window above the best row inside which rows are refined."""
+    return max(1e-6 * (1.0 + abs(f)), 1e-8)
+
+
 class _BatchResult:
-    def __init__(self, beta, objective, converged, feasible, iterations):
+    def __init__(self, beta, objective, converged, feasible, iterations,
+                 stalled, pruned, lower):
         self.beta = beta
         self.objective = objective
         self.converged = converged
         self.feasible = feasible
         self.iterations = iterations
+        self.stalled = stalled
+        self.pruned = pruned
+        self.lower = lower
 
 
 def _spectral_norm_estimate(G: np.ndarray, iters: int = 30) -> float:
@@ -152,6 +168,13 @@ def _solve_sign_subproblems(G, xty, yty, c, j_arr, s_arr, pen_w, dual_w, config,
     and q(b) = x.T (y - x b) = xty - G b. When ``bound`` is given, candidate
     steps with max_i |q_i| / dual_w_i > bound are rejected (line-search
     feasibility, no projection).
+
+    Every iteration also evaluates a dual lower bound LB_k on each active
+    row's optimum and stops (prunes) the rows with LB_k above the incumbent
+    min_k F_k plus the refine window ``_near_margin``: such a row can neither
+    win nor be refined. The bound is that of the unconstrained subproblem, so
+    it stays valid, if looser, under ``bound``. ``lower`` holds LB_k at the
+    final iterate of every feasible row (inf for infeasible rows).
     """
     p = G.shape[0]
     K = len(j_arr)
@@ -206,6 +229,24 @@ def _solve_sign_subproblems(G, xty, yty, c, j_arr, s_arr, pen_w, dual_w, config,
         D = s_arr[rows] * q[np.arange(len(rows)), j_arr[rows]] / dw[rows]
         return q, rss, D
 
+    def gradient(rows):
+        Dr = D[rows]
+        return (-2.0 / (c * Dr))[:, None] * q[rows] + (
+            rss[rows] / (c * Dr * Dr) * s_arr[rows] / dw[rows]
+        )[:, None] * G[:, j_arr[rows]].T
+
+    inv_pen_w = 1.0 / pen_w
+    a_y = s_arr * xty[j_arr] / dw
+
+    def lower_bound(rows, grad):
+        # The gradient z of g(r) = ||r||^2 / (c a.r) satisfies x.T z = -grad,
+        # and theta * z is dual feasible (Fercoq, Gramfort & Salmon 2015), so
+        # the dual objective theta * y.z bounds the row's optimum from below.
+        Dr = D[rows]
+        theta = 1.0 / np.maximum(1.0, (np.abs(grad) * inv_pen_w).max(axis=1))
+        yz = (2.0 * (yty - B[rows] @ xty) - rss[rows] * a_y[rows] / Dr) / (c * Dr)
+        return theta * yz
+
     q, rss, D = eval_rows(B, np.arange(K))
     g = np.where(feasible & (D > 0), rss / (c * np.where(D > 0, D, 1.0)), np.inf)
     pen = np.abs(B) @ pen_w
@@ -218,6 +259,8 @@ def _solve_sign_subproblems(G, xty, yty, c, j_arr, s_arr, pen_w, dual_w, config,
     t_floor = 1e-18 * t
     active = feasible.copy()
     converged = np.zeros(K, dtype=bool)
+    stalled = np.zeros(K, dtype=bool)
+    pruned = np.zeros(K, dtype=bool)
     hist = [F.copy()]
     iterations = np.zeros(K, dtype=int)
 
@@ -225,13 +268,18 @@ def _solve_sign_subproblems(G, xty, yty, c, j_arr, s_arr, pen_w, dual_w, config,
         rows = np.flatnonzero(active)
         if rows.size == 0:
             break
+        grad = gradient(rows)
+        incumbent = float(F.min())
+        hopeless = lower_bound(rows, grad) > incumbent + _near_margin(incumbent)
+        if hopeless.any():
+            pruned[rows[hopeless]] = True
+            active[rows[hopeless]] = False
+            rows, grad = rows[~hopeless], grad[~hopeless]
+            if rows.size == 0:
+                break
         iterations[rows] = it + 1
         Br = B[rows]
-        qr, rssr, Dr = q[rows], rss[rows], D[rows]
-        gr = rssr / (c * Dr)
-        grad = (-2.0 / (c * Dr))[:, None] * qr + (
-            rssr / (c * Dr * Dr) * s_arr[rows] / dw[rows]
-        )[:, None] * G[:, j_arr[rows]].T
+        gr = rss[rows] / (c * D[rows])
 
         pending = np.arange(rows.size)
         newB = Br.copy()
@@ -274,6 +322,7 @@ def _solve_sign_subproblems(G, xty, yty, c, j_arr, s_arr, pen_w, dual_w, config,
             if dead.size:
                 # cannot decrease further: treat as a stationary stall
                 converged[rows[dead]] = True
+                stalled[rows[dead]] = True
                 active[rows[dead]] = False
                 rej = np.setdiff1d(rej, dead, assume_unique=True)
             pending = rej
@@ -292,7 +341,11 @@ def _solve_sign_subproblems(G, xty, yty, c, j_arr, s_arr, pen_w, dual_w, config,
             active[rows[done]] = False
 
     F = np.where(feasible, F, np.inf)
-    return _BatchResult(B, F, converged, feasible, iterations)
+    lower = np.full(K, np.inf)
+    rows = np.flatnonzero(feasible)
+    lower[rows] = lower_bound(rows, gradient(rows))
+    return _BatchResult(B, F, converged, feasible, iterations, stalled, pruned,
+                        lower)
 
 
 def solve_subproblem(problem: RegressionProblem, c: float, j: int, s: int,
@@ -405,11 +458,24 @@ def solve_trex(problem: RegressionProblem, config: SolverConfig = None,
                spec: NormSpec = None, bound=None) -> TrexFit:
     """Globally solve the ratio objective via the subproblem decomposition.
 
-    For (weighted) l1 penalties all 2p convex subproblems are solved and the
-    best optimum is returned (certified-global up to the subproblem
-    tolerance). Group penalties with non-singleton groups use multistart
-    descent per group and the result is flagged heuristic. Ties within 1e-10
-    break to the lowest coordinate, negative sign first.
+    For (weighted) l1 penalties the 2p convex subproblems are solved together
+    and the best optimum is returned. A subproblem stops early (is pruned)
+    once its dual lower bound exceeds the best current objective by more than
+    max(1e-6 (1 + |best|), 1e-8), the window within which near-best
+    subproblems are refined, so a pruned subproblem can never win. The
+    diagnostics report:
+
+    - ``certified_gap``: objective minus the smallest dual lower bound over
+      the feasible subproblems, an upper bound on the distance to the global
+      optimum; None under ``bound``, where the unconstrained bound is loose;
+    - ``pruned``: the number of pruned subproblems;
+    - ``stalled``: the number stopped because the line-search step fell
+      below its floor (still counted as converged);
+    - ``all_converged``: every feasible subproblem converged or was pruned.
+
+    Group penalties with non-singleton groups use multistart descent per
+    group and the result is flagged heuristic. Ties within 1e-10 break to the
+    lowest coordinate, negative sign first.
     """
     config = config or SolverConfig()
     spec = spec or l1_spec()
@@ -441,14 +507,13 @@ def _solve_weighted_paths(problem, config, spec, G, xty, yty, bound):
     best = float(np.min(res.objective))
     if not np.isfinite(best):
         raise DomainError("all subproblems infeasible; input is degenerate")
-    near = np.flatnonzero(res.objective <= best + max(1e-6 * (1.0 + abs(best)), 1e-8))
+    near = np.flatnonzero(res.objective <= best + _near_margin(best))
     refine_cfg = replace(config, tolerance=config.tolerance * 1e-3)
     ref = _solve_sign_subproblems(G, xty, yty, c, j_arr[near], s_arr[near],
                                   pen_w, dual_w, refine_cfg, bound=bound,
                                   beta0=res.beta[near])
-    res.beta[near] = ref.beta
-    res.objective[near] = ref.objective
-    res.converged[near] = ref.converged
+    for name in ("beta", "objective", "converged", "stalled", "pruned", "lower"):
+        getattr(res, name)[near] = getattr(ref, name)
 
     win = int(np.flatnonzero(res.objective <= np.min(res.objective) + TIE_TOL)[0])
     beta = res.beta[win]
@@ -467,6 +532,7 @@ def _solve_weighted_paths(problem, config, spec, G, xty, yty, bound):
             objective=float(res.objective[k]),
             converged=bool(res.converged[k]),
             feasible=bool(res.feasible[k]),
+            pruned=bool(res.pruned[k]),
         )
         for k in range(2 * p)
     )
@@ -487,7 +553,11 @@ def _solve_weighted_paths(problem, config, spec, G, xty, yty, bound):
             "heuristic": False,
             "iterations": int(np.max(res.iterations)),
             "bound": bound,
-            "all_converged": bool(np.all(res.converged[res.feasible])),
+            "all_converged": bool(np.all((res.converged | res.pruned)[res.feasible])),
+            "pruned": int(np.sum(res.pruned)),
+            "stalled": int(np.sum(res.stalled)),
+            "certified_gap": (None if bound is not None
+                              else float(objective - np.min(res.lower))),
         },
     )
 

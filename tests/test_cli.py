@@ -42,6 +42,17 @@ class TestFit:
                                    rtol=1e-9, atol=1e-12)
         assert payload["u_hat"] == pytest.approx(fit.u_hat, rel=1e-9)
 
+    def test_pruned_rows_exit_zero(self, tmp_path):
+        problem, _ = generate(ScenarioSpec(n=40, p=20, s=2, seed=3))
+        path = tmp_path / "problem.csv"
+        path.write_text(problem_to_csv(problem))
+        out = tmp_path / "fit.json"
+        assert main(["fit", str(path), "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        pruned = payload["diagnostics"]["pruned"]
+        assert pruned > 0
+        assert pruned == sum(r["pruned"] for r in payload["per_subproblem"])
+
     def test_lasso_requires_penalty(self, problem_csv, capsys):
         path, _ = problem_csv
         code = main(["fit", str(path), "--estimator", "lasso"])

@@ -52,6 +52,25 @@ class TestRunCell:
 
 
 class TestRunVerification:
+    def test_zero_compatibility_constant_is_not_applicable(self):
+        # a duplicated pair in the support has compatibility constant 0; the
+        # fast-rate bounds divide by nu^2 and must fail their nu gate instead
+        cfg = ExperimentConfig.from_dict({
+            "scenarios": [{"n": 30, "p": 12, "s": 3, "seed": 1,
+                           "design": {"kind": "duplicated_columns",
+                                      "duplicates": 2}}],
+            "theorems": ["trex_slow", "l1_ordering", "lasso_slow", "lasso_fast",
+                         "trex_fast_via_lasso", "trex_fast_compat"],
+        })
+        rows = run_verification(cfg)
+        assert len(rows) == 6
+        fast = [r for r in rows if r["theorem"] in ("lasso_fast", "trex_fast_compat")]
+        assert len(fast) == 2
+        for r in fast:
+            assert r["nu"] == 0.0
+            assert r["verdict"] == "not_applicable"
+            assert "nu_positive=0" in r["gates"].split("|")
+
     def test_row_order_frozen(self):
         cfg = _config()
         rows = run_verification(cfg)

@@ -135,6 +135,13 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(self._dict(estimators=["ridge"]))
 
+    @pytest.mark.parametrize("estimator", ["lasso_grid", "trex_unpenalized"])
+    def test_estimators_the_harness_cannot_run_rejected(self, estimator):
+        # run_cell fits only plain or constrained TREX; accepting these would
+        # silently report plain TREX under another name
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(self._dict(estimators=[estimator]))
+
     def test_from_file(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(self._dict()))

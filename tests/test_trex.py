@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trexlab.errors import ConfigError, DomainError
+from trexlab.datagen import DesignSpec, ScenarioSpec, generate
 from trexlab.model import RegressionProblem, make_problem, normalize_columns
 from trexlab.norms import group_spec, l1_spec, singleton_groups, weighted_l1_spec
 from trexlab.trex import (
@@ -199,6 +201,80 @@ class TestGroupPenalty:
         a = solve_trex(problem, cfg, spec)
         b = solve_trex(problem, cfg, spec)
         np.testing.assert_array_equal(a.beta_hat, b.beta_hat)
+
+
+def _assert_matches_subproblems_alone(fit, problem, bound=None):
+    """The fit's objective is the best sign subproblem optimum, each solved
+    alone, and its winner attains that optimum (ties within 1e-8)."""
+    objs = {}
+    for j in range(problem.p):
+        for s in (-1, 1):
+            _, obj, converged = solve_subproblem(problem, 0.5, j, s, bound=bound)
+            if np.isfinite(obj):
+                # one row is its own incumbent, so it never prunes
+                assert converged
+            objs[(j, s)] = obj
+    best = min(objs.values())
+    assert fit.objective == pytest.approx(best, rel=1e-7, abs=1e-9)
+    assert objs[fit.winner] <= best + 1e-8 * (1.0 + abs(best))
+
+
+class TestPruning:
+    @pytest.mark.parametrize("p", [3, 5, 8])
+    def test_l1_matches_every_subproblem_alone(self, rng, p):
+        problem = random_problem(rng, 3 * p, p)
+        _assert_matches_subproblems_alone(solve_trex(problem), problem)
+
+    @pytest.mark.parametrize("p", [3, 6])
+    def test_weighted_l1_matches_every_subproblem_alone(self, rng, p):
+        # weights w on x equal the plain l1 problem on the columns x_i / w_i
+        problem = random_problem(rng, 3 * p, p)
+        w = rng.uniform(0.5, 2.0, p)
+        fit = solve_trex(problem, spec=weighted_l1_spec(w))
+        scaled = RegressionProblem(problem.x / w, problem.y, normalized=False)
+        _assert_matches_subproblems_alone(fit, scaled)
+
+    @pytest.mark.parametrize("p", [4, 7])
+    def test_constrained_matches_every_subproblem_alone(self, rng, p):
+        problem = random_problem(rng, 3 * p, p)
+        bound = 0.8 * float(np.max(np.abs(problem.x.T @ problem.y)))
+        fit = solve_trex_constrained(problem, bound=bound)
+        _assert_matches_subproblems_alone(fit, problem, bound=bound)
+        assert fit.diagnostics["certified_gap"] is None
+
+    def test_pruned_rows_settled_and_counted(self):
+        problem, _ = generate(ScenarioSpec(n=40, p=20, s=2, seed=3))
+        fit = solve_trex(problem)
+        pruned = [r for r in fit.per_subproblem if r.pruned]
+        assert fit.diagnostics["pruned"] == len(pruned) > 0
+        assert not any(r.converged for r in pruned)
+        assert fit.diagnostics["all_converged"]
+        assert 0.0 <= fit.diagnostics["certified_gap"] <= 1e-3
+
+    def test_stalled_rows_still_count_as_converged(self):
+        # duplicated columns under the dual constraint stall the line search
+        spec = ScenarioSpec(n=15, p=10, s=2, seed=0,
+                            design=DesignSpec(kind="duplicated_columns", duplicates=2))
+        problem, _ = generate(spec)
+        fit = solve_trex_constrained(problem)
+        assert fit.diagnostics["stalled"] > 0
+        assert fit.diagnostics["all_converged"]
+        assert solve_trex(problem).diagnostics["stalled"] == 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(2, 12),
+           extra=st.integers(3, 20), noise=st.floats(0.1, 3.0))
+    def test_certificate_and_pruning_are_sound(self, seed, p, extra, noise):
+        problem = random_problem(np.random.default_rng(seed), p + extra, p,
+                                 noise=noise)
+        fit = solve_trex(problem)
+        f = fit.objective
+        assert fit.diagnostics["certified_gap"] >= -1e-12 * (1.0 + abs(f))
+        records = {r.identity: r for r in fit.per_subproblem}
+        assert not records[fit.winner].pruned
+        for r in fit.per_subproblem:
+            if r.pruned:
+                assert r.objective >= f
 
 
 class TestConstrained:
