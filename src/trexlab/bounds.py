@@ -14,7 +14,9 @@ Theorem identifiers:
     trex_slow             slow-rate bound, l1 penalty
     general_slow          slow-rate bound under an arbitrary norm penalty
     l1_ordering           the fitted l1 norm dominates the reference l1 fit
-A "_kappa" suffix marks evaluation at non-default kappa constants.
+A "_kappa" suffix marks evaluation at non-default kappa constants; only
+direct calls with explicit kappas produce it, so experiment configs reject
+these ids.
 """
 
 from __future__ import annotations

@@ -29,8 +29,8 @@ CSV_COLUMNS = (
 )
 
 _TREX_THEOREMS = {
-    "trex_fast_via_lasso", "trex_fast_compat", "trex_fast_via_lasso_kappa",
-    "trex_fast_compat_kappa", "trex_slow", "general_slow", "l1_ordering",
+    "trex_fast_via_lasso", "trex_fast_compat", "trex_slow", "general_slow",
+    "l1_ordering",
 }
 
 
@@ -65,7 +65,7 @@ def run_cell(config: ExperimentConfig, scenario_idx: int, replicate: int) -> lis
             trex_fit = solve_trex(problem, solver, spec)
 
     nu_est = None
-    if {"lasso_fast", "trex_fast_compat", "trex_fast_compat_kappa"} & set(config.theorems):
+    if {"lasso_fast", "trex_fast_compat"} & set(config.theorems):
         if truth.sparsity > 0:
             nu_est = bd.estimate_compatibility(
                 problem, truth.support, samples=config.compat_samples,
@@ -84,9 +84,9 @@ def run_cell(config: ExperimentConfig, scenario_idx: int, replicate: int) -> lis
             lam = max(noise_dual, 1e-12)
             fit = fit_lasso(problem, lam)
             report = bd.verify_lasso_slow(problem, truth, fit)
-        elif theorem in ("trex_fast_via_lasso", "trex_fast_via_lasso_kappa"):
+        elif theorem == "trex_fast_via_lasso":
             report = bd.verify_trex_fast_via_lasso(problem, truth, trex_fit)
-        elif theorem in ("trex_fast_compat", "trex_fast_compat_kappa"):
+        elif theorem == "trex_fast_compat":
             if nu_est is None:
                 continue
             report = bd.verify_trex_fast_compat(

@@ -166,6 +166,10 @@ class ExperimentConfig:
         bad = [t for t in self.theorems if t not in THEOREM_IDS]
         if bad:
             raise ConfigError(f"unknown theorem ids: {bad}")
+        bad = [t for t in self.theorems if t.endswith("_kappa")]
+        if bad:
+            raise ConfigError(f"theorems {bad} need explicit kappas, which an "
+                              "experiment config does not carry")
         bad = [e for e in self.estimators if e not in ("trex", "trex_constrained")]
         if bad:
             raise ConfigError(f"unknown estimators: {bad}")

@@ -8,7 +8,9 @@ equals, pointwise, the minimum over 2p convex quadratic-over-linear
 subproblems when the penalty is an (optionally weighted) l1 norm: one
 subproblem per coordinate j and sign s, with denominator s * x_j @ (y - x b).
 The subproblems are solved together by proximal gradient descent with
-backtracking, and the best optimum is the global one. Each subproblem also
+backtracking, and the best optimum is the global one. A subproblem whose
+domain contains b = 0 starts there; any other starts at the closed-form
+minimizer of its own objective along its own coordinate. Each subproblem also
 yields a dual lower bound from its rescaled gradient (Fercoq, Gramfort &
 Salmon, "Mind the duality gap", 2015). A subproblem whose bound already lies
 above the best objective found so far, by more than the window in which
@@ -159,6 +161,34 @@ def _spectral_norm_estimate(G: np.ndarray, iters: int = 30) -> float:
     return max(lam, 1e-12)
 
 
+def _coordinate_starts(G, xty, yty, c, j_arr, s_arr, pen_w, dual_w, delta, tau):
+    """Start points (K, p) of the sign subproblems and their feasibility.
+
+    A row whose denominator s * x_j @ y / dual_w_j exceeds delta starts at 0.
+    Any other row starts at the minimizer of its own objective along its own
+    coordinate, b = beta * e_j. With g = G_jj, m = x_j @ y, d = dual_w_j,
+    w = pen_w_j and v = s * x_j @ (y - beta x_j) = d * D, the objective along
+    that ray is (d / c) (R0 / v + v / g) + (w / g) (v - s m), with
+    R0 = y @ y - m^2 / g, so v* = sqrt(d R0 g / (d + c w)), floored at
+    tau * d, and beta = (m - s v*) / g. A row with G_jj ~ 0 is infeasible.
+    """
+    B = np.zeros((len(j_arr), G.shape[0]))
+    feasible = np.ones(len(j_arr), dtype=bool)
+    d = dual_w[j_arr]
+    need = np.flatnonzero(s_arr * xty[j_arr] / d <= delta)
+    diagG = np.diag(G)
+    g = diagG[j_arr[need]]
+    dead = g <= 1e-12 * float(np.max(diagG, initial=1.0))
+    feasible[need[dead]] = False
+    need, g = need[~dead], g[~dead]
+    j, s, d = j_arr[need], s_arr[need], d[need]
+    m = xty[j]
+    r0 = np.maximum(yty - m * m / g, 0.0)
+    v = np.maximum(np.sqrt(d * r0 * g / (d + c * pen_w[j])), tau * d)
+    B[need, j] = (m - s * v) / g
+    return B, feasible
+
+
 def _solve_sign_subproblems(G, xty, yty, c, j_arr, s_arr, pen_w, dual_w, config,
                             bound=None, beta0=None, window=10):
     """Monotone proximal gradient with backtracking over K sign subproblems.
@@ -168,6 +198,12 @@ def _solve_sign_subproblems(G, xty, yty, c, j_arr, s_arr, pen_w, dual_w, config,
     and q(b) = x.T (y - x b) = xty - G b. When ``bound`` is given, candidate
     steps with max_i |q_i| / dual_w_i > bound are rejected (line-search
     feasibility, no projection).
+
+    Without ``beta0``, rows that are feasible at b = 0 start there and every
+    other row starts at the exact minimizer of its objective along its own
+    coordinate (``_coordinate_starts``), far nearer its optimum than a point
+    just inside the domain boundary. Under ``bound`` a start that violates
+    the constraint is then repaired.
 
     Every iteration also evaluates a dual lower bound LB_k on each active
     row's optimum and stops (prunes) the rows with LB_k above the incumbent
@@ -181,25 +217,17 @@ def _solve_sign_subproblems(G, xty, yty, c, j_arr, s_arr, pen_w, dual_w, config,
     j_arr = np.asarray(j_arr, dtype=int)
     s_arr = np.asarray(s_arr, dtype=float)
     dw = dual_w[j_arr]
-    diagG = np.diag(G)
     dual_ref = float(np.max(np.abs(xty) / dual_w)) if p else 0.0
     delta = config.delta * max(dual_ref, 1e-300)
     Lg = _spectral_norm_estimate(G)
 
-    # feasible starts
-    B = np.zeros((K, p)) if beta0 is None else np.array(beta0, dtype=float)
-    feasible = np.ones(K, dtype=bool)
     if beta0 is None:
-        d0 = s_arr * xty[j_arr] / dw
         tau = max(1e-3 * dual_ref, 10.0 * delta)
-        need = d0 <= delta
-        for k in np.flatnonzero(need):
-            j = j_arr[k]
-            if diagG[j] <= 1e-12 * max(1.0, float(np.max(diagG))):
-                feasible[k] = False
-                continue
-            gamma = (tau * dw[k] - s_arr[k] * xty[j]) / diagG[j]
-            B[k, j] = -gamma * s_arr[k]
+        B, feasible = _coordinate_starts(G, xty, yty, c, j_arr, s_arr, pen_w,
+                                         dual_w, delta, tau)
+    else:
+        B = np.array(beta0, dtype=float)
+        feasible = np.ones(K, dtype=bool)
 
     if bound is not None:
         # repair starts that violate the dual constraint: aim the correlation
@@ -471,7 +499,10 @@ def solve_trex(problem: RegressionProblem, config: SolverConfig = None,
     - ``pruned``: the number of pruned subproblems;
     - ``stalled``: the number stopped because the line-search step fell
       below its floor (still counted as converged);
-    - ``all_converged``: every feasible subproblem converged or was pruned.
+    - ``all_converged``: every feasible subproblem converged or was pruned;
+    - ``iterations``: the largest iteration count of the main stage;
+    - ``row_iterations``: proximal-gradient steps summed over all
+      subproblems, main and refine stage.
 
     Group penalties with non-singleton groups use multistart descent per
     group and the result is flagged heuristic. Ties within 1e-10 break to the
@@ -512,6 +543,7 @@ def _solve_weighted_paths(problem, config, spec, G, xty, yty, bound):
     ref = _solve_sign_subproblems(G, xty, yty, c, j_arr[near], s_arr[near],
                                   pen_w, dual_w, refine_cfg, bound=bound,
                                   beta0=res.beta[near])
+    row_iterations = int(np.sum(res.iterations) + np.sum(ref.iterations))
     for name in ("beta", "objective", "converged", "stalled", "pruned", "lower"):
         getattr(res, name)[near] = getattr(ref, name)
 
@@ -552,6 +584,7 @@ def _solve_weighted_paths(problem, config, spec, G, xty, yty, bound):
         diagnostics={
             "heuristic": False,
             "iterations": int(np.max(res.iterations)),
+            "row_iterations": row_iterations,
             "bound": bound,
             "all_converged": bool(np.all((res.converged | res.pruned)[res.feasible])),
             "pruned": int(np.sum(res.pruned)),

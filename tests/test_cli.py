@@ -53,6 +53,14 @@ class TestFit:
         assert pruned > 0
         assert pruned == sum(r["pruned"] for r in payload["per_subproblem"])
 
+    def test_fit_json_carries_row_iterations(self, problem_csv, tmp_path):
+        path, problem = problem_csv
+        out = tmp_path / "fit.json"
+        assert main(["fit", str(path), "--out", str(out)]) == 0
+        diagnostics = json.loads(out.read_text())["diagnostics"]
+        assert diagnostics["row_iterations"] == solve_trex(
+            problem).diagnostics["row_iterations"] > 0
+
     def test_lasso_requires_penalty(self, problem_csv, capsys):
         path, _ = problem_csv
         code = main(["fit", str(path), "--estimator", "lasso"])

@@ -142,6 +142,14 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(self._dict(estimators=[estimator]))
 
+    @pytest.mark.parametrize("theorem", ["trex_fast_via_lasso_kappa",
+                                         "trex_fast_compat_kappa"])
+    def test_kappa_theorems_rejected(self, theorem):
+        # a config carries no kappas, so the harness could only evaluate
+        # these at the default kappas under the plain id
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(self._dict(theorems=["trex_slow", theorem]))
+
     def test_from_file(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(self._dict()))

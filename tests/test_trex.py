@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize_scalar
 
 from trexlab.errors import ConfigError, DomainError
 from trexlab.datagen import DesignSpec, ScenarioSpec, generate
 from trexlab.model import RegressionProblem, make_problem, normalize_columns
 from trexlab.norms import group_spec, l1_spec, singleton_groups, weighted_l1_spec
+from trexlab import trex
 from trexlab.trex import (
     SolverConfig,
     solve_subproblem,
@@ -275,6 +277,89 @@ class TestPruning:
         for r in fit.per_subproblem:
             if r.pruned:
                 assert r.objective >= f
+
+
+def _starts(problem, c, w):
+    """Coordinate starts of all 2p rows with the solver's delta and tau."""
+    x, y = problem.x, problem.y
+    G, xty, yty = x.T @ x, x.T @ y, float(y @ y)
+    j_arr = np.repeat(np.arange(problem.p), 2)
+    s_arr = np.tile([-1.0, 1.0], problem.p)
+    dual_ref = float(np.max(np.abs(xty) / w))
+    delta = SolverConfig().delta * dual_ref
+    tau = max(1e-3 * dual_ref, 10.0 * delta)
+    B, feasible = trex._coordinate_starts(G, xty, yty, c, j_arr, s_arr, w, w,
+                                          delta, tau)
+    return G, xty, yty, j_arr, s_arr, delta, tau, B, feasible
+
+
+class TestCoordinateStarts:
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("c", [0.5, 1.0, 1.5])
+    def test_rows_infeasible_at_zero_start_at_ray_minimum(self, rng, weighted, c):
+        problem = random_problem(rng, 24, 8)
+        w = rng.uniform(0.5, 2.0, 8) if weighted else np.ones(8)
+        G, xty, yty, j_arr, s_arr, delta, tau, B, feasible = _starts(problem, c, w)
+        need = np.flatnonzero(s_arr * xty[j_arr] <= 0)
+        assert set(s_arr[need]) == {-1.0, 1.0}
+        assert feasible.all()
+        np.testing.assert_array_equal(B[np.setdiff1d(np.arange(len(B)), need)], 0.0)
+        for k in need:
+            j, s = j_arr[k], s_arr[k]
+            g, m = G[j, j], xty[j]
+
+            def ray(v):
+                # row objective at b = beta e_j with s * x_j @ (y - x b) = v
+                beta = (m - s * v) / g
+                rss = yty - 2.0 * beta * m + g * beta * beta
+                return rss / (c * v / w[j]) + w[j] * abs(beta)
+
+            assert np.count_nonzero(B[k]) == 1
+            v0 = s * (m - g * B[k, j])
+            assert v0 / w[j] > delta
+            top = 10.0 * (np.sqrt(yty * g) + abs(m))
+            best = minimize_scalar(ray, bounds=(1e-9 * top, top), method="bounded",
+                                   options={"xatol": 1e-12 * top})
+            assert ray(v0) <= best.fun * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 1.5])
+    def test_tau_floor_when_y_is_on_the_coordinate(self, rng, c):
+        # y proportional to x_0 leaves no residual off the ray (R0 = 0), so the
+        # ray minimum sits on the domain boundary and the floor tau applies
+        x, _ = normalize_columns(rng.standard_normal((20, 5)))
+        problem = RegressionProblem(x, -2.0 * x[:, 0], normalized=True)
+        w = np.ones(5)
+        G, xty, yty, j_arr, s_arr, delta, tau, B, feasible = _starts(problem, c, w)
+        k = 1  # j = 0, s = +1: s * x_0 @ y = -2 n < 0
+        assert s_arr[k] * xty[0] < 0
+        D = s_arr[k] * (xty[0] - G[0, 0] * B[k, 0])
+        assert D == pytest.approx(tau, rel=1e-9)
+        assert D > delta
+
+    def test_zero_column_stays_infeasible(self, rng):
+        x = rng.standard_normal((12, 3))
+        x[:, 1] = 0.0
+        problem = RegressionProblem(x, rng.standard_normal(12), normalized=False)
+        *_, B, feasible = _starts(problem, 0.5, np.ones(3))
+        assert list(feasible) == [True, True, False, False, True, True]
+        assert not B[2:4].any()
+
+
+class TestRowIterations:
+    def test_sums_main_and_refine_stages(self, rng, monkeypatch):
+        stages = []
+        solve = trex._solve_sign_subproblems
+
+        def record(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            stages.append(int(res.iterations.sum()))
+            return res
+
+        monkeypatch.setattr(trex, "_solve_sign_subproblems", record)
+        fit = solve_trex(random_problem(rng, 30, 10))
+        assert len(stages) == 2 and stages[1] > 0
+        assert fit.diagnostics["row_iterations"] == sum(stages)
+        assert fit.diagnostics["iterations"] <= stages[0]
 
 
 class TestConstrained:
