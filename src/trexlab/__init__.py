@@ -13,7 +13,6 @@ from .model import (
 )
 from .norms import (
     NormSpec,
-    dual_feasibility_gap,
     group_spec,
     l1_spec,
     omega,

@@ -32,9 +32,7 @@ def _norm_from_args(args) -> NormSpec:
     if args.groups:
         with open(args.groups) as fh:
             return NormSpec.from_dict(json.load(fh))
-    if args.norm == "l1":
-        return l1_spec()
-    raise TrexlabError(f"norm {args.norm!r} requires --groups FILE with the spec")
+    return l1_spec()
 
 
 def cmd_fit(args) -> int:
@@ -133,8 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="dual bound for the constrained variant")
     fit.add_argument("--unpenalized", default="",
                      help="comma-separated 1-based unpenalized indices")
-    fit.add_argument("--norm", default="l1", choices=["l1", "weighted", "group"])
-    fit.add_argument("--groups", default=None, help="norm spec JSON file")
+    fit.add_argument("--groups", default=None,
+                     help="norm spec JSON file; the penalty is l1 without it")
     fit.add_argument("--seed", type=int, default=None)
     fit.add_argument("--out", default=None)
     fit.set_defaults(func=cmd_fit)

@@ -33,9 +33,5 @@ class DegenerateResidualError(TrexlabError, ValueError):
     """
 
 
-class InfeasibleSubproblemError(TrexlabError, ValueError):
-    """No strictly feasible point was found for a convex subproblem."""
-
-
 class ConfigError(TrexlabError, ValueError):
     """Invalid solver or experiment configuration."""

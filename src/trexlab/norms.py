@@ -3,7 +3,9 @@
 Three penalty families are supported: the l1 norm, a coordinate-weighted l1
 norm, and a group norm sum_G w_G ||beta_G||_2 over a partition of the
 coordinates. The dual norm is the l-infinity norm for l1, max_j |v_j| / w_j
-for the weighted case, and max_G ||v_G||_2 / w_G for groups.
+for the weighted case, and max_G ||v_G||_2 / w_G for groups. ``omega``,
+``omega_dual`` and ``prox_omega`` take one vector or a (k, p) batch of rows;
+a batch gives each row exactly what the row alone gives.
 """
 
 from __future__ import annotations
@@ -110,46 +112,53 @@ def singleton_groups(p: int, weights=None) -> NormSpec:
     return group_spec([(j,) for j in range(p)], weights)
 
 
-def omega(spec: NormSpec, beta) -> float:
-    """Evaluate the penalty norm."""
+def _per_row(v, out):
+    """A float for a 1-D input, the per-row array for a (k, p) batch."""
+    return float(out) if v.ndim == 1 else out
+
+
+def omega(spec: NormSpec, beta):
+    """Evaluate the penalty norm; a (k, p) batch yields one value per row."""
     beta = np.asarray(beta, dtype=float)
     spec._check_len(beta)
     if spec.kind == L1:
-        return float(np.sum(np.abs(beta)))
+        return _per_row(beta, np.sum(np.abs(beta), axis=-1))
     if spec.kind == WEIGHTED_L1:
-        return float(np.sum(np.asarray(spec.weights) * np.abs(beta)))
+        return _per_row(beta, np.sum(np.asarray(spec.weights) * np.abs(beta), axis=-1))
     total = 0.0
     for w, g in zip(spec.weights, spec.partition):
-        total += w * float(np.linalg.norm(beta[list(g)]))
-    return total
+        total = total + w * np.linalg.norm(beta[..., list(g)], axis=-1)
+    return _per_row(beta, total)
 
 
-def omega_dual(spec: NormSpec, v) -> float:
-    """Evaluate the dual norm sup { v @ beta : omega(beta) <= 1 }."""
+def omega_dual(spec: NormSpec, v):
+    """Evaluate the dual norm sup { v @ beta : omega(beta) <= 1 }, per row of a
+    (k, p) batch."""
     v = np.asarray(v, dtype=float)
     spec._check_len(v)
-    if v.size == 0:
-        return 0.0
+    if v.shape[-1] == 0:
+        return _per_row(v, np.zeros(v.shape[:-1]))
     if spec.kind == L1:
-        return float(np.max(np.abs(v)))
+        return _per_row(v, np.max(np.abs(v), axis=-1))
     if spec.kind == WEIGHTED_L1:
-        return float(np.max(np.abs(v) / np.asarray(spec.weights)))
+        return _per_row(v, np.max(np.abs(v) / np.asarray(spec.weights), axis=-1))
     best = 0.0
     for w, g in zip(spec.weights, spec.partition):
-        best = max(best, float(np.linalg.norm(v[list(g)])) / w)
-    return best
+        best = np.maximum(best, np.linalg.norm(v[..., list(g)], axis=-1) / w)
+    return _per_row(v, best)
 
 
-def prox_omega(spec: NormSpec, v, t: float) -> np.ndarray:
+def prox_omega(spec: NormSpec, v, t) -> np.ndarray:
     """Proximity operator argmin_z { 0.5 ||z - v||^2 + t * omega(z) }.
 
     Coordinate soft-thresholding for (weighted) l1; block shrinkage by
     max(0, 1 - t * w_G / ||v_G||) for groups, with the zero block returned at
-    ||v_G|| = 0 (the continuous limit).
+    ||v_G|| = 0 (the continuous limit). A (k, p) batch takes a scalar t or one
+    step per row, shaped (k, 1).
     """
     v = np.asarray(v, dtype=float)
     spec._check_len(v)
-    if t < 0:
+    if np.any(np.asarray(t) < 0):
         raise ValueError("t must be nonnegative")
     if spec.kind == L1:
         return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
@@ -159,16 +168,11 @@ def prox_omega(spec: NormSpec, v, t: float) -> np.ndarray:
     out = np.zeros_like(v)
     for w, g in zip(spec.weights, spec.partition):
         idx = list(g)
-        block = v[idx]
-        nrm = float(np.linalg.norm(block))
-        if nrm > 0:
-            out[idx] = block * max(0.0, 1.0 - t * w / nrm)
+        block = v[..., idx]
+        nrm = np.linalg.norm(block, axis=-1, keepdims=True)
+        # a zero block stays zero whatever the (finite) factor
+        out[..., idx] = block * np.maximum(0.0, 1.0 - t * w / np.where(nrm > 0, nrm, 1.0))
     return out
-
-
-def dual_feasibility_gap(spec: NormSpec, v, bound: float) -> float:
-    """Return omega_dual(v) - bound; positive means the bound is violated."""
-    return omega_dual(spec, v) - bound
 
 
 def penalty_weight_vector(spec: NormSpec, p: int) -> np.ndarray:

@@ -17,14 +17,19 @@ above the best objective found so far, by more than the window in which
 near-best subproblems are refined, cannot win and is stopped (pruned). The
 fit reports ``certified_gap``, the objective minus the smallest bound over
 the feasible subproblems: the global optimum lies at most that far below the
-returned objective. Group penalties yield one subproblem per group whose
-denominator is an l2 norm of a linear map; those are not provably convex and
-are handled by seeded multistart descent, flagged as heuristic.
+returned objective.
+
+Group penalties with a non-singleton group yield one subproblem per group,
+with denominator ||x_G.T (y - x b)|| / w_G; those are not provably convex, so
+each is solved from several seeded starts and the fit is flagged heuristic.
+Every start is one row of the same batched engine, with the group prox in
+place of soft thresholding; group rows are neither certified nor pruned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,7 +127,7 @@ def subproblem_objective(problem: RegressionProblem, beta, c: float,
 
 
 # ---------------------------------------------------------------------------
-# batched proximal gradient over the sign subproblems
+# one batched proximal-gradient engine over the subproblem rows
 
 
 def _soft(v, th):
@@ -189,96 +194,182 @@ def _coordinate_starts(G, xty, yty, c, j_arr, s_arr, pen_w, dual_w, delta, tau):
     return B, feasible
 
 
-def _solve_sign_subproblems(G, xty, yty, c, j_arr, s_arr, pen_w, dual_w, config,
-                            bound=None, beta0=None, window=10):
-    """Monotone proximal gradient with backtracking over K sign subproblems.
+class _Rows(NamedTuple):
+    """Subproblem rows: the coordinates of each denominator (padded with -1),
+    the sign (0 for a group row) and the dual weight dividing it."""
 
-    Each row k minimizes rss(b) / (c * D_k(b)) + sum_i pen_w_i |b_i| over the
-    open domain D_k(b) > delta, with D_k(b) = s_k * q_{j_k}(b) / dual_w_{j_k}
-    and q(b) = x.T (y - x b) = xty - G b. When ``bound`` is given, candidate
-    steps with max_i |q_i| / dual_w_i > bound are rejected (line-search
-    feasibility, no projection).
+    idx: np.ndarray
+    s: np.ndarray
+    dw: np.ndarray
 
-    Without ``beta0``, rows that are feasible at b = 0 start there and every
-    other row starts at the exact minimizer of its objective along its own
-    coordinate (``_coordinate_starts``), far nearer its optimum than a point
-    just inside the domain boundary. Under ``bound`` a start that violates
-    the constraint is then repaired.
+    def take(self, sel):
+        return _Rows(self.idx[sel], self.s[sel], self.dw[sel])
 
-    Every iteration also evaluates a dual lower bound LB_k on each active
-    row's optimum and stops (prunes) the rows with LB_k above the incumbent
-    min_k F_k plus the refine window ``_near_margin``: such a row can neither
-    win nor be refined. The bound is that of the unconstrained subproblem, so
-    it stays valid, if looser, under ``bound``. ``lower`` holds LB_k at the
-    final iterate of every feasible row (inf for infeasible rows).
+
+def _is_heuristic(spec: NormSpec) -> bool:
+    """Group penalties with a non-singleton group have no sign decomposition."""
+    return spec.kind == norms.GROUP and any(len(g) > 1 for g in spec.partition)
+
+
+def _sign_rows(G, xty, yty, c, j_arr, s_arr, pen_w, dual_ref, delta, bound=None):
+    """Rows (j, s) of the sign decomposition with their starts and feasibility.
+
+    Rows that are feasible at b = 0 start there and every other row starts at
+    the exact minimizer of its objective along its own coordinate
+    (``_coordinate_starts``), far nearer its optimum than a point just inside
+    the domain boundary. Under ``bound`` a start that violates the constraint
+    is then repaired.
     """
     p = G.shape[0]
-    K = len(j_arr)
-    j_arr = np.asarray(j_arr, dtype=int)
-    s_arr = np.asarray(s_arr, dtype=float)
-    dw = dual_w[j_arr]
-    dual_ref = float(np.max(np.abs(xty) / dual_w)) if p else 0.0
-    delta = config.delta * max(dual_ref, 1e-300)
-    Lg = _spectral_norm_estimate(G)
-
-    if beta0 is None:
-        tau = max(1e-3 * dual_ref, 10.0 * delta)
-        B, feasible = _coordinate_starts(G, xty, yty, c, j_arr, s_arr, pen_w,
-                                         dual_w, delta, tau)
-    else:
-        B = np.array(beta0, dtype=float)
-        feasible = np.ones(K, dtype=bool)
-
+    dw = pen_w[j_arr]
+    tau = max(1e-3 * dual_ref, 10.0 * delta)
+    B, feasible = _coordinate_starts(G, xty, yty, c, j_arr, s_arr, pen_w, pen_w,
+                                     delta, tau)
     if bound is not None:
         # repair starts that violate the dual constraint: aim the correlation
         # vector at a point strictly inside the constraint set
         qS = xty[None, :] - B @ G
-        dualS = np.max(np.abs(qS) / dual_w[None, :], axis=1)
+        dualS = np.max(np.abs(qS) / pen_w[None, :], axis=1)
         viol = np.flatnonzero(feasible & (dualS > bound * (1.0 + 1e-12)))
         if viol.size:
             Gpinv = np.linalg.pinv(G)
             for k in viol:
                 j = j_arr[k]
                 target = np.zeros(p)
-                target[j] = s_arr[k] * 0.5 * bound * dual_w[j]
+                target[j] = s_arr[k] * 0.5 * bound * pen_w[j]
                 bk = Gpinv @ (xty - target)
                 qk = xty - G @ bk
                 dk = s_arr[k] * qk[j] / dw[k]
-                if dk > delta and float(np.max(np.abs(qk) / dual_w)) <= bound:
+                if dk > delta and float(np.max(np.abs(qk) / pen_w)) <= bound:
                     B[k] = bk
                 else:
                     feasible[k] = False
+    return _Rows(j_arr[:, None], s_arr, dw), B, feasible
 
-    def eval_rows(Bm, rows):
+
+def _group_rows(G, xty, spec, config):
+    """Rows of the group subproblems, each group from max(multistart_count, 2)
+    starts: zeros, the ridge fit and perturbed ridge fits, group-major."""
+    p = G.shape[0]
+    n_groups = len(spec.partition)
+    n_starts = max(config.multistart_count, 2)
+    rng = np.random.default_rng(config.seed)
+    ridge = np.linalg.solve(G + np.eye(p), xty)
+    # drawn group by group, start by start: the multiplicative draw first
+    z = rng.standard_normal((n_groups, n_starts - 2, 2, p))
+    B = np.zeros((n_groups, n_starts, p))
+    B[:, 1] = ridge
+    B[:, 2:] = ridge * (1.0 + 0.5 * z[:, :, 0]) + 0.1 * z[:, :, 1]
+    idx = np.full((n_groups, max(len(g) for g in spec.partition)), -1)
+    for gi, g in enumerate(spec.partition):
+        idx[gi, :len(g)] = g
+    rows = _Rows(np.repeat(idx, n_starts, axis=0), np.zeros(n_groups * n_starts),
+                 np.repeat(np.asarray(spec.weights), n_starts))
+    return rows, B.reshape(-1, p), np.ones(n_groups * n_starts, dtype=bool)
+
+
+def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
+                       bound=None, window=10):
+    """Monotone proximal gradient with backtracking over K subproblem rows.
+
+    Row k minimizes rss(b) / (c * D_k(b)) + omega(b) over the open domain
+    D_k(b) > delta, from its start B[k], with q(b) = x.T (y - x b) = xty - G b:
+
+    - a sign row has D_k(b) = s_k * q_j(b) / dw_k and a (weighted) l1
+      penalty, so its objective is convex;
+    - a group row has D_k(b) = ||q_idx(b)|| / dw_k and the group penalty,
+      whose prox is ``norms.prox_omega``; its objective need not be convex.
+
+    When ``bound`` is given, candidate steps with dual(q) > bound are rejected
+    (line-search feasibility, no projection); starts are not checked.
+
+    For sign rows every iteration also evaluates a dual lower bound LB_k on
+    each active row's optimum and stops (prunes) the rows with LB_k above the
+    incumbent min_k F_k plus the refine window ``_near_margin``: such a row
+    can neither win nor be refined. The bound is that of the unconstrained
+    subproblem, so it stays valid, if looser, under ``bound``. ``lower``
+    holds LB_k at the final iterate of every feasible sign row, inf for
+    infeasible rows and -inf for group rows, which have no certificate.
+    """
+    p = G.shape[0]
+    K = len(rows.s)
+    c = config.c
+    s_arr, dw = rows.s, rows.dw
+    Lg = _spectral_norm_estimate(G)
+    group = _is_heuristic(spec)
+
+    if group:
+        pad = rows.idx < 0
+
+        def block(q, sub):
+            qg = np.where(pad[sub], 0.0, q[np.arange(sub.size)[:, None], rows.idx[sub]])
+            return qg, np.sqrt(np.einsum("km,km->k", qg, qg))
+
+        def denominator(q, sub):
+            return block(q, sub)[1] / dw[sub]
+
+        def slope(sub, coef):
+            # coef times the gradient of -D_k: G[:, idx] u / dw with the unit
+            # vector u = q_idx / ||q_idx||; pads land in a spare last column
+            qg, nrm = block(q[sub], sub)
+            U = np.zeros((sub.size, p + 1))
+            U[np.arange(sub.size)[:, None], rows.idx[sub]] = qg / nrm[:, None]
+            return (coef / dw[sub])[:, None] * (U[:, :p] @ G)
+
+        def prox(V, step):
+            return norms.prox_omega(spec, V, step)
+
+        def penalty(Bm):
+            return norms.omega(spec, Bm)
+
+        def dual(Q):
+            return norms.omega_dual(spec, Q)
+    else:
+        j_arr = rows.idx[:, 0]
+        pen_w = penalty_weight_vector(spec, p)
+
+        def denominator(q, sub):
+            return s_arr[sub] * q[np.arange(sub.size), j_arr[sub]] / dw[sub]
+
+        def slope(sub, coef):
+            return (coef * s_arr[sub] / dw[sub])[:, None] * G[:, j_arr[sub]].T
+
+        def prox(V, step):
+            return _soft(V, step * pen_w[None, :])
+
+        def penalty(Bm):
+            return np.abs(Bm) @ pen_w
+
+        def dual(Q):
+            return np.max(np.abs(Q) / pen_w[None, :], axis=1)
+
+        inv_pen_w = 1.0 / pen_w
+        a_y = s_arr * xty[j_arr] / dw
+
+        def lower_bound(sub, grad):
+            # The gradient z of g(r) = ||r||^2 / (c a.r) satisfies x.T z = -grad,
+            # and theta * z is dual feasible (Fercoq, Gramfort & Salmon 2015),
+            # so the dual objective theta * y.z bounds the row's optimum below.
+            Dr = D[sub]
+            theta = 1.0 / np.maximum(1.0, (np.abs(grad) * inv_pen_w).max(axis=1))
+            yz = (2.0 * (yty - B[sub] @ xty) - rss[sub] * a_y[sub] / Dr) / (c * Dr)
+            return theta * yz
+
+    def eval_rows(Bm, sub):
         bg = Bm @ G
         q = xty[None, :] - bg
         rss = yty - 2.0 * (Bm @ xty) + np.einsum("kp,kp->k", Bm, bg)
         np.maximum(rss, 0.0, out=rss)
-        D = s_arr[rows] * q[np.arange(len(rows)), j_arr[rows]] / dw[rows]
-        return q, rss, D
+        return q, rss, denominator(q, sub)
 
-    def gradient(rows):
-        Dr = D[rows]
-        return (-2.0 / (c * Dr))[:, None] * q[rows] + (
-            rss[rows] / (c * Dr * Dr) * s_arr[rows] / dw[rows]
-        )[:, None] * G[:, j_arr[rows]].T
-
-    inv_pen_w = 1.0 / pen_w
-    a_y = s_arr * xty[j_arr] / dw
-
-    def lower_bound(rows, grad):
-        # The gradient z of g(r) = ||r||^2 / (c a.r) satisfies x.T z = -grad,
-        # and theta * z is dual feasible (Fercoq, Gramfort & Salmon 2015), so
-        # the dual objective theta * y.z bounds the row's optimum from below.
-        Dr = D[rows]
-        theta = 1.0 / np.maximum(1.0, (np.abs(grad) * inv_pen_w).max(axis=1))
-        yz = (2.0 * (yty - B[rows] @ xty) - rss[rows] * a_y[rows] / Dr) / (c * Dr)
-        return theta * yz
+    def gradient(sub):
+        Dr = D[sub]
+        return (-2.0 / (c * Dr))[:, None] * q[sub] + slope(sub, rss[sub] / (c * Dr * Dr))
 
     q, rss, D = eval_rows(B, np.arange(K))
-    g = np.where(feasible & (D > 0), rss / (c * np.where(D > 0, D, 1.0)), np.inf)
-    pen = np.abs(B) @ pen_w
-    F = g + pen
+    feasible = feasible & (D > delta)
+    g = np.where(feasible, rss / (c * np.where(feasible, D, 1.0)), np.inf)
+    F = g + penalty(B)
 
     t = np.empty(K)
     with np.errstate(invalid="ignore"):
@@ -293,40 +384,36 @@ def _solve_sign_subproblems(G, xty, yty, c, j_arr, s_arr, pen_w, dual_w, config,
     iterations = np.zeros(K, dtype=int)
 
     for it in range(config.max_iterations):
-        rows = np.flatnonzero(active)
-        if rows.size == 0:
+        act = np.flatnonzero(active)
+        if act.size == 0:
             break
-        grad = gradient(rows)
-        incumbent = float(F.min())
-        hopeless = lower_bound(rows, grad) > incumbent + _near_margin(incumbent)
-        if hopeless.any():
-            pruned[rows[hopeless]] = True
-            active[rows[hopeless]] = False
-            rows, grad = rows[~hopeless], grad[~hopeless]
-            if rows.size == 0:
-                break
-        iterations[rows] = it + 1
-        Br = B[rows]
-        gr = rss[rows] / (c * D[rows])
+        grad = gradient(act)
+        if not group:
+            incumbent = float(F.min())
+            hopeless = lower_bound(act, grad) > incumbent + _near_margin(incumbent)
+            if hopeless.any():
+                pruned[act[hopeless]] = True
+                active[act[hopeless]] = False
+                act, grad = act[~hopeless], grad[~hopeless]
+                if act.size == 0:
+                    break
+        iterations[act] = it + 1
+        Br = B[act]
+        gr = rss[act] / (c * D[act])
 
-        pending = np.arange(rows.size)
+        pending = np.arange(act.size)
         newB = Br.copy()
-        accepted = np.zeros(rows.size, dtype=bool)
+        accepted = np.zeros(act.size, dtype=bool)
         for _ in range(80):
             if pending.size == 0:
                 break
-            sub = rows[pending]
+            sub = act[pending]
             step = t[sub][:, None]
-            Cand = _soft(Br[pending] - step * grad[pending], step * pen_w[None, :])
-            bgC = Cand @ G
-            qC = xty[None, :] - bgC
-            rssC = yty - 2.0 * (Cand @ xty) + np.einsum("kp,kp->k", Cand, bgC)
-            np.maximum(rssC, 0.0, out=rssC)
-            DC = s_arr[sub] * qC[np.arange(sub.size), j_arr[sub]] / dw[sub]
+            Cand = prox(Br[pending] - step * grad[pending], step)
+            qC, rssC, DC = eval_rows(Cand, sub)
             ok = DC > delta
             if bound is not None:
-                dualC = np.max(np.abs(qC) / dual_w[None, :], axis=1)
-                ok &= dualC <= bound
+                ok &= dual(qC) <= bound
             with np.errstate(divide="ignore", invalid="ignore"):
                 gC = np.where(ok, rssC / (c * np.where(ok, DC, 1.0)), np.inf)
             diff = Cand - Br[pending]
@@ -340,38 +427,38 @@ def _solve_sign_subproblems(G, xty, yty, c, j_arr, s_arr, pen_w, dual_w, config,
             if acc.size:
                 newB[acc] = Cand[ok]
                 accepted[acc] = True
-                sel = rows[acc]
+                sel = act[acc]
                 q[sel] = qC[ok]
                 rss[sel] = rssC[ok]
                 D[sel] = DC[ok]
             rej = pending[~ok]
-            t[rows[rej]] *= 0.5
-            dead = rej[t[rows[rej]] < t_floor[rows[rej]]]
+            t[act[rej]] *= 0.5
+            dead = rej[t[act[rej]] < t_floor[act[rej]]]
             if dead.size:
                 # cannot decrease further: treat as a stationary stall
-                converged[rows[dead]] = True
-                stalled[rows[dead]] = True
-                active[rows[dead]] = False
+                converged[act[dead]] = True
+                stalled[act[dead]] = True
+                active[act[dead]] = False
                 rej = np.setdiff1d(rej, dead, assume_unique=True)
             pending = rej
-        B[rows] = newB
-        t[rows[accepted]] = np.minimum(t[rows[accepted]] * 1.3, 1e12)
+        B[act] = newB
+        t[act[accepted]] = np.minimum(t[act[accepted]] * 1.3, 1e12)
 
-        gF = rss[rows] / (c * D[rows])
-        F[rows] = gF + np.abs(B[rows]) @ pen_w
+        gF = rss[act] / (c * D[act])
+        F[act] = gF + penalty(B[act])
         hist.append(F.copy())
         if len(hist) > window + 1:
             hist.pop(0)
         if len(hist) == window + 1:
-            old = hist[0][rows]
-            done = (old - F[rows]) <= config.tolerance * (1.0 + np.abs(F[rows]))
-            converged[rows[done]] = True
-            active[rows[done]] = False
+            old = hist[0][act]
+            done = (old - F[act]) <= config.tolerance * (1.0 + np.abs(F[act]))
+            converged[act[done]] = True
+            active[act[done]] = False
 
     F = np.where(feasible, F, np.inf)
     lower = np.full(K, np.inf)
-    rows = np.flatnonzero(feasible)
-    lower[rows] = lower_bound(rows, gradient(rows))
+    live = np.flatnonzero(feasible)
+    lower[live] = -np.inf if group else lower_bound(live, gradient(live))
     return _BatchResult(B, F, converged, feasible, iterations, stalled, pruned,
                         lower)
 
@@ -391,77 +478,16 @@ def solve_subproblem(problem: RegressionProblem, c: float, j: int, s: int,
     xty = x.T @ y
     yty = float(y @ y)
     ones = np.ones(problem.p)
-    res = _solve_sign_subproblems(G, xty, yty, c, [j], [float(s)], ones, ones,
-                                  config, bound=bound)
+    dual_ref = omega_dual(l1_spec(), xty)
+    delta = config.delta * max(dual_ref, 1e-300)
+    rows, B, feasible = _sign_rows(G, xty, yty, c, np.array([j]),
+                                   np.array([float(s)]), ones, dual_ref, delta,
+                                   bound)
+    res = _solve_subproblems(G, xty, yty, l1_spec(), rows, B, feasible, delta,
+                             config, bound=bound)
     if not res.feasible[0]:
         return None, float("inf"), False
     return res.beta[0], float(res.objective[0]), bool(res.converged[0])
-
-
-# ---------------------------------------------------------------------------
-# group subproblems (heuristic multistart descent)
-
-
-def _solve_group_subproblem(G, xty, yty, c, gidx, w_g, spec, config, start,
-                            bound=None, window=10):
-    """Scalar proximal descent for one group subproblem from a given start.
-
-    The denominator is ||q_G|| / w_g with q(b) = xty - G b; the penalty prox
-    is the full group soft threshold. Returns (beta, objective, converged) or
-    None when the start is infeasible.
-    """
-    p = G.shape[0]
-    gidx = list(gidx)
-    dual_ref = omega_dual(spec, xty)
-    delta = config.delta * max(dual_ref, 1e-300)
-    Lg = _spectral_norm_estimate(G)
-
-    def state(b):
-        q = xty - G @ b
-        rss = max(float(yty - 2.0 * (b @ xty) + b @ (G @ b)), 0.0)
-        m = float(np.linalg.norm(q[gidx]))
-        return q, rss, m
-
-    b = np.array(start, dtype=float)
-    q, rss, m = state(b)
-    D = m / w_g
-    if D <= delta:
-        return None
-    t = c * D / (2.0 * Lg)
-    F = rss / (c * D) + omega(spec, b)
-    hist = [F]
-    converged = False
-    for it in range(config.max_iterations):
-        v = q[gidx]
-        grad = (w_g / c) * (-2.0 * q / m + (rss / m**3) * (G[:, gidx] @ v))
-        accepted = False
-        for _ in range(80):
-            cand = norms.prox_omega(spec, b - t * grad, t)
-            qC, rssC, mC = state(cand)
-            DC = mC / w_g
-            if DC > delta and (bound is None or omega_dual(spec, qC) <= bound):
-                gC = rssC / (c * DC)
-                diff = cand - b
-                quad = (rss / (c * D) + grad @ diff + (diff @ diff) / (2.0 * t))
-                if gC <= quad + 1e-12 * (1.0 + abs(gC)):
-                    b, q, rss, m, D = cand, qC, rssC, mC, DC
-                    t = min(t * 1.3, 1e12)
-                    accepted = True
-                    break
-            t *= 0.5
-            if t < 1e-300:
-                break
-        F = rss / (c * D) + omega(spec, b)
-        hist.append(F)
-        if len(hist) > window + 1:
-            hist.pop(0)
-        if not accepted:
-            converged = True
-            break
-        if len(hist) == window + 1 and hist[0] - F <= config.tolerance * (1.0 + abs(F)):
-            converged = True
-            break
-    return b, F, converged
 
 
 # ---------------------------------------------------------------------------
@@ -476,103 +502,106 @@ def _check_input(problem: RegressionProblem, config: SolverConfig):
         )
 
 
-def _reduces_to_weighted(spec: NormSpec) -> bool:
-    return spec.kind in (norms.L1, norms.WEIGHTED_L1) or all(
-        len(g) == 1 for g in spec.partition
-    )
-
-
 def solve_trex(problem: RegressionProblem, config: SolverConfig = None,
                spec: NormSpec = None, bound=None) -> TrexFit:
     """Globally solve the ratio objective via the subproblem decomposition.
 
-    For (weighted) l1 penalties the 2p convex subproblems are solved together
-    and the best optimum is returned. A subproblem stops early (is pruned)
-    once its dual lower bound exceeds the best current objective by more than
+    For (weighted) l1 penalties, and group penalties of singletons only, the
+    2p convex sign subproblems are solved together and the best optimum is
+    returned. A subproblem stops early (is pruned) once its dual lower bound
+    exceeds the best current objective by more than
     max(1e-6 (1 + |best|), 1e-8), the window within which near-best
-    subproblems are refined, so a pruned subproblem can never win. The
-    diagnostics report:
+    subproblems are refined, so a pruned subproblem can never win. Any other
+    group penalty has one nonconvex subproblem per group, solved from
+    max(multistart_count, 2) seeded starts in the same batch; such a fit is
+    flagged heuristic, carries no certificate and prunes nothing. The
+    diagnostics report, for every penalty:
 
+    - ``heuristic``: whether the fit comes from the group multistarts;
     - ``certified_gap``: objective minus the smallest dual lower bound over
       the feasible subproblems, an upper bound on the distance to the global
-      optimum; None under ``bound``, where the unconstrained bound is loose;
+      optimum; None for heuristic fits and under ``bound``, where the
+      unconstrained bound is loose;
     - ``pruned``: the number of pruned subproblems;
-    - ``stalled``: the number stopped because the line-search step fell
-      below its floor (still counted as converged);
+    - ``stalled``: the number of rows stopped because the line-search step
+      fell below its floor (still counted as converged);
     - ``all_converged``: every feasible subproblem converged or was pruned;
     - ``iterations``: the largest iteration count of the main stage;
-    - ``row_iterations``: proximal-gradient steps summed over all
-      subproblems, main and refine stage.
+    - ``row_iterations``: proximal-gradient steps summed over all rows
+      (every start of every subproblem), main and refine stage.
 
-    Group penalties with non-singleton groups use multistart descent per
-    group and the result is flagged heuristic. Ties within 1e-10 break to the
-    lowest coordinate, negative sign first.
+    A subproblem's record holds its best row. Ties within 1e-10 break to the
+    lowest subproblem: the lowest coordinate, negative sign first.
     """
     config = config or SolverConfig()
     spec = spec or l1_spec()
     _check_input(problem, config)
     x, y = problem.x, problem.y
     p = problem.p
+    c = config.c
     G = x.T @ x
     xty = x.T @ y
     yty = float(y @ y)
     dual0 = omega_dual(spec, xty)
     if dual0 <= 0.0:
         raise DomainError("dual norm of x.T y is zero; the objective is undefined at 0")
+    delta = config.delta * dual0
 
-    if _reduces_to_weighted(spec):
-        return _solve_weighted_paths(problem, config, spec, G, xty, yty, bound)
-    return _solve_group_paths(problem, config, spec, G, xty, yty, bound)
-
-
-def _solve_weighted_paths(problem, config, spec, G, xty, yty, bound):
-    p = problem.p
-    c = config.c
-    pen_w = penalty_weight_vector(spec, p)
-    dual_w = pen_w  # dual weights divide; identical vector for these specs
-    j_arr = np.repeat(np.arange(p), 2)
-    s_arr = np.tile([-1.0, 1.0], p)
-    res = _solve_sign_subproblems(G, xty, yty, c, j_arr, s_arr, pen_w, dual_w,
-                                  config, bound=bound)
+    heuristic = _is_heuristic(spec)
+    if heuristic:
+        rows, B, feasible = _group_rows(G, xty, spec, config)
+        identities = [(gi,) for gi in range(len(spec.partition))]
+    else:
+        j_arr = np.repeat(np.arange(p), 2)
+        s_arr = np.tile([-1.0, 1.0], p)
+        rows, B, feasible = _sign_rows(G, xty, yty, c, j_arr, s_arr,
+                                       penalty_weight_vector(spec, p), dual0,
+                                       delta, bound)
+        identities = [(int(j), int(s)) for j, s in zip(j_arr, s_arr)]
+    res = _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
+                             bound=bound)
 
     best = float(np.min(res.objective))
     if not np.isfinite(best):
         raise DomainError("all subproblems infeasible; input is degenerate")
     near = np.flatnonzero(res.objective <= best + _near_margin(best))
     refine_cfg = replace(config, tolerance=config.tolerance * 1e-3)
-    ref = _solve_sign_subproblems(G, xty, yty, c, j_arr[near], s_arr[near],
-                                  pen_w, dual_w, refine_cfg, bound=bound,
-                                  beta0=res.beta[near])
+    ref = _solve_subproblems(G, xty, yty, spec, rows.take(near), res.beta[near],
+                             np.ones(near.size, dtype=bool), delta, refine_cfg,
+                             bound=bound)
     row_iterations = int(np.sum(res.iterations) + np.sum(ref.iterations))
     for name in ("beta", "objective", "converged", "stalled", "pruned", "lower"):
         getattr(res, name)[near] = getattr(ref, name)
 
-    win = int(np.flatnonzero(res.objective <= np.min(res.objective) + TIE_TOL)[0])
-    beta = res.beta[win]
+    # one record per subproblem: the best of its per_sub consecutive rows
+    n_sub = len(identities)
+    per_sub = len(B) // n_sub
+    top = (np.argmin(res.objective.reshape(n_sub, per_sub), axis=1)
+           + per_sub * np.arange(n_sub))
+    objs = res.objective[top]
+    converged, pruned = res.converged[top], res.pruned[top]
+    feasible = res.feasible.reshape(n_sub, per_sub).any(axis=1)
+    records = tuple(
+        SubproblemRecord(identity=identities[k], objective=float(objs[k]),
+                         converged=bool(converged[k]), feasible=bool(feasible[k]),
+                         pruned=bool(pruned[k]))
+        for k in range(n_sub)
+    )
+
+    win = int(np.flatnonzero(objs <= np.min(objs) + TIE_TOL)[0])
+    beta = res.beta[top[win]]
     q = xty - G @ beta
     u_hat = omega_dual(spec, q)
-    if u_hat <= 1e-12 * omega_dual(spec, xty):
+    if u_hat <= 1e-12 * dual0:
         raise DegenerateResidualError(
             "dual residual norm vanished at the optimum; use the constrained "
             "variant or check the problem scaling"
         )
     rss = max(float(yty - 2.0 * beta @ xty + beta @ (G @ beta)), 0.0)
     objective = rss / (c * u_hat) + omega(spec, beta)
-    records = tuple(
-        SubproblemRecord(
-            identity=(int(j_arr[k]), int(s_arr[k])),
-            objective=float(res.objective[k]),
-            converged=bool(res.converged[k]),
-            feasible=bool(res.feasible[k]),
-            pruned=bool(res.pruned[k]),
-        )
-        for k in range(2 * p)
-    )
-    if spec.kind == norms.GROUP:
-        coord_to_group = {g[0]: gi for gi, g in enumerate(spec.partition)}
-        winner = (coord_to_group[int(j_arr[win])],)
-    else:
-        winner = (int(j_arr[win]), int(s_arr[win]))
+    winner = identities[win]
+    if spec.kind == norms.GROUP and not heuristic:
+        winner = (next(gi for gi, g in enumerate(spec.partition) if g[0] == winner[0]),)
     return TrexFit(
         beta_hat=beta,
         u_hat=float(u_hat),
@@ -582,70 +611,16 @@ def _solve_weighted_paths(problem, config, spec, G, xty, yty, bound):
         spec=spec,
         config=config,
         diagnostics={
-            "heuristic": False,
+            "heuristic": heuristic,
             "iterations": int(np.max(res.iterations)),
             "row_iterations": row_iterations,
             "bound": bound,
-            "all_converged": bool(np.all((res.converged | res.pruned)[res.feasible])),
+            "all_converged": bool(np.all((converged | pruned)[feasible])),
             "pruned": int(np.sum(res.pruned)),
             "stalled": int(np.sum(res.stalled)),
-            "certified_gap": (None if bound is not None
+            "certified_gap": (None if heuristic or bound is not None
                               else float(objective - np.min(res.lower))),
         },
-    )
-
-
-def _solve_group_paths(problem, config, spec, G, xty, yty, bound):
-    p = problem.p
-    c = config.c
-    rng = np.random.default_rng(config.seed)
-    ridge = np.linalg.solve(G + np.eye(p), xty)
-    records = []
-    best = None
-    for gi, (w_g, gidx) in enumerate(zip(spec.weights, spec.partition)):
-        starts = [np.zeros(p), ridge.copy()]
-        while len(starts) < config.multistart_count:
-            starts.append(ridge * (1.0 + 0.5 * rng.standard_normal(p))
-                          + 0.1 * rng.standard_normal(p))
-        sub_best = None
-        any_feasible = False
-        for start in starts:
-            out = _solve_group_subproblem(G, xty, yty, c, gidx, w_g, spec,
-                                          config, start, bound=bound)
-            if out is None:
-                continue
-            any_feasible = True
-            if sub_best is None or out[1] < sub_best[1]:
-                sub_best = out
-        if not any_feasible:
-            records.append(SubproblemRecord((gi,), float("inf"), False, False))
-            continue
-        records.append(SubproblemRecord((gi,), float(sub_best[1]),
-                                        bool(sub_best[2]), True))
-        if best is None or sub_best[1] < best[1] - TIE_TOL:
-            best = (sub_best[0], sub_best[1], gi)
-    if best is None:
-        raise DomainError("all group subproblems infeasible")
-    beta = best[0]
-    q = xty - G @ beta
-    u_hat = omega_dual(spec, q)
-    if u_hat <= 1e-12 * omega_dual(spec, xty):
-        raise DegenerateResidualError(
-            "dual residual norm vanished at the optimum; use the constrained "
-            "variant or check the problem scaling"
-        )
-    rss = max(float(yty - 2.0 * beta @ xty + beta @ (G @ beta)), 0.0)
-    objective = rss / (c * u_hat) + omega(spec, beta)
-    return TrexFit(
-        beta_hat=beta,
-        u_hat=float(u_hat),
-        objective=float(objective),
-        winner=(best[2],),
-        per_subproblem=tuple(records),
-        spec=spec,
-        config=config,
-        diagnostics={"heuristic": True, "bound": bound,
-                     "multistart_count": config.multistart_count},
     )
 
 

@@ -61,6 +61,20 @@ class TestFit:
         assert diagnostics["row_iterations"] == solve_trex(
             problem).diagnostics["row_iterations"] > 0
 
+    def test_group_spec_file_selects_the_penalty(self, problem_csv, tmp_path):
+        path, _ = problem_csv
+        groups = tmp_path / "spec.json"
+        groups.write_text(json.dumps({"kind": "group",
+                                      "partition": [[1, 2], [3, 4, 5], [6]]}))
+        out = tmp_path / "fit.json"
+        assert main(["fit", str(path), "--groups", str(groups), "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["spec"]["kind"] == "group"
+        diagnostics = payload["diagnostics"]
+        assert diagnostics["heuristic"] is True
+        assert diagnostics["row_iterations"] > 0
+        assert diagnostics["all_converged"] is True
+
     def test_lasso_requires_penalty(self, problem_csv, capsys):
         path, _ = problem_csv
         code = main(["fit", str(path), "--estimator", "lasso"])

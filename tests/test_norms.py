@@ -4,7 +4,6 @@ import pytest
 from trexlab.errors import ConfigError
 from trexlab.norms import (
     NormSpec,
-    dual_feasibility_gap,
     group_spec,
     l1_spec,
     omega,
@@ -157,13 +156,39 @@ class TestReductionIdentity:
                 np.testing.assert_allclose(proxs[k], proxs[0], atol=1e-12)
 
 
-class TestDualFeasibilityGap:
-    def test_l1_zero_gap(self):
-        assert dual_feasibility_gap(l1_spec(), [1.0, -3.0, 2.0], 3.0) == 0.0
 
-    def test_negative_gap(self):
-        assert dual_feasibility_gap(l1_spec(), [0.0, 0.0], 1.0) == -1.0
+class TestBatch:
+    @staticmethod
+    def _specs():
+        # l1, weighted l1 and a ragged group spec (groups of 3, 1 and 2)
+        w = [0.5, 1.5, 2.0, 1.0, 0.8, 1.2]
+        return [l1_spec(), weighted_l1_spec(w),
+                group_spec([(0, 4, 2), (1,), (3, 5)], [1.3, 0.7, 2.0])]
 
-    def test_group_gap(self):
-        spec = group_spec([(0, 1), (2,)], [1.0, 1.0])
-        assert dual_feasibility_gap(spec, [3.0, 4.0, 0.0], 4.0) == pytest.approx(1.0)
+    def test_batch_equals_row_by_row(self, rng):
+        V = rng.standard_normal((7, 6)) * 2.0
+        V[3, :] = 0.0                        # a zero row, every block at 0
+        V[5, [0, 2, 4]] = 0.0                # one zero block
+        t = rng.uniform(0.0, 1.5, (7, 1))
+        for spec in self._specs():
+            om, dual, prox = omega(spec, V), omega_dual(spec, V), prox_omega(spec, V, t)
+            assert om.shape == dual.shape == (7,) and prox.shape == V.shape
+            for k, v in enumerate(V):
+                assert om[k] == omega(spec, v)
+                assert dual[k] == omega_dual(spec, v)
+                np.testing.assert_array_equal(prox[k], prox_omega(spec, v, t[k, 0]))
+
+    def test_one_dimensional_calls_return_floats(self, rng):
+        v = rng.standard_normal(6)
+        for spec in self._specs():
+            assert type(omega(spec, v)) is float
+            assert type(omega_dual(spec, v)) is float
+            assert prox_omega(spec, v, 0.3).shape == (6,)
+
+    def test_negative_step_in_any_row_raises(self, rng):
+        V = rng.standard_normal((4, 6))
+        t = np.full((4, 1), 0.5)
+        t[2, 0] = -1e-12
+        for spec in self._specs():
+            with pytest.raises(ValueError):
+                prox_omega(spec, V, t)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +8,13 @@ from scipy.optimize import minimize_scalar
 from trexlab.errors import ConfigError, DomainError
 from trexlab.datagen import DesignSpec, ScenarioSpec, generate
 from trexlab.model import RegressionProblem, make_problem, normalize_columns
-from trexlab.norms import group_spec, l1_spec, singleton_groups, weighted_l1_spec
+from trexlab.norms import (
+    group_spec,
+    l1_spec,
+    omega_dual,
+    singleton_groups,
+    weighted_l1_spec,
+)
 from trexlab import trex
 from trexlab.trex import (
     SolverConfig,
@@ -196,6 +204,39 @@ class TestGroupPenalty:
             trex_objective(problem, fit.beta_hat, 0.5, spec),
             rtol=1e-8)
 
+    def test_rows_do_not_interact_in_the_batch(self, rng):
+        # group rows are never pruned, so solving every (group, start) row
+        # alone through the engine, main then refine stage, must reproduce
+        # the batched fit
+        problem = random_problem(rng, 20, 8)
+        spec = group_spec([(j, j + 1) for j in range(0, 8, 2)])
+        config = SolverConfig(multistart_count=4)
+        fit = solve_trex(problem, config, spec)
+        x, y = problem.x, problem.y
+        G, xty, yty = x.T @ x, x.T @ y, float(y @ y)
+        delta = config.delta * omega_dual(spec, xty)
+        rows, B, feasible = trex._group_rows(G, xty, spec, config)
+        refine = replace(config, tolerance=config.tolerance * 1e-3)
+        main_obj, ref_obj = np.full(len(B), np.inf), np.full(len(B), np.inf)
+        for k in range(len(B)):
+            row = rows.take([k])
+            main = trex._solve_subproblems(G, xty, yty, spec, row, B[[k]],
+                                           feasible[[k]], delta, config)
+            if not main.feasible[0]:
+                continue
+            ref = trex._solve_subproblems(G, xty, yty, spec, row, main.beta,
+                                          np.ones(1, dtype=bool), delta, refine)
+            main_obj[k], ref_obj[k] = main.objective[0], ref.objective[0]
+        assert np.isfinite(ref_obj).any()
+        assert fit.objective == pytest.approx(ref_obj.min(), rel=1e-12)
+        # a record holds its group's best start, refined or not
+        assert len(fit.per_subproblem) == 4
+        for gi, record in enumerate(fit.per_subproblem):
+            assert record.identity == (gi,)
+            lo, hi = ref_obj[4 * gi:4 * gi + 4].min(), main_obj[4 * gi:4 * gi + 4].min()
+            assert lo * (1 - 1e-12) <= record.objective <= hi * (1 + 1e-12)
+        assert fit.winner == (int(np.argmin(ref_obj)) // 4,)
+
     def test_multistart_determinism(self, rng):
         problem = random_problem(rng, 10, 4)
         spec = group_spec([(0, 1), (2, 3)])
@@ -348,14 +389,14 @@ class TestCoordinateStarts:
 class TestRowIterations:
     def test_sums_main_and_refine_stages(self, rng, monkeypatch):
         stages = []
-        solve = trex._solve_sign_subproblems
+        solve = trex._solve_subproblems
 
         def record(*args, **kwargs):
             res = solve(*args, **kwargs)
             stages.append(int(res.iterations.sum()))
             return res
 
-        monkeypatch.setattr(trex, "_solve_sign_subproblems", record)
+        monkeypatch.setattr(trex, "_solve_subproblems", record)
         fit = solve_trex(random_problem(rng, 30, 10))
         assert len(stages) == 2 and stages[1] > 0
         assert fit.diagnostics["row_iterations"] == sum(stages)
