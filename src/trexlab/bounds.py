@@ -178,8 +178,14 @@ def estimate_compatibility(problem: RegressionProblem, support, samples: int = 2
     """Search the cone ||eta_off||_1 <= 3 ||eta_on||_1 for the smallest ratio
     sqrt(s) ||x eta||_2 / (sqrt(n) ||eta_on||_1).
 
-    The returned value upper-bounds the largest admissible compatibility
-    constant. Verified-orthogonal designs short-circuit to the exact value 1.
+    The candidates are deterministic probes (single indicators and signed
+    pairs inside the support) and ``samples`` random directions, drawn one by
+    one in a fixed order: the support values, a coin for an off-support tail,
+    the tail, a coin for the cone boundary and the tail fraction. All of them
+    are then scored with one product; the first smallest ratio wins, and
+    ``refine`` polishes it by SLSQP. The returned value upper-bounds the
+    largest admissible compatibility constant. Verified-orthogonal designs
+    short-circuit to the exact value 1.
     """
     support = np.asarray(sorted(set(int(i) for i in support)), dtype=int)
     if support.size == 0:
@@ -191,46 +197,44 @@ def estimate_compatibility(problem: RegressionProblem, support, samples: int = 2
         return CompatibilityEstimate(1.0, 0, True)
 
     s = support.size
-    off = np.array([j for j in range(p) if j not in set(support.tolist())], dtype=int)
+    off = np.setdiff1d(np.arange(p), support)
     rng = np.random.default_rng(seed)
-    best = float("inf")
-    best_eta = None
-    count = 0
 
-    def consider(eta):
-        nonlocal best, best_eta, count
-        count += 1
-        r = _cone_ratio(x, support, eta)
-        if r < best:
-            best = r
-            best_eta = eta.copy()
+    a, b = np.triu_indices(s, 1)
+    a, b = support[a[:400]], support[b[:400]]
+    pair = s + 2 * np.arange(a.size)
+    probes = np.zeros((s + 2 * a.size, p))
+    probes[np.arange(s), support] = 1.0
+    probes[np.r_[pair, pair + 1], np.r_[a, a]] = 1.0
+    probes[pair, b] = -1.0
+    probes[pair + 1, b] = 1.0
 
-    # deterministic probes: single indicators and signed pairs inside the support
-    for j in support:
-        e = np.zeros(p)
-        e[j] = 1.0
-        consider(e)
-    pairs = [(a, b) for i, a in enumerate(support) for b in support[i + 1:]]
-    for a, b in pairs[:400]:
-        for sb in (-1.0, 1.0):
-            e = np.zeros(p)
-            e[a] = 1.0
-            e[b] = sb
-            consider(e)
-
-    for _ in range(max(samples, 0)):
-        eta = np.zeros(p)
-        eta[support] = rng.standard_normal(s)
+    m = max(samples, 0)
+    on = np.empty((m, s))
+    tail = np.zeros((m, off.size))
+    frac = np.zeros(m)
+    for i in range(m):
+        rng.standard_normal(out=on[i])
         if off.size and rng.random() < 0.7:
-            tail = rng.standard_normal(off.size)
-            l1_tail = float(np.sum(np.abs(tail)))
-            if l1_tail > 0:
+            rng.standard_normal(out=tail[i])
+            if tail[i].any():
                 # include the cone boundary with positive probability
-                frac = 3.0 if rng.random() < 0.2 else 3.0 * rng.random()
-                eta[off] = tail * frac * np.sum(np.abs(eta[support])) / l1_tail
-        consider(eta)
+                frac[i] = 3.0 if rng.random() < 0.2 else 3.0 * rng.random()
+    l1_tail = np.abs(tail).sum(axis=1)[:, None]
+    eta = np.zeros((m, p))
+    eta[:, support] = on
+    eta[:, off] = np.divide(tail * frac[:, None] * np.abs(on).sum(axis=1)[:, None],
+                            l1_tail, out=np.zeros_like(tail), where=l1_tail > 0)
 
-    if refine and best_eta is not None:
+    eta = np.vstack([probes, eta])
+    l1_s = np.abs(eta[:, support]).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.sqrt(s) * np.linalg.norm(eta @ x.T, axis=1) / (np.sqrt(n) * l1_s)
+    ratio[l1_s <= 0] = np.inf
+    k = int(np.argmin(ratio))
+    best, count = float(ratio[k]), len(eta)
+
+    if refine:
         def ratio_sq(eta):
             l1_s = np.sum(np.abs(eta[support]))
             if l1_s <= 1e-12:
@@ -245,11 +249,12 @@ def estimate_compatibility(problem: RegressionProblem, support, samples: int = 2
              "fun": lambda eta: np.sum(np.abs(eta[support])) - 0.5},
         ]
         try:
-            sol = optimize.minimize(ratio_sq, best_eta, method="SLSQP",
+            sol = optimize.minimize(ratio_sq, eta[k], method="SLSQP",
                                     constraints=cons,
                                     options={"maxiter": 200, "ftol": 1e-12})
             if sol.x is not None and cons[0]["fun"](sol.x) >= -1e-9:
-                consider(np.asarray(sol.x))
+                count += 1
+                best = min(best, _cone_ratio(x, support, np.asarray(sol.x)))
         except Exception:
             pass
 

@@ -11,6 +11,7 @@ a batch gives each row exactly what the row alone gives.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,6 +73,25 @@ class NormSpec:
             return sum(len(g) for g in self.partition)
         return None
 
+    @cached_property
+    def _layout(self):
+        """Group kind: the coordinates of each group padded with p (a zero
+        column appended to the input), the group of every coordinate and the
+        group weights."""
+        p = self.p
+        idx = np.full((len(self.partition), max(len(g) for g in self.partition)), p)
+        gid = np.empty(p, dtype=int)
+        for gi, g in enumerate(self.partition):
+            idx[gi, :len(g)] = g
+            gid[list(g)] = gi
+        return idx, gid, np.asarray(self.weights)
+
+    def _group_norms(self, v: np.ndarray) -> np.ndarray:
+        """||v_G||_2 of every group, per row of a (k, p) batch."""
+        idx = self._layout[0]
+        blocks = np.concatenate([v, np.zeros(v.shape[:-1] + (1,))], axis=-1)[..., idx]
+        return np.sqrt(np.sum(blocks * blocks, axis=-1))
+
     def _check_len(self, v: np.ndarray):
         if self.p is not None and v.shape[-1] != self.p:
             raise DimensionError(f"vector length {v.shape[-1]} != spec length {self.p}")
@@ -125,10 +145,7 @@ def omega(spec: NormSpec, beta):
         return _per_row(beta, np.sum(np.abs(beta), axis=-1))
     if spec.kind == WEIGHTED_L1:
         return _per_row(beta, np.sum(np.asarray(spec.weights) * np.abs(beta), axis=-1))
-    total = 0.0
-    for w, g in zip(spec.weights, spec.partition):
-        total = total + w * np.linalg.norm(beta[..., list(g)], axis=-1)
-    return _per_row(beta, total)
+    return _per_row(beta, np.sum(spec._layout[2] * spec._group_norms(beta), axis=-1))
 
 
 def omega_dual(spec: NormSpec, v):
@@ -142,10 +159,7 @@ def omega_dual(spec: NormSpec, v):
         return _per_row(v, np.max(np.abs(v), axis=-1))
     if spec.kind == WEIGHTED_L1:
         return _per_row(v, np.max(np.abs(v) / np.asarray(spec.weights), axis=-1))
-    best = 0.0
-    for w, g in zip(spec.weights, spec.partition):
-        best = np.maximum(best, np.linalg.norm(v[..., list(g)], axis=-1) / w)
-    return _per_row(v, best)
+    return _per_row(v, np.max(spec._group_norms(v) / spec._layout[2], axis=-1))
 
 
 def prox_omega(spec: NormSpec, v, t) -> np.ndarray:
@@ -165,14 +179,10 @@ def prox_omega(spec: NormSpec, v, t) -> np.ndarray:
     if spec.kind == WEIGHTED_L1:
         th = t * np.asarray(spec.weights)
         return np.sign(v) * np.maximum(np.abs(v) - th, 0.0)
-    out = np.zeros_like(v)
-    for w, g in zip(spec.weights, spec.partition):
-        idx = list(g)
-        block = v[..., idx]
-        nrm = np.linalg.norm(block, axis=-1, keepdims=True)
-        # a zero block stays zero whatever the (finite) factor
-        out[..., idx] = block * np.maximum(0.0, 1.0 - t * w / np.where(nrm > 0, nrm, 1.0))
-    return out
+    _, gid, w = spec._layout
+    nrm = spec._group_norms(v)
+    # a zero block stays zero whatever the (finite) factor
+    return v * np.maximum(0.0, 1.0 - t * w / np.where(nrm > 0, nrm, 1.0))[..., gid]
 
 
 def penalty_weight_vector(spec: NormSpec, p: int) -> np.ndarray:

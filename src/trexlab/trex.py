@@ -247,9 +247,10 @@ def _sign_rows(G, xty, yty, c, j_arr, s_arr, pen_w, dual_ref, delta, bound=None)
     return _Rows(j_arr[:, None], s_arr, dw), B, feasible
 
 
-def _group_rows(G, xty, spec, config):
+def _group_rows(G, xty, spec, config, bound=None):
     """Rows of the group subproblems, each group from max(multistart_count, 2)
-    starts: zeros, the ridge fit and perturbed ridge fits, group-major."""
+    starts: zeros, the ridge fit and perturbed ridge fits, group-major. Under
+    ``bound`` a start with omega_dual(x.T (y - x b)) > bound is infeasible."""
     p = G.shape[0]
     n_groups = len(spec.partition)
     n_starts = max(config.multistart_count, 2)
@@ -265,7 +266,69 @@ def _group_rows(G, xty, spec, config):
         idx[gi, :len(g)] = g
     rows = _Rows(np.repeat(idx, n_starts, axis=0), np.zeros(n_groups * n_starts),
                  np.repeat(np.asarray(spec.weights), n_starts))
-    return rows, B.reshape(-1, p), np.ones(n_groups * n_starts, dtype=bool)
+    B = B.reshape(-1, p)
+    feasible = np.ones(len(B), dtype=bool)
+    if bound is not None:
+        feasible = omega_dual(spec, xty[None, :] - B @ G) <= bound
+    return rows, B, feasible
+
+
+def _ladder(t, t_floor, cap, trial, out, dest, tries=80):
+    """Backtracking of k rows at once: each row's largest passing step among
+    t, t/2, t/4, ..., at most ``tries`` steps per row.
+
+    Round r tries the next m = 2^r steps of every pending row in one call
+    ``trial(rows, steps)`` (``rows`` is the slice of all rows when all are
+    pending with one step each), which returns a pass mask over the
+    candidates and a tuple of per-candidate arrays; m is capped so that a
+    round holds at most ``cap`` candidates. Every t must be at least its
+    floor ``t_floor``; a step below it is never tried, and a row whose next
+    step would fall below it is dead (stalled). The arrays of row i's
+    accepted candidate go to row dest[i] of the arrays in ``out``. Returns the
+    accepted mask, the new steps (the accepted one, or t * 2^-tried) and the
+    dead mask.
+    """
+    t = t.copy()
+    accepted = np.zeros(t.size, dtype=bool)
+    dead = np.zeros(t.size, dtype=bool)
+    pending = np.arange(t.size)
+    tried = r = 0
+    while pending.size and tried < tries:
+        m = min(2 ** r, max(cap // pending.size, 1), tries - tried)
+        if m == 1:
+            # the common round: one step per row, never below its floor;
+            # a slice spares the copies when every row is pending
+            every = pending.size == t.size
+            ok, data = trial(slice(None) if every else pending, t[pending])
+            hit, pick, counts = ok, np.flatnonzero(ok), 1
+        else:
+            steps = t[pending, None] * 0.5 ** np.arange(m)
+            valid = steps >= t_floor[pending, None]
+            counts = valid.sum(axis=1)
+            steps = steps[valid]
+            ok, data = trial(np.repeat(pending, counts), steps)
+            # each row's first passing candidate, or steps.size if none passed
+            first = np.minimum.reduceat(np.where(ok, np.arange(steps.size), steps.size),
+                                        np.cumsum(counts) - counts)
+            hit = first < steps.size
+            pick, counts = first[hit], counts[~hit]
+            t[pending[hit]] = steps[pick]
+        rows = pending[hit]
+        kept = dest[rows]
+        if pick.size == ok.size:
+            pick = slice(None)          # every candidate passed: no copies
+        for o, a in zip(out, data):
+            o[kept] = a[pick]
+        accepted[rows] = True
+        miss = pending[~hit]
+        t_miss = t[miss] * 0.5 ** counts
+        t[miss] = t_miss
+        stall = t_miss < t_floor[miss]
+        dead[miss] = stall
+        pending = miss[~stall]
+        tried += m
+        r += 1
+    return accepted, t, dead
 
 
 def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
@@ -280,8 +343,17 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
     - a group row has D_k(b) = ||q_idx(b)|| / dw_k and the group penalty,
       whose prox is ``norms.prox_omega``; its objective need not be convex.
 
+    Each iteration backtracks every active row at once (``_ladder``): round r
+    tries the next 2^r steps t, t/2, t/4, ... of every pending row in one
+    batch of at most max(K, 2p) candidates, and each row keeps its largest
+    step that stays in the domain, passes ``bound`` and gives sufficient
+    decrease; these are the decisions of trying one step at a time. A row
+    tries at most 80 steps per iteration and stalls once its step would fall
+    below 1e-18 times its first.
+
     When ``bound`` is given, candidate steps with dual(q) > bound are rejected
-    (line-search feasibility, no projection); starts are not checked.
+    (line-search feasibility, no projection); the callers mark starts with
+    dual(q) > bound infeasible (``_sign_rows`` repairs them first).
 
     For sign rows every iteration also evaluates a dual lower bound LB_k on
     each active row's optimum and stops (prunes) the rows with LB_k above the
@@ -335,7 +407,7 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
             return (coef * s_arr[sub] / dw[sub])[:, None] * G[:, j_arr[sub]].T
 
         def prox(V, step):
-            return _soft(V, step * pen_w[None, :])
+            return _soft(V, step if spec.kind == norms.L1 else step * pen_w[None, :])
 
         def penalty(Bm):
             return np.abs(Bm) @ pen_w
@@ -376,6 +448,7 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
         t[:] = c * np.where(D > 0, D, 1.0) / (2.0 * Lg)
     t = np.maximum(t, 1e-300)
     t_floor = 1e-18 * t
+    cap = max(K, 2 * p)
     active = feasible.copy()
     converged = np.zeros(K, dtype=bool)
     stalled = np.zeros(K, dtype=bool)
@@ -401,48 +474,33 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
         Br = B[act]
         gr = rss[act] / (c * D[act])
 
-        pending = np.arange(act.size)
-        newB = Br.copy()
-        accepted = np.zeros(act.size, dtype=bool)
-        for _ in range(80):
-            if pending.size == 0:
-                break
-            sub = act[pending]
-            step = t[sub][:, None]
-            Cand = prox(Br[pending] - step * grad[pending], step)
-            qC, rssC, DC = eval_rows(Cand, sub)
+        def trial(ix, steps):
+            b, g = Br[ix], grad[ix]
+            Cand = prox(b - steps[:, None] * g, steps[:, None])
+            qC, rssC, DC = eval_rows(Cand, act[ix])
             ok = DC > delta
             if bound is not None:
                 ok &= dual(qC) <= bound
             with np.errstate(divide="ignore", invalid="ignore"):
                 gC = np.where(ok, rssC / (c * np.where(ok, DC, 1.0)), np.inf)
-            diff = Cand - Br[pending]
+            diff = Cand - b
             quad = (
-                gr[pending]
-                + np.einsum("kp,kp->k", grad[pending], diff)
-                + np.einsum("kp,kp->k", diff, diff) / (2.0 * t[sub])
+                gr[ix]
+                + np.einsum("kp,kp->k", g, diff)
+                + np.einsum("kp,kp->k", diff, diff) / (2.0 * steps)
             )
             ok &= gC <= quad + 1e-12 * (1.0 + np.abs(gC))
-            acc = pending[ok]
-            if acc.size:
-                newB[acc] = Cand[ok]
-                accepted[acc] = True
-                sel = act[acc]
-                q[sel] = qC[ok]
-                rss[sel] = rssC[ok]
-                D[sel] = DC[ok]
-            rej = pending[~ok]
-            t[act[rej]] *= 0.5
-            dead = rej[t[act[rej]] < t_floor[act[rej]]]
-            if dead.size:
-                # cannot decrease further: treat as a stationary stall
-                converged[act[dead]] = True
-                stalled[act[dead]] = True
-                active[act[dead]] = False
-                rej = np.setdiff1d(rej, dead, assume_unique=True)
-            pending = rej
-        B[act] = newB
-        t[act[accepted]] = np.minimum(t[act[accepted]] * 1.3, 1e12)
+            return ok, (Cand, qC, rssC, DC)
+
+        accepted, t[act], dead = _ladder(t[act], t_floor[act], cap, trial,
+                                         (B, q, rss, D), act)
+        sel = act[accepted]
+        t[sel] = np.minimum(t[sel] * 1.3, 1e12)
+        if dead.any():
+            # cannot decrease further: treat as a stationary stall
+            gone = act[dead]
+            converged[gone] = stalled[gone] = True
+            active[gone] = False
 
         gF = rss[act] / (c * D[act])
         F[act] = gF + penalty(B[act])
@@ -549,7 +607,7 @@ def solve_trex(problem: RegressionProblem, config: SolverConfig = None,
 
     heuristic = _is_heuristic(spec)
     if heuristic:
-        rows, B, feasible = _group_rows(G, xty, spec, config)
+        rows, B, feasible = _group_rows(G, xty, spec, config, bound)
         identities = [(gi,) for gi in range(len(spec.partition))]
     else:
         j_arr = np.repeat(np.arange(p), 2)

@@ -104,3 +104,82 @@ def prox_objective_min(kind, weights, partition, v, t, points=61, rounds=10):
         return quad + t * norm_batch(kind, weights, partition, pts)
 
     return zoom_grid_minimize(f, -box, box, points=points, rounds=rounds)
+
+
+def _cone_ratio(x, support, eta):
+    n, s = x.shape[0], support.size
+    l1_s = float(np.sum(np.abs(eta[support])))
+    if l1_s <= 0:
+        return float("inf")
+    return np.sqrt(s) * float(np.linalg.norm(x @ eta)) / (np.sqrt(n) * l1_s)
+
+
+def compatibility_scalar(x, support, samples=2000, refine=False, seed=0):
+    """The compatibility search scored one candidate at a time.
+
+    Same probes, the same random draws in the same order and the same SLSQP
+    polish as ``bounds.estimate_compatibility``, without its orthogonal
+    short-circuit. Returns (smallest ratio, candidates scored).
+    """
+    from scipy import optimize
+
+    support = np.asarray(sorted(set(int(i) for i in support)), dtype=int)
+    n, p = x.shape
+    s = support.size
+    off = np.array([j for j in range(p) if j not in set(support.tolist())], dtype=int)
+    rng = np.random.default_rng(seed)
+    best, best_eta, count = float("inf"), None, 0
+
+    def consider(eta):
+        nonlocal best, best_eta, count
+        count += 1
+        r = _cone_ratio(x, support, eta)
+        if r < best:
+            best, best_eta = r, eta.copy()
+
+    for j in support:
+        e = np.zeros(p)
+        e[j] = 1.0
+        consider(e)
+    pairs = [(a, b) for i, a in enumerate(support) for b in support[i + 1:]]
+    for a, b in pairs[:400]:
+        for sb in (-1.0, 1.0):
+            e = np.zeros(p)
+            e[a] = 1.0
+            e[b] = sb
+            consider(e)
+
+    for _ in range(max(samples, 0)):
+        eta = np.zeros(p)
+        eta[support] = rng.standard_normal(s)
+        if off.size and rng.random() < 0.7:
+            tail = rng.standard_normal(off.size)
+            l1_tail = float(np.sum(np.abs(tail)))
+            if l1_tail > 0:
+                frac = 3.0 if rng.random() < 0.2 else 3.0 * rng.random()
+                eta[off] = tail * frac * np.sum(np.abs(eta[support])) / l1_tail
+        consider(eta)
+
+    if refine and best_eta is not None:
+        def ratio_sq(eta):
+            l1_s = np.sum(np.abs(eta[support]))
+            if l1_s <= 1e-12:
+                return 1e12
+            return s * float(np.linalg.norm(x @ eta)) ** 2 / (n * l1_s**2)
+
+        cons = [
+            {"type": "ineq",
+             "fun": lambda eta: 3.0 * np.sum(np.abs(eta[support]))
+                                - np.sum(np.abs(eta[off]))},
+            {"type": "ineq",
+             "fun": lambda eta: np.sum(np.abs(eta[support])) - 0.5},
+        ]
+        try:
+            sol = optimize.minimize(ratio_sq, best_eta, method="SLSQP",
+                                    constraints=cons,
+                                    options={"maxiter": 200, "ftol": 1e-12})
+            if sol.x is not None and cons[0]["fun"](sol.x) >= -1e-9:
+                consider(np.asarray(sol.x))
+        except Exception:
+            pass
+    return best, count

@@ -24,6 +24,8 @@ from trexlab.model import GroundTruth, RegressionProblem, normalize_columns
 from trexlab.norms import l1_spec, singleton_groups
 from trexlab.trex import SolverConfig, TrexFit, solve_trex, solve_trex_constrained
 
+from oracles import compatibility_scalar
+
 
 def _instance(rng, n=24, p=6, s=2, sigma=0.5, scale=1.0):
     x, _ = normalize_columns(rng.standard_normal((n, p)))
@@ -192,6 +194,28 @@ class TestCompatibility:
         problem, _ = _instance(rng)
         with pytest.raises(ValueError):
             estimate_compatibility(problem, [])
+
+    @pytest.mark.parametrize("n,p,s,seed,samples,refine", [
+        (40, 30, 3, 0, 2000, False),
+        (30, 12, 3, 1, 500, False),
+        (20, 8, 2, 2, 300, True),
+        (50, 100, 5, 3, 1000, False),
+        (20, 5, 5, 4, 400, False),           # p = s: no off-support coordinates
+        (30, 40, 1, 5, 0, False),            # probes only
+        (25, 10, 4, 6, 0, True),
+    ])
+    def test_batched_search_matches_one_at_a_time(self, n, p, s, seed, samples, refine):
+        rng = np.random.default_rng(seed)
+        x, _ = normalize_columns(rng.standard_normal((n, p)))
+        problem = RegressionProblem(x, rng.standard_normal(n), normalized=True)
+        support = rng.choice(p, s, replace=False)
+        est = estimate_compatibility(problem, support, samples=samples, refine=refine,
+                                     seed=seed)
+        nu, count = compatibility_scalar(x, support, samples=samples, refine=refine,
+                                         seed=seed)
+        assert not est.exact
+        assert est.samples == count
+        assert est.nu_lower_report == pytest.approx(nu, rel=1e-14)
 
 
 class TestLassoBounds:

@@ -178,6 +178,27 @@ class TestBatch:
                 assert dual[k] == omega_dual(spec, v)
                 np.testing.assert_array_equal(prox[k], prox_omega(spec, v, t[k, 0]))
 
+    def test_group_branch_matches_a_per_group_loop(self, rng):
+        # ragged groups of sizes 1, 3 and 4, one zero block in one row
+        partition = [(5,), (0, 7, 2), (1, 3, 4, 6)]
+        weights = [0.6, 1.4, 2.5]
+        spec = group_spec(partition, weights)
+        V = rng.standard_normal((6, 8)) * 3.0
+        V[2, [0, 7, 2]] = 0.0
+        t = rng.uniform(0.0, 2.0, (6, 1))
+        om, dual, prox = omega(spec, V), omega_dual(spec, V), prox_omega(spec, V, t)
+        for k, v in enumerate(V):
+            norms = [np.sqrt(sum(v[j] ** 2 for j in g)) for g in partition]
+            assert om[k] == pytest.approx(sum(w * a for w, a in zip(weights, norms)),
+                                          rel=1e-15)
+            assert dual[k] == pytest.approx(max(a / w for w, a in zip(weights, norms)),
+                                            rel=1e-15)
+            ref = np.zeros(8)
+            for w, a, g in zip(weights, norms, partition):
+                if a > 0:
+                    ref[list(g)] = v[list(g)] * max(0.0, 1.0 - t[k, 0] * w / a)
+            np.testing.assert_allclose(prox[k], ref, rtol=1e-15, atol=0.0)
+
     def test_one_dimensional_calls_return_floats(self, rng):
         v = rng.standard_normal(6)
         for spec in self._specs():

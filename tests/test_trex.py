@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
 from trexlab.errors import ConfigError, DomainError
-from trexlab.datagen import DesignSpec, ScenarioSpec, generate
+from trexlab.datagen import DesignSpec, ScenarioSpec, SignalSpec, generate
 from trexlab.model import RegressionProblem, make_problem, normalize_columns
 from trexlab.norms import (
     group_spec,
@@ -403,6 +403,140 @@ class TestRowIterations:
         assert fit.diagnostics["iterations"] <= stages[0]
 
 
+def _plain_ladder(t, t_floor, cap, trial, out, dest, tries=80):
+    """Backtracking one step per row and round: t, t/2, t/4, ..."""
+    t = t.copy()
+    accepted = np.zeros(t.size, dtype=bool)
+    dead = np.zeros(t.size, dtype=bool)
+    pending = np.arange(t.size)
+    for _ in range(tries):
+        if not pending.size:
+            break
+        ok, data = trial(pending, t[pending])
+        for o, a in zip(out, data):
+            o[dest[pending[ok]]] = a[ok]
+        accepted[pending[ok]] = True
+        rej = pending[~ok]
+        t[rej] *= 0.5
+        dead[rej] = t[rej] < t_floor[rej]
+        pending = rej[~dead[rej]]
+    return accepted, t, dead
+
+
+def _engine_case(kind, rng):
+    """Engine inputs: all 2p l1 rows, all 2p rows of a stalling constrained
+    instance (duplicated columns under the default bound), or group rows."""
+    config = SolverConfig()
+    if kind == "bound":
+        problem, _ = generate(ScenarioSpec(
+            n=15, p=10, s=2, seed=0,
+            design=DesignSpec(kind="duplicated_columns", duplicates=2)))
+    else:
+        problem = random_problem(rng, 20, 8)
+    x, y = problem.x, problem.y
+    G, xty, yty = x.T @ x, x.T @ y, float(y @ y)
+    p = problem.p
+    if kind == "group":
+        spec = group_spec([(0, 1, 2), (3,), (4, 5, 6, 7)])
+        bound = None
+        rows, B, feasible = trex._group_rows(G, xty, spec, config)
+    else:
+        spec = l1_spec()
+        bound = float(np.max(np.abs(xty))) if kind == "bound" else None
+        rows, B, feasible = trex._sign_rows(
+            G, xty, yty, config.c, np.repeat(np.arange(p), 2), np.tile([-1.0, 1.0], p),
+            np.ones(p), float(np.max(np.abs(xty))), config.delta * omega_dual(spec, xty),
+            bound)
+    delta = config.delta * omega_dual(spec, xty)
+    return (G, xty, yty, spec, rows, B, feasible, delta,
+            replace(config, max_iterations=1)), bound
+
+
+class TestLadder:
+    @pytest.mark.parametrize("kind", ["l1", "bound", "group"])
+    def test_one_iteration_matches_one_step_at_a_time(self, rng, kind, monkeypatch):
+        args, bound = _engine_case(kind, rng)
+        runs = []
+        for ladder in (trex._ladder, _plain_ladder):
+            calls = []
+
+            def record(*a, ladder=ladder, **k):
+                calls.append(ladder(*a, **k))
+                return calls[-1]
+
+            monkeypatch.setattr(trex, "_ladder", record)
+            G, xty, yty, spec, rows, B, feasible, delta, config = args
+            # the engine updates its start array in place
+            res = trex._solve_subproblems(G, xty, yty, spec, rows, B.copy(), feasible,
+                                          delta, config, bound=bound)
+            runs.append((res, calls))
+        (res, calls), (ref, ref_calls) = runs
+        assert len(calls) == len(ref_calls) == 1
+        (acc, t, dead), (ref_acc, ref_t, ref_dead) = calls[0], ref_calls[0]
+        np.testing.assert_array_equal(acc, ref_acc)
+        np.testing.assert_array_equal(t, ref_t)          # the accepted step
+        np.testing.assert_array_equal(dead, ref_dead)
+        np.testing.assert_array_equal(res.stalled, ref.stalled)
+        np.testing.assert_allclose(res.beta, ref.beta, rtol=1e-13, atol=1e-15)
+        if kind == "bound":
+            assert res.stalled.any() and acc.any()
+
+    @staticmethod
+    def _threshold_trial(limit, log):
+        # a candidate passes when its step is at most its row's limit
+        def trial(ix, steps):
+            log.append(steps.copy())
+            return steps <= limit[ix], (steps,)
+        return trial
+
+    @pytest.mark.parametrize("cap", [1, 3, 8, 1000])
+    def test_matches_plain_loop_on_synthetic_trials(self, rng, cap):
+        k = 12
+        t = rng.uniform(0.5, 2.0, k)
+        t_floor = t * 2.0 ** -rng.uniform(5, 100, k)
+        limit = t * 2.0 ** -rng.uniform(-1, 100, k)
+        log = []
+        # accepted candidates land in rows dest of the output
+        dest = rng.permutation(k)
+        out, ref_out = np.full(k, np.nan), np.full(k, np.nan)
+        acc, t_new, dead = trex._ladder(
+            t, t_floor, cap, self._threshold_trial(limit, log), (out,), dest)
+        ref_acc, ref_t, ref_dead = _plain_ladder(
+            t, t_floor, cap, self._threshold_trial(limit, []), (ref_out,), dest)
+        np.testing.assert_array_equal(acc, ref_acc)
+        np.testing.assert_array_equal(t_new, ref_t)
+        np.testing.assert_array_equal(dead, ref_dead)
+        np.testing.assert_array_equal(out, ref_out)
+        np.testing.assert_array_equal(out[dest[acc]], t_new[acc])
+        assert acc.any() and dead.any() and not (acc & dead).any()
+        assert max(len(s) for s in log) <= max(cap, k)
+        tried = np.concatenate(log)
+        assert tried.size == np.unique(tried).size   # no step is tried twice
+
+    def test_eighty_trial_cap(self):
+        t = np.array([1.0, 3.0])
+        log = []
+        acc, t_new, dead = trex._ladder(
+            t, np.zeros(2), 1000, self._threshold_trial(t * 2.0 ** -85, log),
+            (np.zeros(2),), np.arange(2))
+        assert not acc.any() and not dead.any()
+        np.testing.assert_array_equal(t_new, t * 2.0 ** -80)
+        tried = np.sort(np.concatenate(log))
+        np.testing.assert_array_equal(
+            tried, np.sort(np.concatenate([t * 2.0 ** -k for k in range(80)])))
+
+    def test_floor_stalls_without_trying_below_it(self):
+        t = np.array([1.0])
+        log = []
+        acc, t_new, dead = trex._ladder(
+            t, t * 2.0 ** -10.5, 1000, self._threshold_trial(np.zeros(1), log),
+            (np.zeros(1),), np.arange(1))
+        assert dead[0] and not acc[0]
+        tried = np.concatenate(log)
+        np.testing.assert_array_equal(np.sort(tried)[::-1], 2.0 ** -np.arange(11.0))
+        assert t_new[0] == 2.0 ** -11
+
+
 class TestConstrained:
     def test_default_bound_enforced(self, rng):
         for _ in range(5):
@@ -416,6 +550,26 @@ class TestConstrained:
         bound = 0.5 * float(np.max(np.abs(problem.x.T @ problem.y)))
         fit = solve_trex_constrained(problem, bound=bound)
         assert fit.u_hat <= bound * (1.0 + 1e-12)
+
+    def test_group_fits_respect_the_bound(self, rng):
+        # every group start outside the constraint set is infeasible; this
+        # replicate (n=40, p=12, groups of 4) returned u_hat 21.57 against
+        # the default bound 12.33 while starts went unchecked
+        problem, _ = generate(ScenarioSpec(
+            n=40, p=12, s=0, seed=7208988146898568358,
+            signal=SignalSpec(kind="group_sparse", groups_active=1, group_size=4,
+                              margin=0.9)))
+        cases = [(problem, group_spec([range(j, j + 4) for j in range(0, 12, 4)]))]
+        ragged = group_spec([(0, 1, 2), (3,), (4, 5, 6, 7)])
+        cases += [(random_problem(rng, 20, 8), ragged) for _ in range(3)]
+        for problem, spec in cases:
+            x, y = problem.x, problem.y
+            for scale in (None, 0.8, 0.5):
+                bound = omega_dual(spec, x.T @ y) * (scale or 1.0)
+                fit = solve_trex_constrained(problem, spec=spec,
+                                             bound=None if scale is None else bound)
+                u = omega_dual(spec, x.T @ (y - x @ fit.beta_hat))
+                assert u <= bound * (1.0 + 1e-12)
 
     def test_loose_bound_recovers_unconstrained(self, rng):
         problem = random_problem(rng, 10, 4)
