@@ -161,6 +161,8 @@ def check_assumption_signal_strength(truth: GroundTruth, problem: RegressionProb
 # compatibility constant estimation
 
 ORTHOGONALITY_ATOL = 1e-8
+# candidates of the compatibility search scored per matrix product
+_SCORE_ROWS = 4096
 
 
 def _cone_ratio(x: np.ndarray, support: np.ndarray, eta: np.ndarray) -> float:
@@ -182,8 +184,9 @@ def estimate_compatibility(problem: RegressionProblem, support, samples: int = 2
     pairs inside the support) and ``samples`` random directions, drawn one by
     one in a fixed order: the support values, a coin for an off-support tail,
     the tail, a coin for the cone boundary and the tail fraction. All of them
-    are then scored with one product; the first smallest ratio wins, and
-    ``refine`` polishes it by SLSQP. The returned value upper-bounds the
+    are then scored by matrix products over blocks of ``_SCORE_ROWS`` rows,
+    so memory grows with ``samples`` times p only; the first smallest ratio
+    wins, and ``refine`` polishes it by SLSQP. The returned value upper-bounds the
     largest admissible compatibility constant. Verified-orthogonal designs
     short-circuit to the exact value 1.
     """
@@ -199,19 +202,23 @@ def estimate_compatibility(problem: RegressionProblem, support, samples: int = 2
     s = support.size
     off = np.setdiff1d(np.arange(p), support)
     rng = np.random.default_rng(seed)
+    # one row per candidate in the coordinates (support, off), so that every
+    # draw fills a contiguous slice of its row
+    order = np.r_[support, off]
+    xo = x[:, order]
 
     a, b = np.triu_indices(s, 1)
-    a, b = support[a[:400]], support[b[:400]]
-    pair = s + 2 * np.arange(a.size)
-    probes = np.zeros((s + 2 * a.size, p))
-    probes[np.arange(s), support] = 1.0
-    probes[np.r_[pair, pair + 1], np.r_[a, a]] = 1.0
-    probes[pair, b] = -1.0
-    probes[pair + 1, b] = 1.0
-
+    a, b = a[:400], b[:400]
+    n_probes = s + 2 * a.size
     m = max(samples, 0)
-    on = np.empty((m, s))
-    tail = np.zeros((m, off.size))
+    eta = np.zeros((n_probes + m, p))
+    pair = s + 2 * np.arange(a.size)
+    eta[np.arange(s), np.arange(s)] = 1.0
+    eta[np.r_[pair, pair + 1], np.r_[a, a]] = 1.0
+    eta[pair, b] = -1.0
+    eta[pair + 1, b] = 1.0
+
+    on, tail = eta[n_probes:, :s], eta[n_probes:, s:]
     frac = np.zeros(m)
     for i in range(m):
         rng.standard_normal(out=on[i])
@@ -220,16 +227,18 @@ def estimate_compatibility(problem: RegressionProblem, support, samples: int = 2
             if tail[i].any():
                 # include the cone boundary with positive probability
                 frac[i] = 3.0 if rng.random() < 0.2 else 3.0 * rng.random()
+    l1_s = np.abs(eta[:, :s]).sum(axis=1)
     l1_tail = np.abs(tail).sum(axis=1)[:, None]
-    eta = np.zeros((m, p))
-    eta[:, support] = on
-    eta[:, off] = np.divide(tail * frac[:, None] * np.abs(on).sum(axis=1)[:, None],
-                            l1_tail, out=np.zeros_like(tail), where=l1_tail > 0)
+    tail *= frac[:, None]
+    tail *= l1_s[n_probes:, None]
+    np.divide(tail, l1_tail, out=tail, where=l1_tail > 0)
 
-    eta = np.vstack([probes, eta])
-    l1_s = np.abs(eta[:, support]).sum(axis=1)
+    # scored in blocks of rows, so that x eta needs no (candidates, n) array
+    x_eta = np.empty(len(eta))
+    for lo in range(0, len(eta), _SCORE_ROWS):
+        x_eta[lo:lo + _SCORE_ROWS] = np.linalg.norm(eta[lo:lo + _SCORE_ROWS] @ xo.T, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.sqrt(s) * np.linalg.norm(eta @ x.T, axis=1) / (np.sqrt(n) * l1_s)
+        ratio = np.sqrt(s) * x_eta / (np.sqrt(n) * l1_s)
     ratio[l1_s <= 0] = np.inf
     k = int(np.argmin(ratio))
     best, count = float(ratio[k]), len(eta)
@@ -249,7 +258,9 @@ def estimate_compatibility(problem: RegressionProblem, support, samples: int = 2
              "fun": lambda eta: np.sum(np.abs(eta[support])) - 0.5},
         ]
         try:
-            sol = optimize.minimize(ratio_sq, eta[k], method="SLSQP",
+            start = np.empty(p)
+            start[order] = eta[k]
+            sol = optimize.minimize(ratio_sq, start, method="SLSQP",
                                     constraints=cons,
                                     options={"maxiter": 200, "ftol": 1e-12})
             if sol.x is not None and cons[0]["fun"](sol.x) >= -1e-9:

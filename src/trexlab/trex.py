@@ -44,6 +44,8 @@ from . import norms
 from .norms import NormSpec, l1_spec, omega, omega_dual, penalty_weight_vector
 
 TIE_TOL = 1e-10
+# backtracking steps one iteration of the engine tries per row
+MAX_TRIALS = 80
 
 
 @dataclass(frozen=True)
@@ -249,8 +251,14 @@ def _sign_rows(G, xty, yty, c, j_arr, s_arr, pen_w, dual_ref, delta, bound=None)
 
 def _group_rows(G, xty, spec, config, bound=None):
     """Rows of the group subproblems, each group from max(multistart_count, 2)
-    starts: zeros, the ridge fit and perturbed ridge fits, group-major. Under
-    ``bound`` a start with omega_dual(x.T (y - x b)) > bound is infeasible."""
+    starts: zeros, the ridge fit and perturbed ridge fits, group-major.
+
+    Under ``bound`` a start with omega_dual(x.T (y - x b)) > bound is repaired
+    as ``_sign_rows`` repairs its starts: it moves to the point whose
+    correlation vector is half the bound (in the group's dual norm) along
+    x_G.T y on its own group and zero elsewhere, and stays infeasible if that
+    point violates the bound too (a rank-deficient x.T x need not reach it).
+    """
     p = G.shape[0]
     n_groups = len(spec.partition)
     n_starts = max(config.multistart_count, 2)
@@ -261,21 +269,32 @@ def _group_rows(G, xty, spec, config, bound=None):
     B = np.zeros((n_groups, n_starts, p))
     B[:, 1] = ridge
     B[:, 2:] = ridge * (1.0 + 0.5 * z[:, :, 0]) + 0.1 * z[:, :, 1]
-    idx = np.full((n_groups, max(len(g) for g in spec.partition)), -1)
-    for gi, g in enumerate(spec.partition):
-        idx[gi, :len(g)] = g
+    idx, _, w = spec._layout
     rows = _Rows(np.repeat(idx, n_starts, axis=0), np.zeros(n_groups * n_starts),
-                 np.repeat(np.asarray(spec.weights), n_starts))
+                 np.repeat(w, n_starts))
     B = B.reshape(-1, p)
     feasible = np.ones(len(B), dtype=bool)
     if bound is not None:
-        feasible = omega_dual(spec, xty[None, :] - B @ G) <= bound
+        viol = np.flatnonzero(omega_dual(spec, xty[None, :] - B @ G) > bound)
+        if viol.size:
+            # the group's block of x.T y as a unit vector (its first
+            # coordinate when the block is zero), padded with a zero column
+            on = idx[viol // n_starts]
+            u = np.append(xty, 0.0)[on]
+            nrm = np.linalg.norm(u, axis=1)
+            zero = nrm == 0
+            u[zero, 0] = nrm[zero] = 1.0
+            target = np.zeros((viol.size, p + 1))
+            target[np.arange(viol.size)[:, None], on] = (
+                (0.5 * bound) * rows.dw[viol, None] * u / nrm[:, None])
+            B[viol] = (xty[None, :] - target[:, :p]) @ np.linalg.pinv(G)
+            feasible = omega_dual(spec, xty[None, :] - B @ G) <= bound
     return rows, B, feasible
 
 
-def _ladder(t, t_floor, cap, trial, out, dest, tries=80):
+def _ladder(t, t_floor, cap, trial, out, dest):
     """Backtracking of k rows at once: each row's largest passing step among
-    t, t/2, t/4, ..., at most ``tries`` steps per row.
+    t, t/2, t/4, ..., at most ``MAX_TRIALS`` steps per row.
 
     Round r tries the next m = 2^r steps of every pending row in one call
     ``trial(rows, steps)`` (``rows`` is the slice of all rows when all are
@@ -293,8 +312,8 @@ def _ladder(t, t_floor, cap, trial, out, dest, tries=80):
     dead = np.zeros(t.size, dtype=bool)
     pending = np.arange(t.size)
     tried = r = 0
-    while pending.size and tried < tries:
-        m = min(2 ** r, max(cap // pending.size, 1), tries - tried)
+    while pending.size and tried < MAX_TRIALS:
+        m = min(2 ** r, max(cap // pending.size, 1), MAX_TRIALS - tried)
         if m == 1:
             # the common round: one step per row, never below its floor;
             # a slice spares the copies when every row is pending
@@ -348,12 +367,12 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
     batch of at most max(K, 2p) candidates, and each row keeps its largest
     step that stays in the domain, passes ``bound`` and gives sufficient
     decrease; these are the decisions of trying one step at a time. A row
-    tries at most 80 steps per iteration and stalls once its step would fall
-    below 1e-18 times its first.
+    tries at most ``MAX_TRIALS`` steps per iteration and stalls once its step
+    would fall below 1e-18 times its first.
 
     When ``bound`` is given, candidate steps with dual(q) > bound are rejected
-    (line-search feasibility, no projection); the callers mark starts with
-    dual(q) > bound infeasible (``_sign_rows`` repairs them first).
+    (line-search feasibility, no projection); the callers repair starts with
+    dual(q) > bound and mark those they cannot repair infeasible.
 
     For sign rows every iteration also evaluates a dual lower bound LB_k on
     each active row's optimum and stops (prunes) the rows with LB_k above the
@@ -371,10 +390,10 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
     group = _is_heuristic(spec)
 
     if group:
-        pad = rows.idx < 0
-
         def block(q, sub):
-            qg = np.where(pad[sub], 0.0, q[np.arange(sub.size)[:, None], rows.idx[sub]])
+            # pads index a zero column appended to q
+            qg = np.append(q, np.zeros((sub.size, 1)), axis=1)[
+                np.arange(sub.size)[:, None], rows.idx[sub]]
             return qg, np.sqrt(np.einsum("km,km->k", qg, qg))
 
         def denominator(q, sub):
@@ -621,6 +640,9 @@ def solve_trex(problem: RegressionProblem, config: SolverConfig = None,
 
     best = float(np.min(res.objective))
     if not np.isfinite(best):
+        if bound is not None:
+            raise DomainError(f"all subproblems infeasible under bound={bound:g}: "
+                              "no start lies inside both the constraint and the domain")
         raise DomainError("all subproblems infeasible; input is degenerate")
     near = np.flatnonzero(res.objective <= best + _near_margin(best))
     refine_cfg = replace(config, tolerance=config.tolerance * 1e-3)
@@ -686,10 +708,12 @@ def solve_trex_constrained(problem: RegressionProblem, config: SolverConfig = No
                            spec: NormSpec = None, bound: float = None) -> TrexFit:
     """Solve with the extra convex constraint dual(x.T (y - x b)) <= bound.
 
-    The default bound is dual(x.T y), which makes the slow-rate gate on the
-    fitted dual residual hold unconditionally. The constraint is enforced by
+    The default bound is dual(x.T y), the slow-rate gate on the fitted dual
+    residual. The constraint is enforced by
     rejecting infeasible line-search candidates, so every iterate (and the
-    returned fit) satisfies it.
+    returned fit) satisfies it up to rounding: the batched products that test
+    a candidate and the residual recomputed for ``u_hat`` may differ in their
+    last bits.
     """
     config = config or SolverConfig()
     spec = spec or l1_spec()

@@ -403,13 +403,13 @@ class TestRowIterations:
         assert fit.diagnostics["iterations"] <= stages[0]
 
 
-def _plain_ladder(t, t_floor, cap, trial, out, dest, tries=80):
+def _plain_ladder(t, t_floor, cap, trial, out, dest):
     """Backtracking one step per row and round: t, t/2, t/4, ..."""
     t = t.copy()
     accepted = np.zeros(t.size, dtype=bool)
     dead = np.zeros(t.size, dtype=bool)
     pending = np.arange(t.size)
-    for _ in range(tries):
+    for _ in range(trex.MAX_TRIALS):
         if not pending.size:
             break
         ok, data = trial(pending, t[pending])
@@ -552,9 +552,9 @@ class TestConstrained:
         assert fit.u_hat <= bound * (1.0 + 1e-12)
 
     def test_group_fits_respect_the_bound(self, rng):
-        # every group start outside the constraint set is infeasible; this
-        # replicate (n=40, p=12, groups of 4) returned u_hat 21.57 against
-        # the default bound 12.33 while starts went unchecked
+        # every group start outside the constraint set is repaired or
+        # infeasible; this replicate (n=40, p=12, groups of 4) returned u_hat
+        # 21.57 against the default bound 12.33 while starts went unchecked
         problem, _ = generate(ScenarioSpec(
             n=40, p=12, s=0, seed=7208988146898568358,
             signal=SignalSpec(kind="group_sparse", groups_active=1, group_size=4,
@@ -564,12 +564,34 @@ class TestConstrained:
         cases += [(random_problem(rng, 20, 8), ragged) for _ in range(3)]
         for problem, spec in cases:
             x, y = problem.x, problem.y
-            for scale in (None, 0.8, 0.5):
+            for scale in (None, 0.8, 0.5, 0.01):
                 bound = omega_dual(spec, x.T @ y) * (scale or 1.0)
                 fit = solve_trex_constrained(problem, spec=spec,
                                              bound=None if scale is None else bound)
                 u = omega_dual(spec, x.T @ (y - x @ fit.beta_hat))
                 assert u <= bound * (1.0 + 1e-12)
+
+    def test_tight_bound_repairs_every_group_start(self, rng):
+        # below the dual residual of every zero, ridge and perturbed start
+        problem = random_problem(rng, 20, 8)
+        x, y = problem.x, problem.y
+        G, xty = x.T @ x, x.T @ y
+        spec = group_spec([(0, 1, 2), (3,), (4, 5, 6, 7)])
+        bound = 0.01 * omega_dual(spec, xty)
+        config = SolverConfig()
+        _, B0, _ = trex._group_rows(G, xty, spec, config)
+        assert (omega_dual(spec, xty[None, :] - B0 @ G) > bound).all()
+        rows, B, feasible = trex._group_rows(G, xty, spec, config, bound)
+        assert feasible.all()
+        q = xty[None, :] - B @ G
+        np.testing.assert_allclose(omega_dual(spec, q), 0.5 * bound, rtol=1e-9)
+        # each start's correlation vector lies on its own group
+        own = np.append(q, np.zeros((len(q), 1)), axis=1)[
+            np.arange(len(q))[:, None], rows.idx]
+        np.testing.assert_allclose(np.linalg.norm(own, axis=1), 0.5 * bound * rows.dw,
+                                   rtol=1e-9)
+        fit = solve_trex_constrained(problem, spec=spec, bound=bound)
+        assert omega_dual(spec, x.T @ (y - x @ fit.beta_hat)) <= bound * (1.0 + 1e-12)
 
     def test_loose_bound_recovers_unconstrained(self, rng):
         problem = random_problem(rng, 10, 4)

@@ -5,10 +5,11 @@
 
 The base commit is extracted with ``git archive`` into ``.bench_base/<sha>``
 (gitignored). For every ``--pairs WORKLOAD=SEEDS`` the script runs
-``benchmarks/run.py --workload W --seed S --seconds 50 --trace 0`` once in the
+``benchmarks/run.py --workload W --seed S --seconds T --trace 0`` once in the
 base ("parent") and once in this checkout ("change") per seed, the parent
 first in even-numbered pairs and the change first in odd ones, then one
-``--trace 1 --seed 11`` run per side and workload. It writes
+``--trace 1 --seed 11`` run per side and workload. T is the ``run_seconds``
+of ``BENCHMARK.json``, the length the benchmark's own gate uses. It writes
 ``BENCH_<tag>.json`` with every run, a summary per end-to-end metric of
 ``BENCHMARK.json`` (medians, quartiles, the parent's IQR, the change/parent
 ratio of medians and the pairs the change wins) and the per-layer metrics of
@@ -26,6 +27,9 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
+TRACE_SEED = 11
+with open(os.path.join(ROOT, "BENCHMARK.json")) as _fh:
+    BENCHMARK = json.load(_fh)
 
 
 def git(*args) -> str:
@@ -58,10 +62,11 @@ def seeds_of(text: str) -> list:
     return out
 
 
-def run(root: str, workload: str, seed: int, seconds: float, trace: int) -> tuple:
+def run(root: str, workload: str, seed: int, trace: int) -> tuple:
     """One benchmark run; returns (result JSON, environment JSON)."""
     cmd = [sys.executable, os.path.join("benchmarks", "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+           "--seed", str(seed), "--seconds", str(BENCHMARK["run_seconds"]),
+           "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=root, text=True, stdout=subprocess.PIPE, timeout=1800)
     lines = proc.stdout.strip().splitlines()
     env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), {})
@@ -111,15 +116,12 @@ def main(argv=None) -> int:
     ap.add_argument("--tag", required=True, help="writes BENCH_<tag>.json")
     ap.add_argument("--base", default="HEAD", help="the parent side's commit")
     ap.add_argument("--pairs", action="append", required=True, metavar="WORKLOAD=SEEDS")
-    ap.add_argument("--seconds", type=float, default=50.0)
-    ap.add_argument("--trace-seed", type=int, default=11)
     ap.add_argument("--what", default="", help="one line on the change measured")
     ap.add_argument("--check", action="append", default=[], metavar="NAME=TEXT",
                     help="a results check to record under results_check")
     args = ap.parse_args(argv)
 
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        metrics = json.load(fh)["end_to_end"]
+    metrics = BENCHMARK["end_to_end"]
     sha, base = base_checkout(args.base)
     roots = {"parent": base, "change": ROOT}
     plan = [(w, seeds_of(s)) for w, s in (p.split("=", 1) for p in args.pairs)]
@@ -127,8 +129,8 @@ def main(argv=None) -> int:
     doc = {
         "what": args.what,
         "command": f"python3 benchmarks/run.py --workload W --seed S --seconds "
-                   f"{args.seconds:g} --trace 0 (end to end); --trace 1 --seed "
-                   f"{args.trace_seed} for per_layer",
+                   f"{BENCHMARK['run_seconds']} --trace 0 (end to end); --trace 1 "
+                   f"--seed {TRACE_SEED} for per_layer",
         "host": "",
         "parent": sha,
         "change": git("describe", "--always", "--dirty"),
@@ -137,7 +139,7 @@ def main(argv=None) -> int:
                         "first when i is odd",
         "end_to_end": {w: [] for w, _ in plan},
         "summary": {},
-        f"per_layer_seed_{args.trace_seed}": {w: {} for w, _ in plan},
+        f"per_layer_seed_{TRACE_SEED}": {w: {} for w, _ in plan},
         "results_check": dict(c.split("=", 1) for c in args.check),
     }
 
@@ -149,7 +151,7 @@ def main(argv=None) -> int:
     for workload, seeds in plan:
         for i, seed in enumerate(seeds):
             for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-                result, env = run(roots[side], workload, seed, args.seconds, 0)
+                result, env = run(roots[side], workload, seed, 0)
                 doc["host"] = doc["host"] or (
                     f"{env.get('nproc')} CPUs, {env.get('blas')} "
                     f"({env.get('blas_threads')} threads), numpy {env.get('numpy')}, "
@@ -164,8 +166,8 @@ def main(argv=None) -> int:
                       f"{rec.get('throughput_per_s', float('nan')):.3f} instances/s",
                       flush=True)
         for side in SIDES:
-            result, _ = run(roots[side], workload, args.trace_seed, args.seconds, 1)
-            doc[f"per_layer_seed_{args.trace_seed}"][workload][side] = {
+            result, _ = run(roots[side], workload, TRACE_SEED, 1)
+            doc[f"per_layer_seed_{TRACE_SEED}"][workload][side] = {
                 k: v["value"] for k, v in result["metrics"].items()}
             save()
     print(f"wrote {out_path}")
