@@ -13,8 +13,8 @@ of ``BENCHMARK.json``, the length the benchmark's own gate uses. It writes
 ``BENCH_<tag>.json`` with every run, a summary per end-to-end metric of
 ``BENCHMARK.json`` (medians, quartiles, the parent's IQR, the change/parent
 ratio of medians and the pairs the change wins) and the per-layer metrics of
-the traced runs. The file is rewritten after every run, so an interrupted
-session keeps what it measured.
+the traced runs. The file is rewritten after every run, so a script
+stopped midway keeps every run it finished.
 """
 
 import argparse
