@@ -8,6 +8,7 @@ contains at least one violated bound.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -26,6 +27,32 @@ from .serialize import (
     trex_fit_to_dict,
 )
 from .trex import SolverConfig, solve_trex, solve_trex_constrained, solve_trex_unpenalized
+
+
+def _one_blas_thread() -> None:
+    """Set every OpenBLAS this process has loaded to one thread.
+
+    ``verify --jobs N`` forks its workers from this process, so each runs on
+    one thread and ``--jobs`` alone sets the parallelism. Does nothing where
+    no OpenBLAS is loaded.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh
+                           if "openblas" in line.lower() and ".so" in line})
+    except OSError:
+        return
+    for lib in libs:
+        handle = ctypes.CDLL(lib)
+        for prefix, suffix in (("scipy_", "64_"), ("scipy_", ""), ("", "64_"), ("", "")):
+            get = getattr(handle, f"{prefix}openblas_get_num_threads{suffix}", None)
+            set_ = getattr(handle, f"{prefix}openblas_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                if get() != 1:
+                    set_(1)
+                break
 
 
 def _norm_from_args(args) -> NormSpec:
@@ -152,6 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _one_blas_thread()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -142,9 +142,10 @@ def _near_margin(f):
 
 
 class _BatchResult:
-    def __init__(self, beta, objective, converged, feasible, iterations,
+    def __init__(self, beta, q, objective, converged, feasible, iterations,
                  stalled, pruned, lower):
         self.beta = beta
+        self.q = q
         self.objective = objective
         self.converged = converged
         self.feasible = feasible
@@ -372,7 +373,9 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
 
     When ``bound`` is given, candidate steps with dual(q) > bound are rejected
     (line-search feasibility, no projection); the callers repair starts with
-    dual(q) > bound and mark those they cannot repair infeasible.
+    dual(q) > bound and mark those they cannot repair infeasible, and a start
+    whose q, as computed here, still fails the bound is infeasible. So the q
+    returned for every feasible row satisfies the bound exactly.
 
     For sign rows every iteration also evaluates a dual lower bound LB_k on
     each active row's optimum and stops (prunes) the rows with LB_k above the
@@ -459,6 +462,10 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
 
     q, rss, D = eval_rows(B, np.arange(K))
     feasible = feasible & (D > delta)
+    if bound is not None:
+        # checked with the q stored for the row, which may differ in its last
+        # bits from the q its caller computed for the same start
+        feasible &= dual(q) <= bound
     g = np.where(feasible, rss / (c * np.where(feasible, D, 1.0)), np.inf)
     F = g + penalty(B)
 
@@ -536,7 +543,7 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
     lower = np.full(K, np.inf)
     live = np.flatnonzero(feasible)
     lower[live] = -np.inf if group else lower_bound(live, gradient(live))
-    return _BatchResult(B, F, converged, feasible, iterations, stalled, pruned,
+    return _BatchResult(B, q, F, converged, feasible, iterations, stalled, pruned,
                         lower)
 
 
@@ -650,8 +657,11 @@ def solve_trex(problem: RegressionProblem, config: SolverConfig = None,
                              np.ones(near.size, dtype=bool), delta, refine_cfg,
                              bound=bound)
     row_iterations = int(np.sum(res.iterations) + np.sum(ref.iterations))
-    for name in ("beta", "objective", "converged", "stalled", "pruned", "lower"):
-        getattr(res, name)[near] = getattr(ref, name)
+    # a row whose refine start fails the domain or the bound by rounding keeps
+    # its main-stage result
+    kept = near[ref.feasible]
+    for name in ("beta", "q", "objective", "converged", "stalled", "pruned", "lower"):
+        getattr(res, name)[kept] = getattr(ref, name)[ref.feasible]
 
     # one record per subproblem: the best of its per_sub consecutive rows
     n_sub = len(identities)
@@ -670,8 +680,7 @@ def solve_trex(problem: RegressionProblem, config: SolverConfig = None,
 
     win = int(np.flatnonzero(objs <= np.min(objs) + TIE_TOL)[0])
     beta = res.beta[top[win]]
-    q = xty - G @ beta
-    u_hat = omega_dual(spec, q)
+    u_hat = omega_dual(spec, res.q[top[win]])
     if u_hat <= 1e-12 * dual0:
         raise DegenerateResidualError(
             "dual residual norm vanished at the optimum; use the constrained "
@@ -709,11 +718,10 @@ def solve_trex_constrained(problem: RegressionProblem, config: SolverConfig = No
     """Solve with the extra convex constraint dual(x.T (y - x b)) <= bound.
 
     The default bound is dual(x.T y), the slow-rate gate on the fitted dual
-    residual. The constraint is enforced by
-    rejecting infeasible line-search candidates, so every iterate (and the
-    returned fit) satisfies it up to rounding: the batched products that test
-    a candidate and the residual recomputed for ``u_hat`` may differ in their
-    last bits.
+    residual. The constraint is enforced by rejecting infeasible starts and
+    line-search candidates, and ``u_hat`` is the dual norm of the correlation
+    vector the engine tested, so the returned fit has u_hat <= bound with no
+    rounding slack.
     """
     config = config or SolverConfig()
     spec = spec or l1_spec()

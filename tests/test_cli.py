@@ -1,12 +1,55 @@
+import ctypes
 import json
+import os
 
 import numpy as np
 import pytest
 
+from trexlab import harness
 from trexlab.cli import main
 from trexlab.datagen import ScenarioSpec, generate
 from trexlab.serialize import problem_to_csv, problem_to_dict
 from trexlab.trex import solve_trex
+
+
+def openblas_threads(set_to=None) -> list:
+    """Thread count of every OpenBLAS loaded in this process, after setting
+    each to ``set_to`` when given; empty when none is loaded."""
+    with open("/proc/self/maps") as fh:
+        libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    counts = []
+    for lib in libs:
+        handle = ctypes.CDLL(lib)
+        for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            if hasattr(handle, name.format("get")):
+                get, set_ = getattr(handle, name.format("get")), getattr(
+                    handle, name.format("set"))
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                if set_to is not None:
+                    set_(set_to)
+                counts.append(get())
+                break
+    return counts
+
+
+def thread_probe(config, scenario_idx, replicate):
+    """Stands in for ``harness.run_cell``: one row naming the process and the
+    BLAS thread counts it computes with."""
+    threads = "|".join(f"blas_threads={n}" for n in openblas_threads())
+    return [{"scenario": scenario_idx, "replicate": replicate, "theorem": "probe",
+             "verdict": "not_applicable", "lhs": None, "rhs": None, "u_hat": None,
+             "lambda": None, "nu": None, "c": None, "seed": os.getpid(),
+             "gates": threads}]
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every loaded OpenBLAS on two threads, so that a pin to one shows."""
+    if not openblas_threads():
+        pytest.skip("no OpenBLAS loaded")
+    openblas_threads(set_to=2)
 
 
 @pytest.fixture
@@ -106,6 +149,12 @@ class TestFit:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_leaves_every_openblas_on_one_thread(self, problem_csv, tmp_path,
+                                                 two_blas_threads):
+        path, _ = problem_csv
+        assert main(["fit", str(path), "--out", str(tmp_path / "fit.json")]) == 0
+        assert set(openblas_threads()) == {1}
+
     def test_malformed_csv_is_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("2,2\n1.0,1.0\n")
@@ -133,6 +182,34 @@ class TestVerify:
         main(["verify", "--config", str(verify_config), "--out", str(b),
               "--no-timestamp"])
         assert (a / "report.csv").read_bytes() == (b / "report.csv").read_bytes()
+
+    def test_workers_compute_on_one_blas_thread(self, verify_config, tmp_path,
+                                                monkeypatch, two_blas_threads):
+        monkeypatch.setattr(harness, "run_cell", thread_probe)
+        out = tmp_path / "reports"
+        assert main(["verify", "--config", str(verify_config), "--out", str(out),
+                     "--jobs", "2", "--no-timestamp"]) == 0
+        rows = json.loads((out / "report.json").read_text())["rows"]
+        assert len(rows) == 2
+        assert all(row["seed"] != os.getpid() for row in rows)
+        threads = {g for row in rows for g in row["gates"].split("|")}
+        assert threads == {"blas_threads=1"}
+
+    def test_serial_and_parallel_reports_identical(self, tmp_path):
+        # at this size 1 and 2 BLAS threads give objectives that differ in
+        # their last bits, so the reports agree only if both runs compute on
+        # the same thread count
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "scenarios": [{"n": 50, "p": 100, "s": 5, "seed": 7}],
+            "theorems": ["trex_slow", "l1_ordering"], "replicates": 2}))
+        reports = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["verify", "--config", str(config), "--out", str(out),
+                         "--jobs", jobs, "--no-timestamp"]) == 0
+            reports.append((out / "report.csv").read_bytes())
+        assert reports[0] == reports[1]
 
     def test_bad_config_is_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -551,18 +551,23 @@ class TestConstrained:
         fit = solve_trex_constrained(problem, bound=bound)
         assert fit.u_hat <= bound * (1.0 + 1e-12)
 
+    @staticmethod
+    def _group_cases(rng, seeds):
+        """Group-sparse replicates (n=40, p=12, groups of 4) and three random
+        problems with ragged groups."""
+        quads = group_spec([range(j, j + 4) for j in range(0, 12, 4)])
+        cases = [(generate(ScenarioSpec(
+            n=40, p=12, s=0, seed=seed,
+            signal=SignalSpec(kind="group_sparse", groups_active=1, group_size=4,
+                              margin=0.9)))[0], quads) for seed in seeds]
+        ragged = group_spec([(0, 1, 2), (3,), (4, 5, 6, 7)])
+        return cases + [(random_problem(rng, 20, 8), ragged) for _ in range(3)]
+
     def test_group_fits_respect_the_bound(self, rng):
         # every group start outside the constraint set is repaired or
-        # infeasible; this replicate (n=40, p=12, groups of 4) returned u_hat
-        # 21.57 against the default bound 12.33 while starts went unchecked
-        problem, _ = generate(ScenarioSpec(
-            n=40, p=12, s=0, seed=7208988146898568358,
-            signal=SignalSpec(kind="group_sparse", groups_active=1, group_size=4,
-                              margin=0.9)))
-        cases = [(problem, group_spec([range(j, j + 4) for j in range(0, 12, 4)]))]
-        ragged = group_spec([(0, 1, 2), (3,), (4, 5, 6, 7)])
-        cases += [(random_problem(rng, 20, 8), ragged) for _ in range(3)]
-        for problem, spec in cases:
+        # infeasible; this replicate returned u_hat 21.57 against the default
+        # bound 12.33 while starts went unchecked
+        for problem, spec in self._group_cases(rng, [7208988146898568358]):
             x, y = problem.x, problem.y
             for scale in (None, 0.8, 0.5, 0.01):
                 bound = omega_dual(spec, x.T @ y) * (scale or 1.0)
@@ -570,6 +575,20 @@ class TestConstrained:
                                              bound=None if scale is None else bound)
                 u = omega_dual(spec, x.T @ (y - x @ fit.beta_hat))
                 assert u <= bound * (1.0 + 1e-12)
+
+    def test_u_hat_never_exceeds_the_bound(self, rng):
+        # u_hat is the dual norm of the correlation vector the engine tested:
+        # recomputed from x.T y - G beta it read one ulp above the default
+        # bound on the second replicate, and the first ended on a refine start
+        # whose q, recomputed in a batch of one, lay one ulp outside
+        seeds = [485960443572615856, 4987739927712999214, 7208988146898568358]
+        for problem, spec in self._group_cases(rng, seeds):
+            x, y = problem.x, problem.y
+            for scale in (None, 0.8, 0.5, 0.01):
+                bound = float(omega_dual(spec, x.T @ y) * (scale or 1.0))
+                fit = solve_trex_constrained(problem, spec=spec,
+                                             bound=None if scale is None else bound)
+                assert fit.u_hat <= bound
 
     def test_tight_bound_repairs_every_group_start(self, rng):
         # below the dual residual of every zero, ridge and perturbed start

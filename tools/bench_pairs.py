@@ -12,8 +12,9 @@ first in even-numbered pairs and the change first in odd ones, then one
 of ``BENCHMARK.json``, the length the benchmark's own gate uses. It writes
 ``BENCH_<tag>.json`` with every run, a summary per end-to-end metric of
 ``BENCHMARK.json`` (medians, quartiles, the parent's IQR, the change/parent
-ratio of medians and the pairs the change wins) and the per-layer metrics of
-the traced runs. The file is rewritten after every run, so a script
+ratio of medians, the pairs the change wins and the gate's two verdicts,
+``claim_met`` and ``within_bound``) and the per-layer metrics of the traced
+runs. The file is rewritten after every run, so a script
 stopped midway keeps every run it finished.
 """
 
@@ -85,7 +86,13 @@ def quartiles(values: list) -> tuple:
 
 
 def summarize(runs: list, metrics: list) -> dict:
-    """Per metric: medians and quartiles per side, ratio and the change's wins."""
+    """Per metric: medians and quartiles per side, ratio and the change's wins.
+
+    ``claim_met``: the change wins at least 9 in 10 of the pairs (ties count
+    for neither) and its median beats the parent's by more than the parent's
+    IQR. ``within_bound``: the change's median is no worse than the parent's
+    by more than the metric's ``bound``, a fraction of the parent's median.
+    """
     by_seed = {}
     for rec in runs:
         by_seed.setdefault(rec["seed"], {})[rec["side"]] = rec
@@ -107,6 +114,10 @@ def summarize(runs: list, metrics: list) -> dict:
         sign = 1.0 if better == "higher" else -1.0
         stats["change_wins"] = sum(sign * (c - p) > 0
                                    for p, c in zip(values["parent"], values["change"]))
+        gain = sign * (stats["change_median"] - stats["parent_median"])
+        stats["claim_met"] = (10 * stats["change_wins"] >= 9 * len(pairs)
+                              and gain > stats["parent_iqr"])
+        stats["within_bound"] = sign * (stats["ratio"] - 1.0) >= -metric["bound"]
         out[name] = stats
     return out
 
