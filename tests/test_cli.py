@@ -15,8 +15,11 @@ from trexlab.trex import solve_trex
 def openblas_threads(set_to=None) -> list:
     """Thread count of every OpenBLAS loaded in this process, after setting
     each to ``set_to`` when given; empty when none is loaded."""
-    with open("/proc/self/maps") as fh:
-        libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return []
     counts = []
     for lib in libs:
         handle = ctypes.CDLL(lib)
