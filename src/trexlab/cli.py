@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import functools
 import json
 import os
 import sys
@@ -29,19 +30,18 @@ from .serialize import (
 from .trex import SolverConfig, solve_trex, solve_trex_constrained, solve_trex_unpenalized
 
 
-def _one_blas_thread() -> None:
-    """Set every OpenBLAS this process has loaded to one thread.
-
-    ``verify --jobs N`` forks its workers from this process, so each runs on
-    one thread and ``--jobs`` alone sets the parallelism. Does nothing where
-    no OpenBLAS is loaded.
-    """
+@functools.cache
+def _openblas() -> tuple:
+    """(get, set) thread-count functions of every OpenBLAS this process has
+    loaded, found once per process through /proc/self/maps; empty without
+    OpenBLAS. numpy and scipy load theirs when this module is imported."""
     try:
         with open("/proc/self/maps") as fh:
             libs = sorted({line.split()[-1] for line in fh
                            if "openblas" in line.lower() and ".so" in line})
     except OSError:
-        return
+        return ()
+    pairs = []
     for lib in libs:
         handle = ctypes.CDLL(lib)
         for prefix, suffix in (("scipy_", "64_"), ("scipy_", ""), ("", "64_"), ("", "")):
@@ -50,9 +50,21 @@ def _one_blas_thread() -> None:
             if get is not None and set_ is not None:
                 get.argtypes, get.restype = [], ctypes.c_int
                 set_.argtypes, set_.restype = [ctypes.c_int], None
-                if get() != 1:
-                    set_(1)
+                pairs.append((get, set_))
                 break
+    return tuple(pairs)
+
+
+def _one_blas_thread() -> None:
+    """Set every OpenBLAS this process has loaded to one thread.
+
+    ``verify --jobs N`` forks its workers from this process, so each runs on
+    one thread and ``--jobs`` alone sets the parallelism. Does nothing where
+    no OpenBLAS is loaded.
+    """
+    for get, set_ in _openblas():
+        if get() != 1:
+            set_(1)
 
 
 def _norm_from_args(args) -> NormSpec:

@@ -12,18 +12,23 @@ backtracking, and the best optimum is the global one. A subproblem whose
 domain contains b = 0 starts there; any other starts at the closed-form
 minimizer of its own objective along its own coordinate. Each subproblem also
 yields a dual lower bound from its rescaled gradient (Fercoq, Gramfort &
-Salmon, "Mind the duality gap", 2015). A subproblem whose bound already lies
-above the best objective found so far, by more than the window in which
-near-best subproblems are refined, cannot win and is stopped (pruned). The
-fit reports ``certified_gap``, the objective minus the smallest bound over
-the feasible subproblems: the global optimum lies at most that far below the
-returned objective.
+Salmon, "Mind the duality gap", 2015). A subproblem stops once its objective
+is within the tolerance of its bound, or is stopped (pruned) when its bound
+already lies above the best objective found so far by more than a margin,
+since then it cannot win. A subproblem within that margin of the best is
+moved to the closed-form stationary point on its support once its signs
+settle, which makes its bound exact, so every sign fit is one engine call.
+The fit reports ``certified_gap``, the objective minus the smallest bound
+over the feasible subproblems: the global optimum lies at most that far
+below the returned objective.
 
 Group penalties with a non-singleton group yield one subproblem per group,
 with denominator ||x_G.T (y - x b)|| / w_G; those are not provably convex, so
 each is solved from several seeded starts and the fit is flagged heuristic.
 Every start is one row of the same batched engine, with the group prox in
-place of soft thresholding; group rows are neither certified nor pruned.
+place of soft thresholding; group rows are neither certified, pruned nor
+polished, stop when their objective stops falling, and the best of them are
+refined by a second engine call at a tighter tolerance.
 """
 
 from __future__ import annotations
@@ -53,9 +58,12 @@ class SolverConfig:
     """Knobs for the subproblem solvers.
 
     c is the ratio constant in (0, 2); 1/2 is the customary default.
-    tolerance is the relative objective decrease over a sweep window below
-    which a subproblem counts as converged. delta guards the open domain of
-    the quadratic-over-linear objectives, relative to dual(x.T y).
+    tolerance is the certificate tolerance: a sign subproblem converges once
+    its objective minus its dual lower bound is at most tolerance (1 + |F|).
+    Rows without a certificate (group rows, or rows it does not close, as
+    under a bound) converge when their objective falls by at most that much
+    over a 10-iteration window. delta guards the open domain of the
+    quadratic-over-linear objectives, relative to dual(x.T y).
     """
 
     c: float = 0.5
@@ -137,8 +145,55 @@ def _soft(v, th):
 
 
 def _near_margin(f):
-    """Objective window above the best row inside which rows are refined."""
+    """The pruning margin: a row whose dual bound lies this far above the best
+    objective cannot win, and a row within it of the best is polished."""
     return max(1e-6 * (1.0 + abs(f)), 1e-8)
+
+
+def _polish(G, xty, yty, c, j, s, pen_w, b):
+    """Stationary point of sign row (j, s) on the support and signs of b.
+
+    On S = supp(b) with signs sigma the row objective is smooth, and
+    stationarity reads G_SS b_S = xty_S - alpha a - (c D / 2) w_S sigma with
+    a = s G_Sj / w_j and alpha = rss / (2 D). D = s xty_j / w_j - a.b_S is
+    affine in alpha, so alpha solves one quadratic and b_S follows from three
+    least-squares solves (``lstsq``: G_SS is singular when columns repeat).
+    Returns the root with the lowest objective among those that keep D > 0
+    and every sign, or None.
+    """
+    S = np.flatnonzero(b)
+    if S.size == 0:
+        return None
+    sigma = np.sign(b[S])
+    G_SS, xS = G[np.ix_(S, S)], xty[S]
+    a = s * G[S, j] / pen_w[j]
+    u0, ua, uw = np.linalg.lstsq(G_SS, np.column_stack([xS, a, pen_w[S] * sigma]),
+                                 rcond=None)[0].T
+    den = 1.0 - 0.5 * c * (a @ uw)
+    if den == 0.0:
+        return None
+    # D = e0 + e1 alpha and b_S = v0 + alpha v1
+    e0, e1 = (s * xty[j] / pen_w[j] - a @ u0) / den, (a @ ua) / den
+    v0, v1 = u0 - 0.5 * c * e0 * uw, -ua - 0.5 * c * e1 * uw
+    Gv0, Gv1 = G_SS @ v0, G_SS @ v1
+    # rss(alpha) = r0 + r1 alpha + r2 alpha^2 = 2 alpha D(alpha)
+    r0 = yty - 2.0 * (v0 @ xS) + v0 @ Gv0
+    r1 = 2.0 * (v1 @ Gv0 - v1 @ xS)
+    r2 = v1 @ Gv1
+    best, best_f = None, np.inf
+    for alpha in np.roots([r2 - 2.0 * e1, r1 - 2.0 * e0, r0]):
+        if alpha.imag != 0.0 or alpha.real <= 0.0:
+            continue
+        alpha = alpha.real
+        bS, D = v0 + alpha * v1, e0 + e1 * alpha
+        f = 2.0 * alpha / c + pen_w[S] @ np.abs(bS)
+        if D > 0.0 and np.all(sigma * bS > 0.0) and f < best_f:
+            best, best_f = bS, f
+    if best is None:
+        return None
+    out = np.zeros_like(b)
+    out[S] = best
+    return out
 
 
 class _BatchResult:
@@ -377,13 +432,23 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
     whose q, as computed here, still fails the bound is infeasible. So the q
     returned for every feasible row satisfies the bound exactly.
 
-    For sign rows every iteration also evaluates a dual lower bound LB_k on
-    each active row's optimum and stops (prunes) the rows with LB_k above the
-    incumbent min_k F_k plus the refine window ``_near_margin``: such a row
-    can neither win nor be refined. The bound is that of the unconstrained
-    subproblem, so it stays valid, if looser, under ``bound``. ``lower``
-    holds LB_k at the final iterate of every feasible sign row, inf for
-    infeasible rows and -inf for group rows, which have no certificate.
+    Sign rows finish on their certificate. Every iteration evaluates a dual
+    lower bound LB_k on each active row's optimum; a row converges once
+    F_k - LB_k <= tolerance (1 + |F_k|), and is otherwise stopped (pruned)
+    when LB_k lies above the incumbent min_k F_k by more than
+    ``_near_margin``, since it cannot win. A row within that margin of the
+    incumbent whose sign pattern has held for 3 iterations is moved, once per
+    pattern, to the closed-form stationary point on its support
+    (``_polish``) when that point keeps the domain, ``bound`` and every sign
+    and does not raise F_k; its bound then becomes exact. An accepted sign
+    row doubles its step, a group row grows it by 1.3. Any row whose
+    objective fell by at most tolerance (1 + |F_k|) over ``window``
+    iterations stops too: the fallback for rows the certificate does not
+    close, as under ``bound``, and the only stop of group rows. The bound is
+    that of the unconstrained subproblem, so it stays valid, if looser, under
+    ``bound``. ``lower`` holds LB_k at the final iterate of every feasible
+    sign row, inf for infeasible rows and -inf for group rows, which have no
+    certificate.
     """
     p = G.shape[0]
     K = len(rows.s)
@@ -460,14 +525,21 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
         Dr = D[sub]
         return (-2.0 / (c * Dr))[:, None] * q[sub] + slope(sub, rss[sub] / (c * Dr * Dr))
 
+    def admitted(Q, rssQ, DQ):
+        """Which rows stay in the domain and within ``bound``, and their
+        rss / (c D), inf for the others."""
+        ok = DQ > delta
+        if bound is not None:
+            ok &= dual(Q) <= bound
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return ok, np.where(ok, rssQ / (c * np.where(ok, DQ, 1.0)), np.inf)
+
     q, rss, D = eval_rows(B, np.arange(K))
-    feasible = feasible & (D > delta)
-    if bound is not None:
-        # checked with the q stored for the row, which may differ in its last
-        # bits from the q its caller computed for the same start
-        feasible &= dual(q) <= bound
-    g = np.where(feasible, rss / (c * np.where(feasible, D, 1.0)), np.inf)
-    F = g + penalty(B)
+    # the bound is checked with the q stored for the row, which may differ in
+    # its last bits from the q its caller computed for the same start
+    ok, g = admitted(q, rss, D)
+    feasible = feasible & ok
+    F = np.where(feasible, g, np.inf) + penalty(B)
 
     t = np.empty(K)
     with np.errstate(invalid="ignore"):
@@ -479,6 +551,10 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
     converged = np.zeros(K, dtype=bool)
     stalled = np.zeros(K, dtype=bool)
     pruned = np.zeros(K, dtype=bool)
+    # iterations each row's sign pattern has held, and whether it was polished
+    steady = np.zeros(K, dtype=int)
+    polished = np.zeros(K, dtype=bool)
+    growth = 1.3 if group else 2.0
     hist = [F.copy()]
     iterations = np.zeros(K, dtype=int)
 
@@ -489,11 +565,15 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
         grad = gradient(act)
         if not group:
             incumbent = float(F.min())
-            hopeless = lower_bound(act, grad) > incumbent + _near_margin(incumbent)
-            if hopeless.any():
-                pruned[act[hopeless]] = True
-                active[act[hopeless]] = False
-                act, grad = act[~hopeless], grad[~hopeless]
+            lb = lower_bound(act, grad)
+            closed = F[act] - lb <= config.tolerance * (1.0 + np.abs(F[act]))
+            hopeless = ~closed & (lb > incumbent + _near_margin(incumbent))
+            converged[act[closed]] = True
+            pruned[act[hopeless]] = True
+            stop = closed | hopeless
+            if stop.any():
+                active[act[stop]] = False
+                act, grad = act[~stop], grad[~stop]
                 if act.size == 0:
                     break
         iterations[act] = it + 1
@@ -504,11 +584,7 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
             b, g = Br[ix], grad[ix]
             Cand = prox(b - steps[:, None] * g, steps[:, None])
             qC, rssC, DC = eval_rows(Cand, act[ix])
-            ok = DC > delta
-            if bound is not None:
-                ok &= dual(qC) <= bound
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gC = np.where(ok, rssC / (c * np.where(ok, DC, 1.0)), np.inf)
+            ok, gC = admitted(qC, rssC, DC)
             diff = Cand - b
             quad = (
                 gr[ix]
@@ -521,7 +597,7 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
         accepted, t[act], dead = _ladder(t[act], t_floor[act], cap, trial,
                                          (B, q, rss, D), act)
         sel = act[accepted]
-        t[sel] = np.minimum(t[sel] * 1.3, 1e12)
+        t[sel] = np.minimum(t[sel] * growth, 1e12)
         if dead.any():
             # cannot decrease further: treat as a stationary stall
             gone = act[dead]
@@ -530,6 +606,26 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
 
         gF = rss[act] / (c * D[act])
         F[act] = gF + penalty(B[act])
+        if not group:
+            kept = (np.sign(B[act]) == np.sign(Br)).all(axis=1)
+            steady[act] = np.where(kept, steady[act] + 1, 0)
+            polished[act[~kept]] = False
+            incumbent = float(F.min())
+            due = act[(steady[act] >= 3) & ~polished[act]
+                      & (F[act] <= incumbent + _near_margin(incumbent))]
+            polished[due] = True
+            found = {k: _polish(G, xty, yty, c, j_arr[k], s_arr[k], pen_w, B[k])
+                     for k in due}
+            ks = np.array([k for k, b in found.items() if b is not None], dtype=int)
+            if ks.size:
+                Cand = np.array([found[k] for k in ks])
+                qC, rssC, DC = eval_rows(Cand, ks)
+                ok, gC = admitted(qC, rssC, DC)
+                FC = gC + penalty(Cand)
+                ok &= FC <= F[ks]
+                take = ks[ok]
+                B[take], q[take], rss[take], D[take], F[take] = (
+                    Cand[ok], qC[ok], rssC[ok], DC[ok], FC[ok])
         hist.append(F.copy())
         if len(hist) > window + 1:
             hist.pop(0)
@@ -591,15 +687,17 @@ def solve_trex(problem: RegressionProblem, config: SolverConfig = None,
     """Globally solve the ratio objective via the subproblem decomposition.
 
     For (weighted) l1 penalties, and group penalties of singletons only, the
-    2p convex sign subproblems are solved together and the best optimum is
-    returned. A subproblem stops early (is pruned) once its dual lower bound
-    exceeds the best current objective by more than
-    max(1e-6 (1 + |best|), 1e-8), the window within which near-best
-    subproblems are refined, so a pruned subproblem can never win. Any other
-    group penalty has one nonconvex subproblem per group, solved from
-    max(multistart_count, 2) seeded starts in the same batch; such a fit is
-    flagged heuristic, carries no certificate and prunes nothing. The
-    diagnostics report, for every penalty:
+    2p convex sign subproblems are solved together, in one engine call, and
+    the best optimum is returned. A subproblem converges once its objective
+    is within the tolerance of its dual lower bound, and stops early (is
+    pruned) once that bound exceeds the best current objective by more than
+    max(1e-6 (1 + |best|), 1e-8), so a pruned subproblem can never win; one
+    within that margin of the best is polished to the closed-form stationary
+    point on its support. Any other group penalty has one nonconvex
+    subproblem per group, solved from max(multistart_count, 2) seeded starts
+    in the same batch, and its near-best starts are refined in a second
+    call; such a fit is flagged heuristic, carries no certificate and prunes
+    nothing. The diagnostics report, for every penalty:
 
     - ``heuristic``: whether the fit comes from the group multistarts;
     - ``certified_gap``: objective minus the smallest dual lower bound over
@@ -610,9 +708,11 @@ def solve_trex(problem: RegressionProblem, config: SolverConfig = None,
     - ``stalled``: the number of rows stopped because the line-search step
       fell below its floor (still counted as converged);
     - ``all_converged``: every feasible subproblem converged or was pruned;
-    - ``iterations``: the largest iteration count of the main stage;
+    - ``iterations``: the largest iteration count of the first engine call
+      (the only one for sign fits);
     - ``row_iterations``: proximal-gradient steps summed over all rows
-      (every start of every subproblem), main and refine stage.
+      (every start of every subproblem), including a heuristic fit's refine
+      stage.
 
     A subproblem's record holds its best row. Ties within 1e-10 break to the
     lowest subproblem: the lowest coordinate, negative sign first.
@@ -651,17 +751,20 @@ def solve_trex(problem: RegressionProblem, config: SolverConfig = None,
             raise DomainError(f"all subproblems infeasible under bound={bound:g}: "
                               "no start lies inside both the constraint and the domain")
         raise DomainError("all subproblems infeasible; input is degenerate")
-    near = np.flatnonzero(res.objective <= best + _near_margin(best))
-    refine_cfg = replace(config, tolerance=config.tolerance * 1e-3)
-    ref = _solve_subproblems(G, xty, yty, spec, rows.take(near), res.beta[near],
-                             np.ones(near.size, dtype=bool), delta, refine_cfg,
-                             bound=bound)
-    row_iterations = int(np.sum(res.iterations) + np.sum(ref.iterations))
-    # a row whose refine start fails the domain or the bound by rounding keeps
-    # its main-stage result
-    kept = near[ref.feasible]
-    for name in ("beta", "q", "objective", "converged", "stalled", "pruned", "lower"):
-        getattr(res, name)[kept] = getattr(ref, name)[ref.feasible]
+    row_iterations = int(np.sum(res.iterations))
+    if heuristic:
+        # refine the group rows near the best at a thousandth of the tolerance
+        near = np.flatnonzero(res.objective <= best + _near_margin(best))
+        ref = _solve_subproblems(G, xty, yty, spec, rows.take(near), res.beta[near],
+                                 np.ones(near.size, dtype=bool), delta,
+                                 replace(config, tolerance=config.tolerance * 1e-3),
+                                 bound=bound)
+        row_iterations += int(np.sum(ref.iterations))
+        # a row whose refine start fails the domain or the bound by rounding
+        # keeps its main-stage result
+        kept = near[ref.feasible]
+        for name in ("beta", "q", "objective", "converged", "stalled"):
+            getattr(res, name)[kept] = getattr(ref, name)[ref.feasible]
 
     # one record per subproblem: the best of its per_sub consecutive rows
     n_sub = len(identities)

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from trexlab import harness
+from trexlab import cli, harness
 from trexlab.cli import main
 from trexlab.datagen import ScenarioSpec, generate
 from trexlab.serialize import problem_to_csv, problem_to_dict
@@ -156,6 +156,20 @@ class TestFit:
                                                  two_blas_threads):
         path, _ = problem_csv
         assert main(["fit", str(path), "--out", str(tmp_path / "fit.json")]) == 0
+        assert set(openblas_threads()) == {1}
+
+    def test_finds_openblas_once_and_pins_on_every_call(self, problem_csv, tmp_path,
+                                                        two_blas_threads):
+        path, _ = problem_csv
+        main(["fit", str(path), "--out", str(tmp_path / "fit.json")])
+        found = cli._openblas()
+        assert len(found) == len(openblas_threads())
+        # a later call finds the same handles without a second scan, and
+        # still pins a count that was changed in between
+        openblas_threads(set_to=2)
+        assert main(["fit", str(path), "--out", str(tmp_path / "fit.json")]) == 0
+        assert cli._openblas() is found
+        assert cli._openblas.cache_info().misses == 1
         assert set(openblas_threads()) == {1}
 
     def test_malformed_csv_is_error(self, tmp_path, capsys):
