@@ -687,17 +687,16 @@ def solve_trex(problem: RegressionProblem, config: SolverConfig = None,
     """Globally solve the ratio objective via the subproblem decomposition.
 
     For (weighted) l1 penalties, and group penalties of singletons only, the
-    2p convex sign subproblems are solved together, in one engine call, and
+    2p convex sign subproblems are solved together in one engine call and
     the best optimum is returned. A subproblem converges once its objective
-    is within the tolerance of its dual lower bound, and stops early (is
-    pruned) once that bound exceeds the best current objective by more than
-    max(1e-6 (1 + |best|), 1e-8), so a pruned subproblem can never win; one
-    within that margin of the best is polished to the closed-form stationary
-    point on its support. Any other group penalty has one nonconvex
-    subproblem per group, solved from max(multistart_count, 2) seeded starts
-    in the same batch, and its near-best starts are refined in a second
-    call; such a fit is flagged heuristic, carries no certificate and prunes
-    nothing. The diagnostics report, for every penalty:
+    is within the tolerance of its dual lower bound, and is pruned once that
+    bound exceeds the best current objective by more than
+    max(1e-6 (1 + |best|), 1e-8), so a pruned subproblem can never win. Any
+    other group penalty has one nonconvex subproblem per group, solved from
+    max(multistart_count, 2) seeded starts in the same batch, and its
+    near-best starts are refined in a second call; such a fit is flagged
+    heuristic, carries no certificate and prunes nothing. The diagnostics
+    report, for every penalty:
 
     - ``heuristic``: whether the fit comes from the group multistarts;
     - ``certified_gap``: objective minus the smallest dual lower bound over

@@ -701,9 +701,10 @@ class TestConstrained:
     def test_permuted_instance_reaches_the_unpermuted_optimum(self):
         # criterion 04's instance 2 with the rows, columns and signs drawn as
         # the fit_constrained benchmark draws them for seed 51, pass 19. Its
-        # best row (original column 0, sign -1) lies on the constraint there,
-        # and the window stop used to end it at 8.949, so the fit returned
-        # 7.1425 against the 6.4388 of the unpermuted instance
+        # best row (original column 0, sign -1) meets the constraint there;
+        # while accepted steps grew by 1.3 the row stayed stuck until the
+        # window stop ended it at 8.949, and the fit returned 7.1425 against
+        # the 6.4388 of the unpermuted instance
         problem, _ = generate(ScenarioSpec(
             n=30, p=60, s=3, noise=NoiseSpec(kind="ar1", rho=0.5),
             signal=SignalSpec(kind="scaled_to_signal_strength", margin=1.05, c=0.5),
