@@ -3,13 +3,9 @@
 from .model import (
     GroundTruth,
     RegressionProblem,
-    Residual,
-    denormalize_coefficients,
     make_problem,
     normalize_columns,
     prediction_loss,
-    residual,
-    verify_model_identity,
 )
 from .norms import (
     NormSpec,
@@ -21,15 +17,13 @@ from .norms import (
     singleton_groups,
     weighted_l1_spec,
 )
-from .lasso import LassoFit, fit_lasso, kkt_residual, lasso_objective, lasso_path
+from .lasso import LassoFit, fit_lasso, kkt_residual, lasso_objective
 from .trex import (
     SolverConfig,
     TrexFit,
-    solve_subproblem,
     solve_trex,
     solve_trex_constrained,
     solve_trex_unpenalized,
-    subproblem_objective,
     trex_objective,
 )
 from .bounds import (
@@ -37,7 +31,6 @@ from .bounds import (
     CompatibilityEstimate,
     check_assumption_signal_strength,
     check_assumption_small_signal,
-    compute_u_hat,
     estimate_compatibility,
     verify_l1_ordering,
     verify_lasso_fast,
@@ -46,7 +39,7 @@ from .bounds import (
     verify_trex_fast_via_lasso,
     verify_trex_slow,
 )
-from .datagen import DesignSpec, NoiseSpec, ScenarioSpec, SignalSpec, generate, scenario_grid
+from .datagen import DesignSpec, NoiseSpec, ScenarioSpec, SignalSpec, generate
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

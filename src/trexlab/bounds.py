@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .errors import ConfigError
 from .lasso import LassoFit, fit_lasso
@@ -94,13 +93,6 @@ class CompatibilityEstimate:
     exact: bool
 
 
-def compute_u_hat(problem: RegressionProblem, fit, spec: NormSpec = None) -> float:
-    """Dual norm of the residual correlation at a fitted coefficient vector."""
-    spec = spec or getattr(fit, "spec", None) or l1_spec()
-    beta = fit.beta_hat if hasattr(fit, "beta_hat") else np.asarray(fit, dtype=float)
-    return omega_dual(spec, problem.x.T @ (problem.y - problem.x @ beta))
-
-
 def _noise_dual(problem: RegressionProblem, truth: GroundTruth,
                 spec: NormSpec) -> float:
     return omega_dual(spec, problem.x.T @ truth.epsilon)
@@ -161,22 +153,15 @@ def check_assumption_signal_strength(truth: GroundTruth, problem: RegressionProb
 # compatibility constant estimation
 
 ORTHOGONALITY_ATOL = 1e-8
+# a sampled compatibility estimate may overshoot the true constant, so the
+# fast-rate verdicts use this fraction of it
+NU_DEFLATION = 0.5
 # candidates of the compatibility search scored per matrix product
 _SCORE_ROWS = 4096
 
 
-def _cone_ratio(x: np.ndarray, support: np.ndarray, eta: np.ndarray) -> float:
-    s = support.size
-    n = x.shape[0]
-    l1_s = float(np.sum(np.abs(eta[support])))
-    if l1_s <= 0:
-        return float("inf")
-    return np.sqrt(s) * float(np.linalg.norm(x @ eta)) / (np.sqrt(n) * l1_s)
-
-
 def estimate_compatibility(problem: RegressionProblem, support, samples: int = 2000,
-                           refine: bool = False, seed: int = 0
-                           ) -> CompatibilityEstimate:
+                           seed: int = 0) -> CompatibilityEstimate:
     """Search the cone ||eta_off||_1 <= 3 ||eta_on||_1 for the smallest ratio
     sqrt(s) ||x eta||_2 / (sqrt(n) ||eta_on||_1).
 
@@ -185,10 +170,9 @@ def estimate_compatibility(problem: RegressionProblem, support, samples: int = 2
     one in a fixed order: the support values, a coin for an off-support tail,
     the tail, a coin for the cone boundary and the tail fraction. All of them
     are then scored by matrix products over blocks of ``_SCORE_ROWS`` rows,
-    so memory grows with ``samples`` times p only; the first smallest ratio
-    wins, and ``refine`` polishes it by SLSQP. The returned value upper-bounds the
-    largest admissible compatibility constant. Verified-orthogonal designs
-    short-circuit to the exact value 1.
+    so memory grows with ``samples`` times p only. The smallest ratio
+    upper-bounds the largest admissible compatibility constant.
+    Verified-orthogonal designs short-circuit to the exact value 1.
     """
     support = np.asarray(sorted(set(int(i) for i in support)), dtype=int)
     if support.size == 0:
@@ -240,40 +224,17 @@ def estimate_compatibility(problem: RegressionProblem, support, samples: int = 2
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.sqrt(s) * x_eta / (np.sqrt(n) * l1_s)
     ratio[l1_s <= 0] = np.inf
-    k = int(np.argmin(ratio))
-    best, count = float(ratio[k]), len(eta)
-
-    if refine:
-        def ratio_sq(eta):
-            l1_s = np.sum(np.abs(eta[support]))
-            if l1_s <= 1e-12:
-                return 1e12
-            return s * float(np.linalg.norm(x @ eta)) ** 2 / (n * l1_s**2)
-
-        cons = [
-            {"type": "ineq",
-             "fun": lambda eta: 3.0 * np.sum(np.abs(eta[support]))
-                                - np.sum(np.abs(eta[off]))},
-            {"type": "ineq",
-             "fun": lambda eta: np.sum(np.abs(eta[support])) - 0.5},
-        ]
-        try:
-            start = np.empty(p)
-            start[order] = eta[k]
-            sol = optimize.minimize(ratio_sq, start, method="SLSQP",
-                                    constraints=cons,
-                                    options={"maxiter": 200, "ftol": 1e-12})
-            if sol.x is not None and cons[0]["fun"](sol.x) >= -1e-9:
-                count += 1
-                best = min(best, _cone_ratio(x, support, np.asarray(sol.x)))
-        except Exception:
-            pass
-
-    return CompatibilityEstimate(float(best), count, False)
+    return CompatibilityEstimate(float(np.min(ratio)), len(eta), False)
 
 
 # ---------------------------------------------------------------------------
 # bound reports
+
+
+def deflated_nu(nu: float, exact: bool) -> float:
+    """The compatibility constant a fast-rate verdict uses: ``nu`` when it is
+    exact, else ``NU_DEFLATION`` times the sampled estimate."""
+    return nu if exact else nu * NU_DEFLATION
 
 
 def _nu_gate(nu: float) -> AssumptionCheck:
@@ -333,8 +294,7 @@ def _fast_gates(problem, truth, fit: TrexFit, kappa1, kappa2):
 
 def verify_trex_fast_via_lasso(problem: RegressionProblem, truth: GroundTruth,
                                fit: TrexFit, kappa1: float = 2.0,
-                               kappa2: float = 8.0, lasso_max_sweeps=100_000
-                               ) -> BoundReport:
+                               kappa2: float = 8.0) -> BoundReport:
     """Fast-rate bound through a reference l1 fit at the induced penalty.
 
     At the default constants the right-hand side coefficients are exactly 3/4
@@ -342,8 +302,7 @@ def verify_trex_fast_via_lasso(problem: RegressionProblem, truth: GroundTruth,
     """
     a_small, u_gate = _fast_gates(problem, truth, fit, kappa1, kappa2)
     lam = reference_penalty(problem, truth, fit.u_hat, fit.config.c, kappa1, kappa2)
-    ref = fit_lasso(problem, lam, max_sweeps=lasso_max_sweeps,
-                    allow_unnormalized=True)
+    ref = fit_lasso(problem, lam, allow_unnormalized=True)
     noise = float(np.max(np.abs(problem.x.T @ truth.epsilon)))
     n = problem.n
     loss_ref = prediction_loss(problem, truth, ref.beta_hat)
@@ -363,13 +322,12 @@ def verify_trex_fast_via_lasso(problem: RegressionProblem, truth: GroundTruth,
 
 def verify_trex_fast_compat(problem: RegressionProblem, truth: GroundTruth,
                             fit: TrexFit, nu: float, nu_exact: bool = False,
-                            kappa1: float = 2.0, kappa2: float = 8.0,
-                            nu_deflation: float = 0.5) -> BoundReport:
+                            kappa1: float = 2.0, kappa2: float = 8.0) -> BoundReport:
     """Sparsity-based bound (1/k1 + 2/k2) * 16 s lam~^2 / (nu^2 n^2).
 
     At the default constants the leading constant is exactly 12. A sampled
-    compatibility estimate risks overshooting the true constant, so unless
-    ``nu_exact`` the verdict uses a deflated nu; both right-hand sides are
+    compatibility estimate risks overshooting the true constant, so the
+    verdict uses ``deflated_nu(nu, nu_exact)``; both right-hand sides are
     recorded. A zero nu fails the ``nu_positive`` gate.
     """
     a_small, u_gate = _fast_gates(problem, truth, fit, kappa1, kappa2)
@@ -383,7 +341,7 @@ def verify_trex_fast_compat(problem: RegressionProblem, truth: GroundTruth,
     n = problem.n
     coef = (1.0 / kappa1 + 2.0 / kappa2) * 16.0
     rhs_est = _fast_rhs(coef, s, lam, nu, n)
-    nu_eff = nu if nu_exact else nu * nu_deflation
+    nu_eff = deflated_nu(nu, nu_exact)
     rhs_defl = _fast_rhs(coef, s, lam, nu_eff, n)
     lhs = prediction_loss(problem, truth, fit.beta_hat)
     theorem_id = ("trex_fast_compat" if (kappa1, kappa2) == (2.0, 8.0)
@@ -428,13 +386,11 @@ def verify_trex_slow(problem: RegressionProblem, truth: GroundTruth,
 
 
 def verify_l1_ordering(problem: RegressionProblem, fit: TrexFit,
-                       lasso_max_sweeps: int = 100_000,
                        slack: float = 1e-6) -> BoundReport:
     """The fitted l1 norm dominates any l1 least-squares fit at penalty u_hat."""
     if fit.u_hat <= 0:
         raise ValueError("u_hat must be positive")
-    ref = fit_lasso(problem, fit.u_hat, max_sweeps=lasso_max_sweeps,
-                    allow_unnormalized=True)
+    ref = fit_lasso(problem, fit.u_hat, allow_unnormalized=True)
     lhs = float(np.sum(np.abs(ref.beta_hat)))
     rhs = float(np.sum(np.abs(fit.beta_hat)))
     gate = AssumptionCheck("reference_converged", ref.converged, 1.0, 1.0)

@@ -34,7 +34,7 @@ from .trex import SolverConfig, solve_trex, solve_trex_constrained, solve_trex_u
 def _openblas() -> tuple:
     """(get, set) thread-count functions of every OpenBLAS this process has
     loaded, found once per process through /proc/self/maps; empty without
-    OpenBLAS. numpy and scipy load theirs when this module is imported."""
+    OpenBLAS. numpy loads its own when this module is imported."""
     try:
         with open("/proc/self/maps") as fh:
             libs = sorted({line.split()[-1] for line in fh
@@ -67,17 +67,13 @@ def _one_blas_thread() -> None:
             set_(1)
 
 
-def _norm_from_args(args) -> NormSpec:
-    if args.groups:
-        with open(args.groups) as fh:
-            return NormSpec.from_dict(json.load(fh))
-    return l1_spec()
-
-
 def cmd_fit(args) -> int:
     problem, _ = load_problem(args.problem)
     config = SolverConfig(c=args.c, seed=args.seed or 0)
-    spec = _norm_from_args(args)
+    spec = l1_spec()
+    if args.groups:
+        with open(args.groups) as fh:
+            spec = NormSpec.from_dict(json.load(fh))
     if args.estimator == "lasso":
         if args.penalty is None:
             raise TrexlabError("--penalty is required for the lasso estimator")
@@ -95,8 +91,7 @@ def cmd_fit(args) -> int:
         else:
             raise TrexlabError(f"unknown estimator {args.estimator!r}")
         payload = trex_fit_to_dict(fit)
-        converged = all(r.converged or r.pruned
-                        for r in fit.per_subproblem if r.feasible)
+        converged = fit.diagnostics["all_converged"]
     out = args.out or "fit.json"
     with open(out, "w") as fh:
         json.dump(payload, fh, indent=1)

@@ -13,13 +13,12 @@ so identical specs reproduce bit-identical instances on any platform.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, config_block
 from .model import GroundTruth, RegressionProblem, normalize_columns
 
 IID_GAUSSIAN = "iid_gaussian"
@@ -143,13 +142,16 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioSpec":
-        sig = dict(d.get("signal", {}))
+        config_block(d, cls, "scenario", required=("n", "p"))
+        design = config_block(d.get("design", {}), DesignSpec, "design")
+        noise = config_block(d.get("noise", {}), NoiseSpec, "noise")
+        sig = dict(config_block(d.get("signal", {}), SignalSpec, "signal"))
         if "values" in sig and sig["values"] is not None:
             sig["values"] = tuple(sig["values"])
         return cls(
             n=int(d["n"]), p=int(d["p"]), s=int(d.get("s", 0)),
-            design=DesignSpec(**d.get("design", {})),
-            noise=NoiseSpec(**d.get("noise", {})),
+            design=DesignSpec(**design),
+            noise=NoiseSpec(**noise),
             signal=SignalSpec(**sig),
             seed=int(d.get("seed", 0)),
             design_seed=d.get("design_seed"),
@@ -245,30 +247,3 @@ def derive_seed(base_seed: int, key: str) -> int:
     """Stable (platform-independent) seed derivation from a string key."""
     digest = hashlib.sha256(f"{base_seed}|{key}".encode()).digest()
     return int.from_bytes(digest[:8], "big") % (2**63)
-
-
-def _set_field(spec: ScenarioSpec, path: str, value):
-    head, _, rest = path.partition(".")
-    if not rest:
-        return replace(spec, **{head: value})
-    inner = replace(getattr(spec, head), **{rest: value})
-    return replace(spec, **{head: inner})
-
-
-def scenario_grid(base: ScenarioSpec, sweeps: dict) -> list[ScenarioSpec]:
-    """Cartesian product over dotted-field sweeps with derived per-cell seeds.
-
-    ``sweeps`` maps field paths like "design.rho" or "n" to value lists.
-    """
-    if not sweeps or any(len(v) == 0 for v in sweeps.values()):
-        raise ConfigError("every sweep must list at least one value")
-    keys = sorted(sweeps)
-    out = []
-    for combo in itertools.product(*(sweeps[k] for k in keys)):
-        spec = base
-        for k, v in zip(keys, combo):
-            spec = _set_field(spec, k, v)
-        key = ";".join(f"{k}={v!r}" for k, v in zip(keys, combo))
-        spec = replace(spec, seed=derive_seed(base.seed, key))
-        out.append(spec)
-    return out

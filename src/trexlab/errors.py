@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the key check of config blocks."""
+
+from dataclasses import fields
 
 
 class TrexlabError(Exception):
@@ -35,3 +37,17 @@ class DegenerateResidualError(TrexlabError, ValueError):
 
 class ConfigError(TrexlabError, ValueError):
     """Invalid solver or experiment configuration."""
+
+
+def config_block(d, cls, what: str, required=()) -> dict:
+    """Return ``d`` after checking that it is a JSON object whose keys all name
+    fields of the dataclass ``cls`` and include every key in ``required``."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{what} must be an object, got {type(d).__name__}")
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {unknown}")
+    missing = [k for k in required if k not in d]
+    if missing:
+        raise ConfigError(f"{what} lacks required keys: {missing}")
+    return d

@@ -68,8 +68,7 @@ def run_cell(config: ExperimentConfig, scenario_idx: int, replicate: int) -> lis
     if {"lasso_fast", "trex_fast_compat"} & set(config.theorems):
         if truth.sparsity > 0:
             nu_est = bd.estimate_compatibility(
-                problem, truth.support, samples=config.compat_samples,
-                refine=config.compat_refine, seed=seed)
+                problem, truth.support, samples=config.compat_samples, seed=seed)
 
     rows = []
     for theorem in config.theorems:
@@ -77,8 +76,8 @@ def run_cell(config: ExperimentConfig, scenario_idx: int, replicate: int) -> lis
         if theorem == "lasso_fast":
             lam = max(2.0 * noise_dual, 1e-12)
             fit = fit_lasso(problem, lam)
-            nu_eff = 1.0 if nu_est is None else (
-                nu_est.nu_lower_report if nu_est.exact else 0.5 * nu_est.nu_lower_report)
+            nu_eff = 1.0 if nu_est is None else bd.deflated_nu(nu_est.nu_lower_report,
+                                                               nu_est.exact)
             report = bd.verify_lasso_fast(problem, truth, fit, nu_eff)
         elif theorem == "lasso_slow":
             lam = max(noise_dual, 1e-12)

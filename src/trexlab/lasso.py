@@ -8,7 +8,7 @@ soft_threshold(x_j @ r_partial / n, lam / n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ class LassoFit:
     iterations: int
     converged: bool
     objective: float
-    objective_history: tuple = field(default=(), repr=False)
 
     def __post_init__(self):
         b = np.array(self.beta_hat, dtype=float)
@@ -57,12 +56,14 @@ def kkt_residual(problem: RegressionProblem, beta, lam: float) -> float:
 
 
 def fit_lasso(problem: RegressionProblem, lam: float, max_sweeps: int = MAX_SWEEPS,
-              beta0=None, allow_unnormalized: bool = False) -> LassoFit:
-    """Solve the penalized least-squares problem by cyclic coordinate descent.
+              allow_unnormalized: bool = False) -> LassoFit:
+    """Solve the penalized least-squares problem by cyclic coordinate descent
+    from beta = 0.
 
     Convergence requires both a max coordinate change per sweep below
     COORD_TOL * (1 + ||beta||_inf) and a KKT residual below KKT_RTOL * lam.
-    A non-converged run is returned flagged, never silently.
+    A non-converged run is returned flagged, never silently. ``objective`` is
+    the value after the last sweep.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
@@ -71,10 +72,10 @@ def fit_lasso(problem: RegressionProblem, lam: float, max_sweeps: int = MAX_SWEE
     x, y = problem.x, problem.y
     n, p = problem.n, problem.p
     col_sq = np.einsum("ij,ij->j", x, x)
-    beta = np.zeros(p) if beta0 is None else np.array(beta0, dtype=float)
-    r = y - x @ beta if beta0 is not None else y.copy()
+    beta = np.zeros(p)
+    r = y.copy()
 
-    history = [lasso_objective(problem, beta, lam)]
+    objective = float(y @ y)
     converged = False
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
@@ -89,7 +90,7 @@ def fit_lasso(problem: RegressionProblem, lam: float, max_sweeps: int = MAX_SWEE
                 r -= x[:, j] * new
             beta[j] = new
             max_delta = max(max_delta, abs(new - bj))
-        history.append(float(r @ r) + 2.0 * lam * float(np.sum(np.abs(beta))))
+        objective = float(r @ r) + 2.0 * lam * float(np.sum(np.abs(beta)))
         if max_delta <= COORD_TOL * (1.0 + float(np.max(np.abs(beta)))):
             if kkt_residual(problem, beta, lam) <= KKT_RTOL * lam:
                 converged = True
@@ -102,22 +103,5 @@ def fit_lasso(problem: RegressionProblem, lam: float, max_sweeps: int = MAX_SWEE
         kkt_residual=kkt,
         iterations=sweeps,
         converged=converged,
-        objective=history[-1],
-        objective_history=tuple(history),
+        objective=objective,
     )
-
-
-def lasso_path(problem: RegressionProblem, lams, max_sweeps: int = MAX_SWEEPS,
-               allow_unnormalized: bool = False) -> list[LassoFit]:
-    """Warm-started fits along a strictly descending grid of penalties."""
-    lams = [float(v) for v in lams]
-    if any(b >= a for a, b in zip(lams, lams[1:])):
-        raise ValueError("penalty grid must be strictly descending")
-    fits = []
-    beta0 = None
-    for lam in lams:
-        fit = fit_lasso(problem, lam, max_sweeps=max_sweeps, beta0=beta0,
-                        allow_unnormalized=allow_unnormalized)
-        fits.append(fit)
-        beta0 = fit.beta_hat
-    return fits

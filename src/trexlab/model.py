@@ -48,12 +48,10 @@ class RegressionProblem:
             raise DimensionError("need n >= 1 and p >= 1")
         if not (np.isfinite(self.x).all() and np.isfinite(self.y).all()):
             raise ValueError("design and response must be finite")
-        if self.normalized:
-            norms = np.linalg.norm(self.x, axis=0)
-            if np.max(np.abs(norms - np.sqrt(n))) > NORMALIZATION_ATOL:
-                raise NotNormalizedError(
-                    "normalized flag set but some column norm differs from sqrt(n)"
-                )
+        if self.normalized and not columns_normalized(self.x):
+            raise NotNormalizedError(
+                "normalized flag set but some column norm differs from sqrt(n)"
+            )
 
     @property
     def n(self) -> int:
@@ -88,18 +86,6 @@ class GroundTruth:
         object.__setattr__(self, "sparsity", int(support.size))
 
 
-@dataclass(frozen=True)
-class Residual:
-    """Residual vector r = y - x @ beta and its correlations x.T @ r."""
-
-    r: np.ndarray
-    correlation: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "r", _frozen(self.r))
-        object.__setattr__(self, "correlation", _frozen(self.correlation))
-
-
 def normalize_columns(x) -> tuple[np.ndarray, np.ndarray]:
     """Rescale every column of ``x`` to Euclidean norm sqrt(n).
 
@@ -118,9 +104,10 @@ def normalize_columns(x) -> tuple[np.ndarray, np.ndarray]:
     return x * scale, scale
 
 
-def denormalize_coefficients(beta, scale) -> np.ndarray:
-    """Map a coefficient vector from normalized back to original coordinates."""
-    return np.asarray(beta, dtype=float) * np.asarray(scale, dtype=float)
+def columns_normalized(x) -> bool:
+    """Whether every column of ``x`` has norm sqrt(n), within NORMALIZATION_ATOL."""
+    norms = np.linalg.norm(x, axis=0)
+    return bool(np.max(np.abs(norms - np.sqrt(x.shape[0]))) <= NORMALIZATION_ATOL)
 
 
 def make_problem(x, y, normalize: bool = True):
@@ -132,25 +119,8 @@ def make_problem(x, y, normalize: bool = True):
     x = np.asarray(x, dtype=float)
     if normalize:
         xn, scale = normalize_columns(x)
-        n = x.shape[0]
-        normalized = True
-    else:
-        xn = x
-        scale = np.ones(x.shape[1])
-        n = x.shape[0]
-        normalized = bool(
-            np.max(np.abs(np.linalg.norm(xn, axis=0) - np.sqrt(n))) <= NORMALIZATION_ATOL
-        )
-    return RegressionProblem(xn, y, normalized=normalized), scale
-
-
-def residual(problem: RegressionProblem, beta) -> Residual:
-    """Residual r = y - x @ beta together with correlations x.T @ r."""
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (problem.p,):
-        raise DimensionError(f"beta has shape {beta.shape}, expected ({problem.p},)")
-    r = problem.y - problem.x @ beta
-    return Residual(r, problem.x.T @ r)
+        return RegressionProblem(xn, y, normalized=True), scale
+    return RegressionProblem(x, y, normalized=columns_normalized(x)), np.ones(x.shape[1])
 
 
 def prediction_loss(problem: RegressionProblem, truth: GroundTruth, beta) -> float:
@@ -160,11 +130,3 @@ def prediction_loss(problem: RegressionProblem, truth: GroundTruth, beta) -> flo
         raise DimensionError(f"beta has shape {beta.shape}, expected ({problem.p},)")
     diff = problem.x @ (beta - truth.beta_star)
     return float(diff @ diff) / problem.n
-
-
-def verify_model_identity(problem: RegressionProblem, truth: GroundTruth,
-                          rtol: float = 1e-10, atol: float = 1e-12) -> bool:
-    """Check y = x @ beta_star + epsilon for a paired synthetic instance."""
-    gap = problem.y - problem.x @ truth.beta_star - truth.epsilon
-    ref = np.linalg.norm(problem.y)
-    return float(np.linalg.norm(gap)) <= max(rtol * ref, atol)

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, config_block
 
 L1 = "l1"
 WEIGHTED_L1 = "weighted_l1"
@@ -107,6 +107,7 @@ class NormSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NormSpec":
+        config_block(d, cls, "norm", required=("kind",))
         part = d.get("partition")
         if part is not None:
             part = tuple(tuple(i - 1 for i in g) for g in part)

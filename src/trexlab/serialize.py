@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
-from .model import GroundTruth, RegressionProblem
+from .errors import ConfigError, config_block
+from .model import GroundTruth, RegressionProblem, columns_normalized
 from .norms import NormSpec
 from .datagen import ScenarioSpec
 from .trex import SolverConfig, TrexFit
@@ -63,8 +63,7 @@ def problem_from_csv(text: str) -> RegressionProblem:
             raise ParseError("non-numeric value", line=i + 2) from None
         y[i] = vals[0]
         x[i] = vals[1:]
-    norms_ok = bool(np.max(np.abs(np.linalg.norm(x, axis=0) - np.sqrt(n))) <= 1e-8)
-    return RegressionProblem(x, y, normalized=norms_ok)
+    return RegressionProblem(x, y, normalized=columns_normalized(x))
 
 
 def problem_to_dict(problem: RegressionProblem, truth: GroundTruth = None,
@@ -157,7 +156,6 @@ class ExperimentConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
     norm: NormSpec = None
     compat_samples: int = 500
-    compat_refine: bool = False
 
     def __post_init__(self):
         if not self.scenarios or not self.estimators or not self.theorems:
@@ -173,12 +171,16 @@ class ExperimentConfig:
         bad = [e for e in self.estimators if e not in ("trex", "trex_constrained")]
         if bad:
             raise ConfigError(f"unknown estimators: {bad}")
+        if len(set(self.estimators)) > 1:
+            # run_cell fits one per cell: report.csv would drop the other
+            raise ConfigError("name one of trex and trex_constrained, not both")
         if self.replicates < 1:
             raise ConfigError("replicates must be at least 1")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        solver = SolverConfig(**d.get("solver", {}))
+        config_block(d, cls, "config")
+        solver = SolverConfig(**config_block(d.get("solver", {}), SolverConfig, "solver"))
         norm = NormSpec.from_dict(d["norm"]) if d.get("norm") else None
         return cls(
             scenarios=tuple(ScenarioSpec.from_dict(s) for s in d.get("scenarios", [])),
@@ -188,7 +190,6 @@ class ExperimentConfig:
             solver=solver,
             norm=norm,
             compat_samples=int(d.get("compat_samples", 500)),
-            compat_refine=bool(d.get("compat_refine", False)),
         )
 
     @classmethod

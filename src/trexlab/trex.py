@@ -121,21 +121,6 @@ def trex_objective(problem: RegressionProblem, beta, c: float,
     return float(r @ r) / (c * denom) + omega(spec, beta)
 
 
-def subproblem_objective(problem: RegressionProblem, beta, c: float,
-                         j: int, s: int) -> float:
-    """Convex quadratic-over-linear surrogate for coordinate j and sign s.
-
-    Defined on the open half-space s * x_j @ (y - x b) > 0 and always at least
-    the ratio objective, with equality when (j, s) attains the dual max.
-    """
-    beta = np.asarray(beta, dtype=float)
-    r = problem.y - problem.x @ beta
-    d = float(s) * float(problem.x[:, j] @ r)
-    if d <= 0.0:
-        raise DomainError(f"subproblem (j={j}, s={s}) is out of domain at this point")
-    return float(r @ r) / (c * d) + float(np.sum(np.abs(beta)))
-
-
 # ---------------------------------------------------------------------------
 # one batched proximal-gradient engine over the subproblem rows
 
@@ -196,18 +181,16 @@ def _polish(G, xty, yty, c, j, s, pen_w, b):
     return out
 
 
-class _BatchResult:
-    def __init__(self, beta, q, objective, converged, feasible, iterations,
-                 stalled, pruned, lower):
-        self.beta = beta
-        self.q = q
-        self.objective = objective
-        self.converged = converged
-        self.feasible = feasible
-        self.iterations = iterations
-        self.stalled = stalled
-        self.pruned = pruned
-        self.lower = lower
+class _BatchResult(NamedTuple):
+    beta: np.ndarray
+    q: np.ndarray
+    objective: np.ndarray
+    converged: np.ndarray
+    feasible: np.ndarray
+    iterations: np.ndarray
+    stalled: np.ndarray
+    pruned: np.ndarray
+    lower: np.ndarray
 
 
 def _spectral_norm_estimate(G: np.ndarray, iters: int = 30) -> float:
@@ -224,20 +207,21 @@ def _spectral_norm_estimate(G: np.ndarray, iters: int = 30) -> float:
     return max(lam, 1e-12)
 
 
-def _coordinate_starts(G, xty, yty, c, j_arr, s_arr, pen_w, dual_w, delta, tau):
+def _coordinate_starts(G, xty, yty, c, j_arr, s_arr, pen_w, delta, tau):
     """Start points (K, p) of the sign subproblems and their feasibility.
 
-    A row whose denominator s * x_j @ y / dual_w_j exceeds delta starts at 0.
-    Any other row starts at the minimizer of its own objective along its own
-    coordinate, b = beta * e_j. With g = G_jj, m = x_j @ y, d = dual_w_j,
-    w = pen_w_j and v = s * x_j @ (y - beta x_j) = d * D, the objective along
-    that ray is (d / c) (R0 / v + v / g) + (w / g) (v - s m), with
-    R0 = y @ y - m^2 / g, so v* = sqrt(d R0 g / (d + c w)), floored at
-    tau * d, and beta = (m - s v*) / g. A row with G_jj ~ 0 is infeasible.
+    The weight w = pen_w_j both weighs the penalty and divides the
+    denominator (d = w). A row whose denominator s * x_j @ y / d exceeds delta
+    starts at 0. Any other row starts at the minimizer of its own objective
+    along its own coordinate, b = beta * e_j. With g = G_jj, m = x_j @ y and
+    v = s * x_j @ (y - beta x_j) = d * D, the objective along that ray is
+    (d / c) (R0 / v + v / g) + (w / g) (v - s m), with R0 = y @ y - m^2 / g,
+    so v* = sqrt(d R0 g / (d + c w)), floored at tau * d, and
+    beta = (m - s v*) / g. A row with G_jj ~ 0 is infeasible.
     """
     B = np.zeros((len(j_arr), G.shape[0]))
     feasible = np.ones(len(j_arr), dtype=bool)
-    d = dual_w[j_arr]
+    d = pen_w[j_arr]
     need = np.flatnonzero(s_arr * xty[j_arr] / d <= delta)
     diagG = np.diag(G)
     g = diagG[j_arr[need]]
@@ -281,8 +265,7 @@ def _sign_rows(G, xty, yty, c, j_arr, s_arr, pen_w, dual_ref, delta, bound=None)
     p = G.shape[0]
     dw = pen_w[j_arr]
     tau = max(1e-3 * dual_ref, 10.0 * delta)
-    B, feasible = _coordinate_starts(G, xty, yty, c, j_arr, s_arr, pen_w, pen_w,
-                                     delta, tau)
+    B, feasible = _coordinate_starts(G, xty, yty, c, j_arr, s_arr, pen_w, delta, tau)
     if bound is not None:
         # repair starts that violate the dual constraint: aim the correlation
         # vector at a point strictly inside the constraint set
@@ -643,33 +626,6 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
                         lower)
 
 
-def solve_subproblem(problem: RegressionProblem, c: float, j: int, s: int,
-                     config: SolverConfig = None, bound=None):
-    """Solve the single convex subproblem (j, s) for the l1 penalty.
-
-    Returns (beta, objective, converged); an infeasible subproblem yields
-    (None, inf, False).
-    """
-    config = config or SolverConfig(c=c)
-    if config.c != c:
-        config = replace(config, c=c)
-    x, y = problem.x, problem.y
-    G = x.T @ x
-    xty = x.T @ y
-    yty = float(y @ y)
-    ones = np.ones(problem.p)
-    dual_ref = omega_dual(l1_spec(), xty)
-    delta = config.delta * max(dual_ref, 1e-300)
-    rows, B, feasible = _sign_rows(G, xty, yty, c, np.array([j]),
-                                   np.array([float(s)]), ones, dual_ref, delta,
-                                   bound)
-    res = _solve_subproblems(G, xty, yty, l1_spec(), rows, B, feasible, delta,
-                             config, bound=bound)
-    if not res.feasible[0]:
-        return None, float("inf"), False
-    return res.beta[0], float(res.objective[0]), bool(res.converged[0])
-
-
 # ---------------------------------------------------------------------------
 # full solves
 
@@ -825,24 +781,12 @@ def solve_trex_constrained(problem: RegressionProblem, config: SolverConfig = No
     vector the engine tested, so the returned fit has u_hat <= bound with no
     rounding slack.
     """
-    config = config or SolverConfig()
     spec = spec or l1_spec()
-    _check_input(problem, config)
     if bound is None:
         bound = omega_dual(spec, problem.x.T @ problem.y)
     if bound <= 0:
         raise ConfigError("bound must be positive")
     return solve_trex(problem, config, spec, bound=float(bound))
-
-
-def projection_complement(x_u: np.ndarray) -> np.ndarray:
-    """Projector onto the orthogonal complement of the span of given columns.
-
-    Uses the Moore-Penrose pseudo-inverse; the projector is invariant to the
-    choice of generalized inverse.
-    """
-    n = x_u.shape[0]
-    return np.eye(n) - x_u @ np.linalg.pinv(x_u)
 
 
 def _restrict_spec(spec: NormSpec, keep: np.ndarray) -> NormSpec:
@@ -901,10 +845,12 @@ def solve_trex_unpenalized(problem: RegressionProblem, config: SolverConfig = No
             per_subproblem=(),
             spec=spec,
             config=config,
-            diagnostics={"mode": "least_squares", "heuristic": False},
+            diagnostics={"mode": "least_squares", "heuristic": False,
+                         "all_converged": True},
         )
 
-    m_u = projection_complement(x_u)
+    # projector onto the orthogonal complement of span(x_U)
+    m_u = np.eye(problem.n) - x_u @ np.linalg.pinv(x_u)
     sub_x = m_u @ x[:, p_idx]
     sub_y = m_u @ y
     sub_spec = _restrict_spec(spec, p_idx)

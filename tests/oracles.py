@@ -114,28 +114,24 @@ def _cone_ratio(x, support, eta):
     return np.sqrt(s) * float(np.linalg.norm(x @ eta)) / (np.sqrt(n) * l1_s)
 
 
-def compatibility_scalar(x, support, samples=2000, refine=False, seed=0):
+def compatibility_scalar(x, support, samples=2000, seed=0):
     """The compatibility search scored one candidate at a time.
 
-    Same probes, the same random draws in the same order and the same SLSQP
-    polish as ``bounds.estimate_compatibility``, without its orthogonal
-    short-circuit. Returns (smallest ratio, candidates scored).
+    Same probes and the same random draws in the same order as
+    ``bounds.estimate_compatibility``, without its orthogonal short-circuit.
+    Returns (smallest ratio, candidates scored).
     """
-    from scipy import optimize
-
     support = np.asarray(sorted(set(int(i) for i in support)), dtype=int)
     n, p = x.shape
     s = support.size
     off = np.array([j for j in range(p) if j not in set(support.tolist())], dtype=int)
     rng = np.random.default_rng(seed)
-    best, best_eta, count = float("inf"), None, 0
+    best, count = float("inf"), 0
 
     def consider(eta):
-        nonlocal best, best_eta, count
+        nonlocal best, count
         count += 1
-        r = _cone_ratio(x, support, eta)
-        if r < best:
-            best, best_eta = r, eta.copy()
+        best = min(best, _cone_ratio(x, support, eta))
 
     for j in support:
         e = np.zeros(p)
@@ -160,26 +156,4 @@ def compatibility_scalar(x, support, samples=2000, refine=False, seed=0):
                 eta[off] = tail * frac * np.sum(np.abs(eta[support])) / l1_tail
         consider(eta)
 
-    if refine and best_eta is not None:
-        def ratio_sq(eta):
-            l1_s = np.sum(np.abs(eta[support]))
-            if l1_s <= 1e-12:
-                return 1e12
-            return s * float(np.linalg.norm(x @ eta)) ** 2 / (n * l1_s**2)
-
-        cons = [
-            {"type": "ineq",
-             "fun": lambda eta: 3.0 * np.sum(np.abs(eta[support]))
-                                - np.sum(np.abs(eta[off]))},
-            {"type": "ineq",
-             "fun": lambda eta: np.sum(np.abs(eta[support])) - 0.5},
-        ]
-        try:
-            sol = optimize.minimize(ratio_sq, best_eta, method="SLSQP",
-                                    constraints=cons,
-                                    options={"maxiter": 200, "ftol": 1e-12})
-            if sol.x is not None and cons[0]["fun"](sol.x) >= -1e-9:
-                consider(np.asarray(sol.x))
-        except Exception:
-            pass
     return best, count

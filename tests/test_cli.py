@@ -1,6 +1,7 @@
 import ctypes
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -147,6 +148,24 @@ class TestFit:
         r = problem.y - problem.x @ beta
         np.testing.assert_allclose(problem.x[:, [0, 2]].T @ r, 0.0, atol=1e-7)
 
+    def test_exit_code_follows_all_converged(self, problem_csv, tmp_path, monkeypatch):
+        path, _ = problem_csv
+
+        def unconverged(*args, **kwargs):
+            fit = solve_trex(*args, **kwargs)
+            return replace(fit, diagnostics={**fit.diagnostics, "all_converged": False})
+
+        monkeypatch.setattr(cli, "solve_trex", unconverged)
+        assert main(["fit", str(path), "--out", str(tmp_path / "fit.json")]) == 2
+
+    def test_all_unpenalized_is_least_squares(self, problem_csv, tmp_path):
+        path, _ = problem_csv
+        out = tmp_path / "fit.json"
+        assert main(["fit", str(path), "--estimator", "trex-unpenalized",
+                     "--unpenalized", "1,2,3,4,5,6", "--out", str(out)]) == 0
+        diagnostics = json.loads(out.read_text())["diagnostics"]
+        assert diagnostics["mode"] == "least_squares" and diagnostics["all_converged"]
+
     def test_missing_file_is_error(self, tmp_path, capsys):
         code = main(["fit", str(tmp_path / "nope.csv")])
         assert code == 1
@@ -233,6 +252,46 @@ class TestVerify:
         bad.write_text(json.dumps({"scenarios": [], "theorems": ["trex_slow"]}))
         code = main(["verify", "--config", str(bad)])
         assert code == 1
+
+    @pytest.mark.parametrize("change", [
+        {"replicate": 5},
+        {"compat_refine": True},
+        {"solver": {"tol": 1e-6}},
+        {"solver": 0.5},
+        {"scenarios": [{"p": 8, "s": 2}]},
+        {"scenarios": [3]},
+        {"scenarios": [{"n": 25, "p": 8, "sed": 1}]},
+        {"scenarios": [{"n": 25, "p": 8, "s": 2, "design": {"rh": 0.3}}]},
+        {"scenarios": [{"n": 25, "p": 8, "noise": {"kind": "gaussian", "sd": 1.0}}]},
+        {"scenarios": [{"n": 25, "p": 8, "signal": {"margin": 0.5, "scale": 2}}]},
+        {"norm": {"partition": [[1, 2], [3, 4, 5, 6, 7, 8]]}},
+        {"norm": {"kind": "l1", "groups": [[1]]}},
+    ], ids=["top_level_key", "compat_refine", "solver_key", "solver_not_object",
+            "scenario_without_n", "scenario_not_object", "scenario_key", "design_key",
+            "noise_key", "signal_key", "norm_without_kind", "norm_key"])
+    def test_bad_config_fails_with_one_error_line(self, verify_config, tmp_path,
+                                                  capsys, change):
+        config = json.loads(verify_config.read_text())
+        config.update(change)
+        verify_config.write_text(json.dumps(config))
+        code = main(["verify", "--config", str(verify_config),
+                     "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_groups_file_without_kind_is_error(self, problem_csv, tmp_path, capsys):
+        path, _ = problem_csv
+        groups = tmp_path / "spec.json"
+        groups.write_text(json.dumps({"partition": [[1, 2], [3, 4, 5], [6]]}))
+        code = main(["fit", str(path), "--groups", str(groups),
+                     "--out", str(tmp_path / "fit.json")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
 
 class TestReport:

@@ -9,7 +9,6 @@ from trexlab.datagen import (
     SignalSpec,
     derive_seed,
     generate,
-    scenario_grid,
 )
 from trexlab.errors import ConfigError
 
@@ -142,20 +141,3 @@ class TestSeeds:
         assert derive_seed(3, "a") != derive_seed(3, "b")
         assert derive_seed(3, "a") != derive_seed(4, "a")
         assert 0 <= derive_seed(3, "a") < 2**63
-
-    def test_grid_shape_and_fields(self):
-        base = _base()
-        grid = scenario_grid(base, {"design.rho": [0.0, 0.5],
-                                    "noise.sigma": [0.5, 1.0, 2.0]})
-        assert len(grid) == 6
-        rhos = sorted({g.design.rho for g in grid})
-        assert rhos == [0.0, 0.5]
-
-    def test_grid_seeds_distinct(self):
-        grid = scenario_grid(_base(), {"n": [20, 30, 40]})
-        seeds = [g.seed for g in grid]
-        assert len(set(seeds)) == 3
-
-    def test_grid_rejects_empty_sweep(self):
-        with pytest.raises(ConfigError):
-            scenario_grid(_base(), {"n": []})

@@ -5,12 +5,9 @@ from trexlab.errors import DimensionError, NotNormalizedError, ZeroColumnError
 from trexlab.model import (
     GroundTruth,
     RegressionProblem,
-    denormalize_coefficients,
     make_problem,
     normalize_columns,
     prediction_loss,
-    residual,
-    verify_model_identity,
 )
 
 
@@ -51,7 +48,7 @@ class TestNormalizeColumns:
         x = rng.standard_normal((6, 3)) * [1.0, 10.0, 0.1]
         xn, scale = normalize_columns(x)
         beta_n = rng.standard_normal(3)
-        np.testing.assert_allclose(x @ denormalize_coefficients(beta_n, scale),
+        np.testing.assert_allclose(x @ (beta_n * scale),
                                    xn @ beta_n, atol=1e-12)
 
 
@@ -69,37 +66,6 @@ class TestRegressionProblem:
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionError):
             RegressionProblem(rng.standard_normal((5, 2)), np.zeros(4))
-
-
-class TestResidual:
-    def test_zero_beta_gives_y(self, rng):
-        problem = make_problem(rng.standard_normal((6, 3)), rng.standard_normal(6))[0]
-        res = residual(problem, np.zeros(3))
-        np.testing.assert_allclose(res.r, problem.y)
-        np.testing.assert_allclose(res.correlation, problem.x.T @ problem.y)
-
-    def test_exact_fit_zero_residual(self, rng):
-        x, _ = normalize_columns(rng.standard_normal((6, 2)))
-        beta = np.array([1.5, -2.0])
-        problem = RegressionProblem(x, x @ beta, normalized=True)
-        res = residual(problem, beta)
-        np.testing.assert_allclose(res.r, 0.0, atol=1e-12)
-        np.testing.assert_allclose(res.correlation, 0.0, atol=1e-12)
-
-    def test_scalar_arithmetic(self):
-        problem = RegressionProblem(np.array([[1.0]]), np.array([3.0]),
-                                    normalized=True)
-        res = residual(problem, np.array([1.0]))
-        np.testing.assert_allclose(res.r, [2.0])
-        np.testing.assert_allclose(res.correlation, [2.0])
-
-    def test_correlation_consistency(self, rng):
-        problem = make_problem(rng.standard_normal((9, 4)), rng.standard_normal(9))[0]
-        beta = rng.standard_normal(4)
-        res = residual(problem, beta)
-        ref = problem.x.T @ res.r
-        np.testing.assert_allclose(res.correlation, ref,
-                                   rtol=1e-10, atol=1e-12)
 
 
 class TestPredictionLoss:
@@ -154,11 +120,3 @@ class TestGroundTruth:
     def test_support_mismatch_rejected(self):
         with pytest.raises(ValueError):
             GroundTruth(np.array([1.0, 0.0]), np.zeros(2), 1.0, support=[1])
-
-    def test_model_identity(self, rng):
-        x, _ = normalize_columns(rng.standard_normal((10, 4)))
-        beta = np.array([1.0, 0.0, -2.0, 0.0])
-        eps = rng.standard_normal(10)
-        problem = RegressionProblem(x, x @ beta + eps, normalized=True)
-        truth = GroundTruth(beta, eps, 1.0)
-        assert verify_model_identity(problem, truth, rtol=1e-12)

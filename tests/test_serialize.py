@@ -135,12 +135,15 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(self._dict(estimators=["ridge"]))
 
-    @pytest.mark.parametrize("estimator", ["lasso_grid", "trex_unpenalized"])
-    def test_estimators_the_harness_cannot_run_rejected(self, estimator):
-        # run_cell fits only plain or constrained TREX; accepting these would
-        # silently report plain TREX under another name
+    @pytest.mark.parametrize("estimators", [["lasso_grid"], ["trex_unpenalized"],
+                                            ["trex", "trex_constrained"]],
+                             ids="+".join)
+    def test_estimators_the_harness_cannot_run_rejected(self, estimators):
+        # run_cell fits only plain or constrained TREX, one per cell, and
+        # report.csv has no estimator column; accepting these would silently
+        # report plain TREX under another name, or drop one estimator
         with pytest.raises(ConfigError):
-            ExperimentConfig.from_dict(self._dict(estimators=[estimator]))
+            ExperimentConfig.from_dict(self._dict(estimators=estimators))
 
     @pytest.mark.parametrize("theorem", ["trex_fast_via_lasso_kappa",
                                          "trex_fast_compat_kappa"])
