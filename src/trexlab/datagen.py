@@ -145,7 +145,8 @@ class ScenarioSpec:
         config_block(d, cls, "scenario", required=("n", "p"))
         design = config_block(d.get("design", {}), DesignSpec, "design")
         noise = config_block(d.get("noise", {}), NoiseSpec, "noise")
-        sig = dict(config_block(d.get("signal", {}), SignalSpec, "signal"))
+        sig = dict(config_block(d.get("signal", {}), SignalSpec, "signal",
+                                items={"values": (int, float)}))
         if "values" in sig and sig["values"] is not None:
             sig["values"] = tuple(sig["values"])
         return cls(

@@ -107,9 +107,14 @@ class NormSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NormSpec":
-        config_block(d, cls, "norm", required=("kind",))
+        config_block(d, cls, "norm", required=("kind",),
+                     items={"weights": (int, float), "partition": list})
         part = d.get("partition")
         if part is not None:
+            if not all(isinstance(i, int) and not isinstance(i, bool)
+                       for g in part for i in g):
+                raise ConfigError(f"norm partition must hold arrays of 1-based "
+                                  f"indices, got {part!r}")
             part = tuple(tuple(i - 1 for i in g) for g in part)
         w = d.get("weights")
         return cls(d["kind"], tuple(w) if w is not None else None, part)

@@ -179,7 +179,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        config_block(d, cls, "config")
+        config_block(d, cls, "config",
+                     items={"scenarios": dict, "estimators": str, "theorems": str})
         solver = SolverConfig(**config_block(d.get("solver", {}), SolverConfig, "solver"))
         norm = NormSpec.from_dict(d["norm"]) if d.get("norm") else None
         return cls(

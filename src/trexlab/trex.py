@@ -22,6 +22,16 @@ The fit reports ``certified_gap``, the objective minus the smallest bound
 over the feasible subproblems: the global optimum lies at most that far
 below the returned objective.
 
+Under the dual constraint dual(x.T (y - x b)) <= bound the subproblems stay
+convex, and their optima usually lie on a face |q_i| = bound w_i of the
+constraint set, where the line search, which only rejects steps that leave
+the set, cannot move. There every subproblem is first solved to its KKT
+point by a batched active-set iteration on its support and its active faces
+(``_face_finish``), and its bound comes from weak duality for the faces,
+LB_k(m) with the face multipliers m (``_face_lower``). So constrained
+subproblems close on their certificate and are pruned like unconstrained
+ones, and ``certified_gap`` is a number under a bound too.
+
 Group penalties with a non-singleton group yield one subproblem per group,
 with denominator ||x_G.T (y - x b)|| / w_G; those are not provably convex, so
 each is solved from several seeded starts and the fit is flagged heuristic.
@@ -51,6 +61,8 @@ from .norms import NormSpec, l1_spec, omega, omega_dual, penalty_weight_vector
 TIE_TOL = 1e-10
 # backtracking steps one iteration of the engine tries per row
 MAX_TRIALS = 80
+# active-set rounds of one face finish (``_face_finish``)
+MAX_FACE_ROUNDS = 40
 
 
 @dataclass(frozen=True)
@@ -59,11 +71,11 @@ class SolverConfig:
 
     c is the ratio constant in (0, 2); 1/2 is the customary default.
     tolerance is the certificate tolerance: a sign subproblem converges once
-    its objective minus its dual lower bound is at most tolerance (1 + |F|).
-    Rows without a certificate (group rows, or rows it does not close, as
-    under a bound) converge when their objective falls by at most that much
-    over a 10-iteration window. delta guards the open domain of the
-    quadratic-over-linear objectives, relative to dual(x.T y).
+    its objective minus its dual lower bound is at most tolerance (1 + |F|),
+    with or without a bound. Rows without a certificate (group rows, or
+    rows it does not close) converge when their objective falls by at most
+    that much over a 10-iteration window. delta guards the open domain of
+    the quadratic-over-linear objectives, relative to dual(x.T y).
     """
 
     c: float = 0.5
@@ -179,6 +191,257 @@ def _polish(G, xty, yty, c, j, s, pen_w, b):
     out = np.zeros_like(b)
     out[S] = best
     return out
+
+
+def _face_points(G, xty, yty, c, j, s, pen_w, bound, S, sig, A, tau):
+    """Stationary points of R sign rows on their supports and faces, batched.
+
+    Row r keeps b_i = 0 off S_r, the signs sig on S_r, and its correlation
+    q = xty - G b on the faces of A_r: q_i = tau_i bound' w_i, with bound' a
+    relative 1e-12 inside ``bound`` so that the point passes the engine's
+    bound test despite rounding. With face multipliers m and mu = (c D / 2) m,
+    stationarity on S_r is ``_polish``'s equation plus the faces,
+
+        G_SS b_S - G_SA mu_A = xty_S - alpha a - (c D / 2) w_S sig,
+        G_AS b_S             = xty_A - tau bound' w_A,
+
+    a bordered system solved for three right-hand sides (``solve``, and the
+    pseudo-inverse where it fails: G_SS is singular when columns repeat).
+    When the row's own face j is in A_r, D = bound' and the system is linear
+    in b. D is affine in alpha = rss / (2 D), so alpha solves one quadratic;
+    the root with D > 0 and the lowest objective on the restricted set wins.
+    Returns (b, m, ok): points and multipliers (R, p), and the rows with a
+    valid root.
+    """
+    R, p = S.shape
+    nS, nA = S.sum(axis=1), A.sum(axis=1)
+    mS, n = int(nS.max()), int(nS.max() + nA.max())
+    # row r's support, then its faces, each padded (``val`` marks the real
+    # entries); a padded entry gets an identity row and column
+    Sidx = np.argsort(~S, axis=1, kind="stable")[:, :mS]
+    Aidx = np.argsort(~A, axis=1, kind="stable")[:, :n - mS]
+    idx = np.concatenate([Sidx, Aidx], axis=1)
+    val = np.concatenate([np.arange(mS) < nS[:, None],
+                          np.arange(n - mS) < nA[:, None]], axis=1)
+    Mx = G[idx[:, :, None], idx[:, None, :]]
+    Mx[:, mS:, mS:] = 0.0
+    Mx *= val[:, :, None] & val[:, None, :]
+    Mx[:, np.arange(n), np.arange(n)] += ~val
+    rr = np.arange(R)[:, None]
+    a = (s / pen_w[j])[:, None] * G[Sidx, j[:, None]] * val[:, :mS]
+    rhs = np.zeros((R, n, 3))
+    rhs[:, :mS, 0] = xty[Sidx]
+    rhs[:, mS:, 0] = xty[Aidx] - tau[rr, Aidx] * (bound * (1.0 - 1e-12)) * pen_w[Aidx]
+    rhs[:, :mS, 1] = a
+    rhs[:, :mS, 2] = pen_w[Sidx] * sig[rr, Sidx]
+    rhs *= val[:, :, None]
+    U, bad = rhs, np.zeros(R, dtype=bool)
+    if n:
+        try:
+            U = np.linalg.solve(Mx, rhs)
+            with np.errstate(invalid="ignore", over="ignore"):
+                bad = ~(np.abs(Mx @ U - rhs).max(axis=(1, 2))
+                        <= 1e-9 * (1.0 + np.abs(rhs).max(axis=(1, 2))))
+        except np.linalg.LinAlgError:
+            U, bad = np.empty_like(rhs), np.ones(R, dtype=bool)
+    if bad.any():
+        U[bad] = np.linalg.pinv(Mx[bad], rcond=n * np.finfo(float).eps,
+                                hermitian=True) @ rhs[bad]
+    u0, ua, uw = U[:, :, 0], U[:, :, 1], U[:, :, 2]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        den = 1.0 - 0.5 * c * np.einsum("ri,ri->r", a, uw[:, :mS])
+        # D = e0 + e1 alpha and (b_S, -mu_A) = v0 + alpha v1
+        e0 = (s * xty[j] / pen_w[j] - np.einsum("ri,ri->r", a, u0[:, :mS])) / den
+        e1 = np.einsum("ri,ri->r", a, ua[:, :mS]) / den
+        v0 = u0 - 0.5 * c * e0[:, None] * uw
+        v1 = -ua - 0.5 * c * e1[:, None] * uw
+        b0, b1, xS = v0[:, :mS], v1[:, :mS], xty[Sidx] * val[:, :mS]
+        Gb0 = np.einsum("rij,rj->ri", Mx[:, :mS, :mS], b0)
+        Gb1 = np.einsum("rij,rj->ri", Mx[:, :mS, :mS], b1)
+        # rss(alpha) = r0 + r1 alpha + r2 alpha^2 = 2 alpha D(alpha)
+        r0 = yty - 2.0 * np.einsum("ri,ri->r", b0, xS) + np.einsum("ri,ri->r", b0, Gb0)
+        r1 = 2.0 * (np.einsum("ri,ri->r", b1, Gb0) - np.einsum("ri,ri->r", b1, xS))
+        q2, q1, q0 = np.einsum("ri,ri->r", b1, Gb1) - 2.0 * e1, r1 - 2.0 * e0, r0
+        disc = q1 * q1 - 4.0 * q2 * q0
+        h = -0.5 * (q1 + np.copysign(np.sqrt(np.maximum(disc, 0.0)), q1))
+        roots = np.where((disc >= 0)[:, None], np.stack([h / q2, q0 / h], axis=1), np.nan)
+        linear = q2 == 0.0
+        roots[linear, 0], roots[linear, 1] = -q0[linear] / q1[linear], np.nan
+        wsig = pen_w[Sidx] * sig[rr, Sidx] * val[:, :mS]
+        f = 2.0 * roots / c + (np.einsum("ri,ri->r", wsig, b0)[:, None]
+                               + np.einsum("ri,ri->r", wsig, b1)[:, None] * roots)
+        good = (roots > 0.0) & (e0[:, None] + e1[:, None] * roots > 0.0) & np.isfinite(f)
+    pick = np.argmin(np.where(good, f, np.inf), axis=1)
+    ok = good[rr[:, 0], pick]
+    alpha = np.where(ok, roots[rr[:, 0], pick], 0.0)
+    D = np.where(ok, e0 + e1 * alpha, 1.0)
+    Z = v0 + alpha[:, None] * v1
+    ok &= np.isfinite(Z).all(axis=1)
+    # scatter into (R, p + 1): padded entries land in the spare last column
+    B = np.zeros((R, p + 1))
+    B[rr, np.where(val[:, :mS], Sidx, p)] = Z[:, :mS]
+    M = np.zeros((R, p + 1))
+    M[rr, np.where(val[:, mS:], Aidx, p)] = -2.0 * Z[:, mS:] / (c * D[:, None])
+    return B[:, :p], M[:, :p], ok
+
+
+def _face_lower(xty, bound, pen_w, yz, r, M):
+    """LB_k(m) of sign rows under ``bound``, for any multipliers M.
+
+    Weak duality for the Lagrangian of the faces |q_i| <= bound w_i: the
+    row's smooth part is 1-homogeneous in the residual, so its conjugate is
+    an indicator, and at any point of the row's domain t (z_k, m) is dual
+    feasible, where z_k is the gradient of the smooth part in residual space
+    (x.T z_k = -g_k, y.z_k = ``yz``), r = g_k - G m and
+    t = min(1, 1 / max_i |r_i| / w_i). Then
+
+        LB_k(m) = t (y.z_k + xty.m - bound sum_i w_i |m_i|)
+
+    lies below the row's constrained optimum for every m: m = 0 gives the
+    unconstrained bound, and at a KKT point with its face multipliers t = 1
+    and LB_k equals the objective.
+    """
+    t = 1.0 / np.maximum(1.0, (np.abs(r) / pen_w).max(axis=1))
+    return t * (yz + M @ xty - bound * (np.abs(M) @ pen_w))
+
+
+def _face_finish(G, xty, yty, c, j, s, pen_w, bound, delta, B, incumbent):
+    """Solve R sign rows under ``bound`` to their KKT points, batched.
+
+    An active-set iteration on the support S with signs sig and the active
+    faces A with sides tau. The support starts as the row's own coordinate j
+    with the sign of B (empty if B_j = 0), the faces as those B lies within a
+    relative 1e-6 of. Each round moves every row to the stationary point of
+    its current sets (``_face_points``), then
+
+    - keeps the coordinates whose sign held and the faces whose multiplier
+      has the face's side;
+    - adds the coordinates off the support whose violation
+      |(g - G m)_i| / w_i - 1 is positive and at least half the row's
+      largest (after 10 rounds only the largest, which damps a row that
+      cycles), with sign -sign((g - G m)_i), g the gradient of the smooth
+      part; of coordinates with equal columns of G and equal weights
+      (copies) only the first, and none whose copy is in the support;
+    - adds the face the point violates most, if any; a row that meets a new
+      face keeps its support and signs, since the face stops the move
+      before a sign changes.
+
+    A point must keep D > delta, the engine's domain. A row whose sets did
+    not change is at a KKT point of its convex subproblem. A support that would become empty keeps its coordinates
+    with their signs flipped. A row without a stationary point gets its own
+    face j (D = bound), and then one more start from the whole support and
+    the faces of B. A round prunes every row whose LB_k(m) at its point
+    (``_face_lower``) exceeds the incumbent (the best feasible objective,
+    lowered by the rows already solved) by more than ``_near_margin``; the
+    points on the way need not be feasible, since LB_k(m) holds anywhere in
+    the row's domain.
+
+    Returns (B, M, lower, status, rounds): for rows with status 1 the KKT
+    point and its multipliers, for rows with status 2 (pruned) the bound
+    that pruned them; rows with status 0 reached neither within
+    ``MAX_FACE_ROUNDS``. ``rounds`` counts the rounds each row took part in.
+    """
+    R, p = B.shape
+    out_B, out_M = B.copy(), np.zeros((R, p))
+    lower = np.full(R, -np.inf)
+    status = np.zeros(R, dtype=int)
+    rounds = np.zeros(R, dtype=int)
+    q = xty[None, :] - B @ G
+    # the support starts from the row's own coordinate alone: the support of
+    # a start repaired into the constraint set, or of an iterate that crawled
+    # along a face, is a poor guess
+    rows = np.arange(R)
+    sig = np.zeros((R, p))
+    sig[rows, j] = np.sign(B[rows, j])
+    S = sig != 0.0
+    A0 = np.abs(q) >= bound * (1.0 - 1e-6) * pen_w
+    A, tau = A0.copy(), np.sign(q) * A0
+    restarted = np.zeros(R, dtype=bool)
+    # copies: coordinates with equal columns of G and equal weights. A
+    # support needs at most one of each (any split between copies has the
+    # same objective), and two would make the bordered system singular
+    _, first, copy = np.unique(np.column_stack([G, pen_w]), axis=0,
+                               return_index=True, return_inverse=True)
+    copies = first.size < p
+    if copies:
+        copy = copy.ravel()
+        lead = np.zeros(p, dtype=bool)
+        lead[first] = True
+    for round_ in range(MAX_FACE_ROUNDS):
+        run = np.flatnonzero(status == 0)
+        if run.size == 0:
+            break
+        rounds[run] += 1
+        jr, sr = j[run], s[run]
+        Bt, Mt, ok = _face_points(G, xty, yty, c, jr, sr, pen_w, bound,
+                                  S[run], sig[run], A[run], tau[run])
+        qt = xty[None, :] - Bt @ G
+        rss = np.maximum(yty - 2.0 * (Bt @ xty) + np.einsum("kp,kp->k", Bt, xty - qt), 0.0)
+        D = sr * qt[np.arange(run.size), jr] / pen_w[jr]
+        # the point must lie in the engine's domain, where LB_k(m) holds too
+        ok &= D > delta
+        # a row without a stationary point tries again on its own face, then
+        # once more from the whole support of its start
+        retry = run[~ok & ~A[run, jr]]
+        A[retry, j[retry]], tau[retry, j[retry]] = True, s[retry]
+        again = run[~ok & ~np.isin(run, retry) & ~restarted[run]]
+        restarted[again] = True
+        S[again], sig[again] = B[again] != 0.0, np.sign(B[again])
+        A[again], tau[again] = A0[again], np.sign(q[again]) * A0[again]
+        status[run[~ok & ~np.isin(run, retry) & ~np.isin(run, again)]] = -1
+        run, jr, sr, Bt, Mt = run[ok], jr[ok], sr[ok], Bt[ok], Mt[ok]
+        qt, rss, D = qt[ok], rss[ok], D[ok]
+        if run.size == 0:
+            continue
+        # g - G m, with g the gradient of the smooth part
+        r = ((-2.0 / (c * D))[:, None] * qt
+             + ((rss / (c * D * D)) * sr / pen_w[jr])[:, None] * G[:, jr].T) - Mt @ G
+        resid = np.abs(r)
+        yz = (2.0 * (yty - Bt @ xty) - rss * sr * xty[jr] / (pen_w[jr] * D)) / (c * D)
+        Sr, Ar = S[run], A[run]
+        keep_S = Sr & (sig[run] * Bt > 0.0)
+        # the coordinates off the support that violate stationarity by at
+        # least half the largest violation (after 10 rounds only the
+        # largest, which damps a row that cycles)
+        over = np.where(Sr, 0.0, resid / pen_w - 1.0)
+        share = 0.5 if round_ < 10 else 1.0
+        add_S = (over > 1e-12) & (over >= share * over.max(axis=1, keepdims=True))
+        if copies:
+            # only the first copy of a coordinate, and none with a copy in S
+            held = np.zeros((run.size, first.size))
+            np.add.at(held, (np.nonzero(Sr)[0], copy[np.nonzero(Sr)[1]]), 1.0)
+            add_S &= lead & (held[:, copy] == 0.0)
+        keep_A = Ar & (tau[run] * Mt > 0.0)
+        # the most violated face only: a far point violates many
+        over = np.where(Ar, 0.0, np.abs(qt) / pen_w - bound)
+        worst = np.argmax(over, axis=1)
+        add_A = np.zeros_like(Ar)
+        add_A[np.arange(run.size), worst] = over[np.arange(run.size), worst] > 0.0
+        # a row that meets a new face keeps its support and signs: the face
+        # stops the move before a sign would change
+        meet = add_A.any(axis=1)
+        keep_S[meet] = Sr[meet]
+        # a support that would empty keeps its coordinates with the signs
+        # they crossed to: with an empty support no face can be met
+        flip = ~(keep_S | add_S).any(axis=1) & Sr.any(axis=1)
+        keep_S[flip] = Sr[flip]
+        sig[run[flip]] = np.where(Sr[flip], -sig[run[flip]], 0.0)
+        kkt = ((keep_S == Sr) & (keep_A == Ar) & ~add_S & ~add_A).all(axis=1) & ~flip
+        done = run[kkt]
+        status[done] = 1
+        out_B[done], out_M[done] = Bt[kkt], Mt[kkt]
+        if kkt.any():
+            incumbent = min(incumbent, float(np.min(
+                rss[kkt] / (c * D[kkt]) + np.abs(Bt[kkt]) @ pen_w)))
+        lb = _face_lower(xty, bound, pen_w, yz, r, Mt)
+        hopeless = ~kkt & (lb > incumbent + _near_margin(incumbent))
+        status[run[hopeless]] = 2
+        lower[run[hopeless]] = lb[hopeless]
+        sig[run] = np.where(add_S, -np.sign(r), sig[run])
+        S[run], A[run] = keep_S | add_S, keep_A | add_A
+        tau[run] = np.where(add_A, np.sign(qt), np.where(keep_A, tau[run], 0.0))
+    status[status < 0] = 0
+    return out_B, out_M, lower, status, rounds
 
 
 class _BatchResult(NamedTuple):
@@ -407,7 +670,8 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
     step that stays in the domain, passes ``bound`` and gives sufficient
     decrease; these are the decisions of trying one step at a time. A row
     tries at most ``MAX_TRIALS`` steps per iteration and stalls once its step
-    would fall below 1e-18 times its first.
+    would fall below 1e-18 times its first. A stalled row counts as
+    converged only if its certificate closes at its final point.
 
     When ``bound`` is given, candidate steps with dual(q) > bound are rejected
     (line-search feasibility, no projection); the callers repair starts with
@@ -427,11 +691,20 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
     row doubles its step, a group row grows it by 1.3. Any row whose
     objective fell by at most tolerance (1 + |F_k|) over ``window``
     iterations stops too: the fallback for rows the certificate does not
-    close, as under ``bound``, and the only stop of group rows. The bound is
-    that of the unconstrained subproblem, so it stays valid, if looser, under
-    ``bound``. ``lower`` holds LB_k at the final iterate of every feasible
-    sign row, inf for infeasible rows and -inf for group rows, which have no
-    certificate.
+    close, and the only stop of group rows.
+
+    Under ``bound`` every feasible sign row is first handed to the face
+    finish (``_face_finish``), which solves it to its KKT point on its
+    support and active faces or prunes it; a KKT point is adopted when it
+    passes the engine's own domain and ``bound`` checks with the q stored
+    for it and does not raise F_k. The row's bound is then the larger of the
+    unconstrained one, LB_k(m) with the face multipliers m the finish found
+    (``_face_lower``, equal to F_k at a KKT point) and the bound that pruned
+    it, so the certificate closes the adopted rows at the first iteration.
+    The rows the finish leaves open are stepped and polished as above, and
+    its rounds count as iterations. ``lower`` holds LB_k at the final iterate
+    of every feasible sign row, inf for infeasible rows and -inf for group
+    rows, which have no certificate.
     """
     p = G.shape[0]
     K = len(rows.s)
@@ -439,6 +712,10 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
     s_arr, dw = rows.s, rows.dw
     Lg = _spectral_norm_estimate(G)
     group = _is_heuristic(spec)
+    # sign rows under a bound: face multipliers M and pruning bounds
+    faces = bound is not None and not group
+    if faces:
+        known = np.full(K, -np.inf)
 
     if group:
         def block(q, sub):
@@ -495,7 +772,17 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
             Dr = D[sub]
             theta = 1.0 / np.maximum(1.0, (np.abs(grad) * inv_pen_w).max(axis=1))
             yz = (2.0 * (yty - B[sub] @ xty) - rss[sub] * a_y[sub] / Dr) / (c * Dr)
-            return theta * yz
+            if not faces:
+                return theta * yz
+            # under bound: the larger of LB(0), LB(m) with the row's stored
+            # face multipliers, and the bound that pruned it
+            lb = np.maximum(theta * yz, known[sub])
+            has = np.flatnonzero(M[sub].any(axis=1))
+            if has.size:
+                Mk = M[sub[has]]
+                lb[has] = np.maximum(lb[has], _face_lower(
+                    xty, bound, pen_w, yz[has], grad[has] - Mk @ G, Mk))
+            return lb
 
     def eval_rows(Bm, sub):
         bg = Bm @ G
@@ -538,8 +825,28 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
     steady = np.zeros(K, dtype=int)
     polished = np.zeros(K, dtype=bool)
     growth = 1.3 if group else 2.0
-    hist = [F.copy()]
     iterations = np.zeros(K, dtype=int)
+    if faces:
+        # every sign row goes to its KKT point first, also a row whose start
+        # could not be put inside the constraint set: adopt the points that
+        # pass the engine's own checks and do not raise F, keep every
+        # multiplier, prune the feasible rows the finish pruned; the loop
+        # then closes the adopted rows on their certificate and steps the rest
+        ks = np.arange(K)
+        Bk, M, lbk, st, iterations = _face_finish(
+            G, xty, yty, c, j_arr, s_arr, pen_w, bound, delta, B, float(F.min()))
+        gone = ks[(st == 2) & feasible]
+        pruned[gone], known[gone], active[gone] = True, lbk[gone], False
+        ks, Cand = ks[st == 1], Bk[st == 1]
+        qC, rssC, DC = eval_rows(Cand, ks)
+        ok, gC = admitted(qC, rssC, DC)
+        FC = gC + penalty(Cand)
+        ok &= FC <= F[ks]
+        take = ks[ok]
+        B[take], q[take], rss[take], D[take], F[take] = (
+            Cand[ok], qC[ok], rssC[ok], DC[ok], FC[ok])
+        feasible[take] = active[take] = True
+    hist = [F.copy()]
 
     for it in range(config.max_iterations):
         act = np.flatnonzero(active)
@@ -559,7 +866,7 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
                 act, grad = act[~stop], grad[~stop]
                 if act.size == 0:
                     break
-        iterations[act] = it + 1
+        iterations[act] += 1
         Br = B[act]
         gr = rss[act] / (c * D[act])
 
@@ -582,9 +889,10 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
         sel = act[accepted]
         t[sel] = np.minimum(t[sel] * growth, 1e12)
         if dead.any():
-            # cannot decrease further: treat as a stationary stall
+            # cannot decrease further: stalled, converged only if the
+            # certificate closes at the final point (checked below)
             gone = act[dead]
-            converged[gone] = stalled[gone] = True
+            stalled[gone] = True
             active[gone] = False
 
         gF = rss[act] / (c * D[act])
@@ -622,6 +930,8 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
     lower = np.full(K, np.inf)
     live = np.flatnonzero(feasible)
     lower[live] = -np.inf if group else lower_bound(live, gradient(live))
+    with np.errstate(invalid="ignore"):
+        converged |= stalled & (F - lower <= config.tolerance * (1.0 + np.abs(F)))
     return _BatchResult(B, q, F, converged, feasible, iterations, stalled, pruned,
                         lower)
 
@@ -657,17 +967,18 @@ def solve_trex(problem: RegressionProblem, config: SolverConfig = None,
     - ``heuristic``: whether the fit comes from the group multistarts;
     - ``certified_gap``: objective minus the smallest dual lower bound over
       the feasible subproblems, an upper bound on the distance to the global
-      optimum; None for heuristic fits and under ``bound``, where the
-      unconstrained bound is loose;
+      optimum, under ``bound`` too (there the bound accounts for the
+      constraint); None for heuristic fits;
     - ``pruned``: the number of pruned subproblems;
     - ``stalled``: the number of rows stopped because the line-search step
-      fell below its floor (still counted as converged);
+      fell below its floor; such a row counts as converged only if its
+      certificate closed;
     - ``all_converged``: every feasible subproblem converged or was pruned;
     - ``iterations``: the largest iteration count of the first engine call
-      (the only one for sign fits);
-    - ``row_iterations``: proximal-gradient steps summed over all rows
-      (every start of every subproblem), including a heuristic fit's refine
-      stage.
+      (the only one for sign fits), rounds of the face finish included;
+    - ``row_iterations``: proximal-gradient steps and face-finish rounds
+      summed over all rows (every start of every subproblem), including a
+      heuristic fit's refine stage.
 
     A subproblem's record holds its best row. Ties within 1e-10 break to the
     lowest subproblem: the lowest coordinate, negative sign first.
@@ -765,7 +1076,7 @@ def solve_trex(problem: RegressionProblem, config: SolverConfig = None,
             "all_converged": bool(np.all((converged | pruned)[feasible])),
             "pruned": int(np.sum(res.pruned)),
             "stalled": int(np.sum(res.stalled)),
-            "certified_gap": (None if heuristic or bound is not None
+            "certified_gap": (None if heuristic
                               else float(objective - np.min(res.lower))),
         },
     )
@@ -776,9 +1087,12 @@ def solve_trex_constrained(problem: RegressionProblem, config: SolverConfig = No
     """Solve with the extra convex constraint dual(x.T (y - x b)) <= bound.
 
     The default bound is dual(x.T y), the slow-rate gate on the fitted dual
-    residual. The constraint is enforced by rejecting infeasible starts and
-    line-search candidates, and ``u_hat`` is the dual norm of the correlation
-    vector the engine tested, so the returned fit has u_hat <= bound with no
+    residual. Starts outside the constraint set are repaired or marked
+    infeasible; sign subproblems are solved to their KKT points on the faces
+    of the set and certified by a bound that accounts for the constraint, so
+    ``certified_gap`` is a number; group rows reject line-search candidates
+    that leave the set. ``u_hat`` is the dual norm of the correlation vector
+    the engine tested, so the returned fit has u_hat <= bound with no
     rounding slack.
     """
     spec = spec or l1_spec()

@@ -157,3 +157,43 @@ def compatibility_scalar(x, support, samples=2000, seed=0):
         consider(eta)
 
     return best, count
+
+
+def constrained_row_oracle(x, y, c, j, s, bound, pen_w=None, starts=()):
+    """Minimum of the l1 sign subproblem (j, s) under |x.T (y - x b)| <= bound w,
+    by scipy's SLSQP on b = b+ - b- with b+, b- >= 0 and the 2p linear faces.
+
+    The subproblem is rss / (c D) + sum_i w_i |b_i| with D = s x_j.(y - x b) / w_j
+    > 0. SLSQP runs from b = 0 and from every point in ``starts``; returns the
+    best (b, objective) whose faces hold to a relative 1e-9, or (None, inf).
+    """
+    from scipy.optimize import minimize
+
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    p = x.shape[1]
+    w = np.ones(p) if pen_w is None else np.asarray(pen_w, dtype=float)
+    G, xty = x.T @ x, x.T @ y
+
+    def split(v):
+        return v[:p] - v[p:]
+
+    def objective(v):
+        r = y - x @ split(v)
+        d = s * (x[:, j] @ r) / w[j]
+        return 1e30 if d <= 0 else float(r @ r) / (c * d) + w @ v[:p] + w @ v[p:]
+
+    faces = [{"type": "ineq", "fun": lambda v: bound * w - (xty - G @ split(v)),
+              "jac": lambda v: np.hstack([G, -G])},
+             {"type": "ineq", "fun": lambda v: bound * w + (xty - G @ split(v)),
+              "jac": lambda v: np.hstack([-G, G])}]
+    best, best_f = None, np.inf
+    for b0 in [np.zeros(p), *starts]:
+        b0 = np.asarray(b0, dtype=float)
+        v0 = np.concatenate([np.maximum(b0, 0.0), np.maximum(-b0, 0.0)])
+        res = minimize(objective, v0, method="SLSQP", bounds=[(0.0, None)] * (2 * p),
+                       constraints=faces, options={"ftol": 1e-15, "maxiter": 2000})
+        b = split(res.x)
+        q = xty - G @ b
+        if np.max(np.abs(q) / w) <= bound * (1.0 + 1e-9) and res.fun < best_f:
+            best, best_f = b, float(res.fun)
+    return best, best_f

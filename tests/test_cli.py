@@ -266,9 +266,16 @@ class TestVerify:
         {"scenarios": [{"n": 25, "p": 8, "signal": {"margin": 0.5, "scale": 2}}]},
         {"norm": {"partition": [[1, 2], [3, 4, 5, 6, 7, 8]]}},
         {"norm": {"kind": "l1", "groups": [[1]]}},
+        {"scenarios": [{"n": None, "p": 8, "s": 2}]},
+        {"scenarios": [{"n": 25, "p": 8, "s": 2,
+                        "design": {"kind": "toeplitz", "rho": "x"}}]},
+        {"norm": {"kind": "group", "partition": [1, 2]}},
+        {"theorems": "trex_slow"},
     ], ids=["top_level_key", "compat_refine", "solver_key", "solver_not_object",
             "scenario_without_n", "scenario_not_object", "scenario_key", "design_key",
-            "noise_key", "signal_key", "norm_without_kind", "norm_key"])
+            "noise_key", "signal_key", "norm_without_kind", "norm_key",
+            "scenario_n_null", "design_rho_string", "partition_not_nested",
+            "theorems_string"])
     def test_bad_config_fails_with_one_error_line(self, verify_config, tmp_path,
                                                   capsys, change):
         config = json.loads(verify_config.read_text())

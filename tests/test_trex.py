@@ -31,8 +31,24 @@ from trexlab.trex import (
     trex_objective,
 )
 
+from trexlab.cli import main as cli_main
+from trexlab.serialize import problem_to_csv
+
 from conftest import random_problem
-from oracles import subproblem_objective_batch, trex_grid_oracle, zoom_grid_minimize
+from oracles import (
+    constrained_row_oracle,
+    subproblem_objective_batch,
+    trex_grid_oracle,
+    zoom_grid_minimize,
+)
+
+
+def _settles_nothing(G, xty, yty, c, j, s, pen_w, bound, delta, B, incumbent):
+    """A face finish that leaves every row as it was, one round each: the
+    constrained engine then steps its rows as it did before the finish."""
+    R, p = B.shape
+    return (B.copy(), np.zeros((R, p)), np.full(R, -np.inf), np.zeros(R, dtype=int),
+            np.ones(R, dtype=int))
 
 
 def subproblem_objective(problem, beta, c, j, s):
@@ -310,7 +326,8 @@ class TestPruning:
         bound = 0.8 * float(np.max(np.abs(problem.x.T @ problem.y)))
         fit = solve_trex_constrained(problem, bound=bound)
         _assert_matches_subproblems_alone(fit, problem, bound=bound)
-        assert fit.diagnostics["certified_gap"] is None
+        f = fit.objective
+        assert -1e-12 * (1.0 + abs(f)) <= fit.diagnostics["certified_gap"] <= 1e-9 * (1.0 + abs(f))
 
     def test_pruned_rows_settled_and_counted(self):
         problem, _ = generate(ScenarioSpec(n=40, p=20, s=2, seed=3))
@@ -321,15 +338,30 @@ class TestPruning:
         assert fit.diagnostics["all_converged"]
         assert 0.0 <= fit.diagnostics["certified_gap"] <= 1e-12 * (1.0 + abs(fit.objective))
 
-    def test_stalled_rows_still_count_as_converged(self):
-        # duplicated columns under the dual constraint stall the line search
+    def test_stalled_rows_count_as_unconverged(self, monkeypatch, tmp_path):
+        # duplicated columns under the dual constraint: the face finish solves
+        # every row, but without it the line search stalls on 7 rows, and a
+        # stalled row whose certificate does not close is not converged
         spec = ScenarioSpec(n=15, p=10, s=2, seed=0,
                             design=DesignSpec(kind="duplicated_columns", duplicates=2))
         problem, _ = generate(spec)
         fit = solve_trex_constrained(problem)
-        assert fit.diagnostics["stalled"] > 0
-        assert fit.diagnostics["all_converged"]
+        assert fit.diagnostics["stalled"] == 0 and fit.diagnostics["all_converged"]
+        assert fit.objective == pytest.approx(3.915908041606885, rel=1e-9)
         assert solve_trex(problem).diagnostics["stalled"] == 0
+
+        monkeypatch.setattr(trex, "_face_finish", _settles_nothing)
+        stalled = solve_trex_constrained(problem)
+        assert stalled.diagnostics["stalled"] == 7
+        assert not stalled.diagnostics["all_converged"]
+        assert stalled.objective > fit.objective
+        open_rows = [r for r in stalled.per_subproblem if not (r.converged or r.pruned)]
+        assert open_rows
+        # trexlab fit exits 2 for such a fit
+        path = tmp_path / "problem.csv"
+        path.write_text(problem_to_csv(problem))
+        assert cli_main(["fit", str(path), "--estimator", "trex-constrained",
+                         "--out", str(tmp_path / "fit.json")]) == 2
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), p=st.integers(2, 12),
@@ -583,6 +615,9 @@ class TestLadder:
     @pytest.mark.parametrize("kind", ["l1", "bound", "group"])
     def test_one_iteration_matches_one_step_at_a_time(self, rng, kind, monkeypatch):
         args, bound = _engine_case(kind, rng)
+        # the face finish would solve every constrained row before its first
+        # step; without it the rows step and stall as the ladder is meant to
+        monkeypatch.setattr(trex, "_face_finish", _settles_nothing)
         runs = []
         for ladder in (trex._ladder, _plain_ladder):
             calls = []
@@ -736,7 +771,16 @@ class TestConstrained:
         plain, fit = solve_trex_constrained(problem), solve_trex_constrained(permuted)
         assert plain.objective == pytest.approx(6.438798440611219, rel=1e-9)
         assert fit.objective <= plain.objective * (1.0 + 1e-9)
-        assert fit.winner == (int(np.flatnonzero(cols == 0)[0]), int(-signs[cols == 0][0]))
+        # the subproblems of columns 0, 1 and 2 (sign -1) share that optimum
+        # on the constraint, and ties go to the lowest subproblem: the winner
+        # is one of them in either column order
+        optimal = {r.identity for r in plain.per_subproblem
+                   if r.objective <= plain.objective + 1e-10}
+        assert optimal == {(0, -1), (1, -1), (2, -1)}
+        j, s = fit.winner
+        assert (int(cols[j]), int(s * signs[j])) in optimal
+        assert fit.winner == min((int(np.flatnonzero(cols == jo)[0]),
+                                  int(so * signs[cols == jo][0])) for jo, so in optimal)
 
     def test_tight_bound_repairs_every_group_start(self, rng):
         # below the dual residual of every zero, ridge and perturbed start
@@ -768,6 +812,63 @@ class TestConstrained:
         problem = random_problem(rng, 8, 3)
         with pytest.raises(ConfigError):
             solve_trex_constrained(problem, bound=0.0)
+
+
+class TestFaceFinish:
+    """Sign rows under a bound: the face finish and the bound LB_k(m)."""
+
+    def test_pinned_small_signal_instance_reaches_its_optimum(self):
+        # a verify_mixed small-signal instance whose winning row ends on its
+        # own face: the line search alone stopped at 11.776883, 17.6 % above
+        problem, _ = generate(ScenarioSpec(
+            n=40, p=25, s=3, noise=NoiseSpec(kind="student_t", df=5.0),
+            seed=8088944157117022017))
+        x, y = problem.x, problem.y
+        bound = float(np.max(np.abs(x.T @ y)))
+        fit = solve_trex_constrained(problem)
+        f = fit.objective
+        assert f <= 10.013000 * (1.0 + 1e-6)
+        assert fit.winner == (22, 1)
+        assert 0.0 <= fit.diagnostics["certified_gap"] <= 1e-9 * (1.0 + f)
+        assert fit.u_hat <= bound
+        _, oracle = constrained_row_oracle(x, y, 0.5, 22, 1, bound)
+        assert oracle == pytest.approx(f, rel=1e-7)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(2, 4),
+           extra=st.integers(2, 12), scale=st.floats(0.3, 1.0))
+    def test_bound_never_exceeds_the_oracle(self, seed, p, extra, scale):
+        rng = np.random.default_rng(seed)
+        problem = random_problem(rng, p + extra, p)
+        x, y = problem.x, problem.y
+        G, xty, yty = x.T @ x, x.T @ y, float(y @ y)
+        bound = scale * float(np.max(np.abs(xty)))
+        c, w = 0.5, np.ones(p)
+        fit = solve_trex_constrained(problem, bound=bound)
+        f = fit.objective
+        assert fit.diagnostics["certified_gap"] >= -1e-12 * (1.0 + abs(f))
+        best = np.inf
+        for j in range(p):
+            for s in (-1.0, 1.0):
+                _, oracle = constrained_row_oracle(x, y, c, j, s, bound,
+                                                   starts=[fit.beta_hat])
+                best = min(best, oracle)
+                if not np.isfinite(oracle):
+                    continue
+                # LB_k(m) at random points of the row's domain and random m,
+                # with the gradient of the smooth part re-stated from scratch
+                B = rng.standard_normal((8, p))
+                M = rng.standard_normal((8, p)) * rng.uniform(0.0, 2.0 / abs(xty).max())
+                r = y[None, :] - B @ x.T
+                a = s * x[:, j] / w[j]
+                d = r @ a
+                keep = d > 1e-9
+                r, d, B, M = r[keep], d[keep], B[keep], M[keep]
+                rss = np.einsum("kn,kn->k", r, r)
+                z = 2.0 * r / (c * d[:, None]) - (rss / (c * d * d))[:, None] * a
+                lb = trex._face_lower(xty, bound, w, z @ y, -(z @ x) - M @ G, M)
+                assert np.all(lb <= oracle + 1e-9 * (1.0 + abs(oracle)))
+        assert f <= best * (1.0 + 1e-7) + 1e-9
 
 
 class TestUnpenalized:
