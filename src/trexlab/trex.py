@@ -16,21 +16,22 @@ Salmon, "Mind the duality gap", 2015). A subproblem stops once its objective
 is within the tolerance of its bound, or is stopped (pruned) when its bound
 already lies above the best objective found so far by more than a margin,
 since then it cannot win. A subproblem within that margin of the best is
-moved to the closed-form stationary point on its support once its signs
-settle, which makes its bound exact, so every sign fit is one engine call.
-The fit reports ``certified_gap``, the objective minus the smallest bound
-over the feasible subproblems: the global optimum lies at most that far
-below the returned objective.
+moved to the closed-form stationary point on its support (``_face_points``)
+once its signs settle, which makes its bound exact, so every sign fit is one
+engine call. The fit reports ``certified_gap``, the objective minus the
+smallest bound over the feasible subproblems: the global optimum lies at
+most that far below the returned objective.
 
 Under the dual constraint dual(x.T (y - x b)) <= bound the subproblems stay
 convex, and their optima usually lie on a face |q_i| = bound w_i of the
 constraint set, where the line search, which only rejects steps that leave
 the set, cannot move. There every subproblem is first solved to its KKT
 point by a batched active-set iteration on its support and its active faces
-(``_face_finish``), and its bound comes from weak duality for the faces,
-LB_k(m) with the face multipliers m (``_face_lower``). So constrained
-subproblems close on their certificate and are pruned like unconstrained
-ones, and ``certified_gap`` is a number under a bound too.
+(``_face_finish``, through the same ``_face_points``), and its bound comes
+from weak duality for the faces, LB_k(m) with the face multipliers m
+(``_face_lower``). So constrained subproblems close on their certificate and
+are pruned like unconstrained ones, and ``certified_gap`` is a number under
+a bound too.
 
 Group penalties with a non-singleton group yield one subproblem per group,
 with denominator ||x_G.T (y - x b)|| / w_G; those are not provably convex, so
@@ -147,73 +148,46 @@ def _near_margin(f):
     return max(1e-6 * (1.0 + abs(f)), 1e-8)
 
 
-def _polish(G, xty, yty, c, j, s, pen_w, b):
-    """Stationary point of sign row (j, s) on the support and signs of b.
+def _copies(G, pen_w):
+    """The sets of copies, columns equal up to sign: a 0/1 matrix (p, m)
+    whose column c marks the c-th set, or None if there is none.
 
-    On S = supp(b) with signs sigma the row objective is smooth, and
-    stationarity reads G_SS b_S = xty_S - alpha a - (c D / 2) w_S sigma with
-    a = s G_Sj / w_j and alpha = rss / (2 D). D = s xty_j / w_j - a.b_S is
-    affine in alpha, so alpha solves one quadratic and b_S follows from three
-    least-squares solves (``lstsq``: G_SS is singular when columns repeat).
-    Returns the root with the lowest objective among those that keep D > 0
-    and every sign, or None.
+    i and k are copies when |G_ik| >= (1 - 1e-9) max(G_ii, G_kk) and
+    w_i = w_k; each coordinate joins the set of its first copy. Any split of
+    a coefficient between copies has the same objective in every sign row,
+    and two copies in a support make G_SS singular.
     """
-    S = np.flatnonzero(b)
-    if S.size == 0:
-        return None
-    sigma = np.sign(b[S])
-    G_SS, xS = G[np.ix_(S, S)], xty[S]
-    a = s * G[S, j] / pen_w[j]
-    u0, ua, uw = np.linalg.lstsq(G_SS, np.column_stack([xS, a, pen_w[S] * sigma]),
-                                 rcond=None)[0].T
-    den = 1.0 - 0.5 * c * (a @ uw)
-    if den == 0.0:
-        return None
-    # D = e0 + e1 alpha and b_S = v0 + alpha v1
-    e0, e1 = (s * xty[j] / pen_w[j] - a @ u0) / den, (a @ ua) / den
-    v0, v1 = u0 - 0.5 * c * e0 * uw, -ua - 0.5 * c * e1 * uw
-    Gv0, Gv1 = G_SS @ v0, G_SS @ v1
-    # rss(alpha) = r0 + r1 alpha + r2 alpha^2 = 2 alpha D(alpha)
-    r0 = yty - 2.0 * (v0 @ xS) + v0 @ Gv0
-    r1 = 2.0 * (v1 @ Gv0 - v1 @ xS)
-    r2 = v1 @ Gv1
-    best, best_f = None, np.inf
-    for alpha in np.roots([r2 - 2.0 * e1, r1 - 2.0 * e0, r0]):
-        if alpha.imag != 0.0 or alpha.real <= 0.0:
-            continue
-        alpha = alpha.real
-        bS, D = v0 + alpha * v1, e0 + e1 * alpha
-        f = 2.0 * alpha / c + pen_w[S] @ np.abs(bS)
-        if D > 0.0 and np.all(sigma * bS > 0.0) and f < best_f:
-            best, best_f = bS, f
-    if best is None:
-        return None
-    out = np.zeros_like(b)
-    out[S] = best
-    return out
+    g = np.diag(G)
+    same = (np.abs(G) >= (1.0 - 1e-9) * np.maximum.outer(g, g)) & (pen_w[:, None] == pen_w)
+    first = np.argmax(same, axis=1)
+    lead = np.unique(first[first != np.arange(g.size)])
+    return (first[:, None] == lead).astype(float) if lead.size else None
 
 
-def _face_points(G, xty, yty, c, j, s, pen_w, bound, S, sig, A, tau):
+def _face_points(G, xty, yty, c, j, s, pen_w, S, sig, face, copies):
     """Stationary points of R sign rows on their supports and faces, batched.
 
-    Row r keeps b_i = 0 off S_r, the signs sig on S_r, and its correlation
-    q = xty - G b on the faces of A_r: q_i = tau_i bound' w_i, with bound' a
-    relative 1e-12 inside ``bound`` so that the point passes the engine's
-    bound test despite rounding. With face multipliers m and mu = (c D / 2) m,
-    stationarity on S_r is ``_polish``'s equation plus the faces,
+    Row r keeps b_i = 0 off S_r, the signs sig on S_r, and q = xty - G b at
+    q_i = face_i w_i on its faces A_r, the nonzero entries of ``face``. With
+    a = s G_Sj / w_j, alpha = rss / (2 D), face multipliers m and
+    mu = (c D / 2) m, stationarity on S_r reads
 
         G_SS b_S - G_SA mu_A = xty_S - alpha a - (c D / 2) w_S sig,
-        G_AS b_S             = xty_A - tau bound' w_A,
+        G_AS b_S             = xty_A - face_A w_A,
 
-    a bordered system solved for three right-hand sides (``solve``, and the
-    pseudo-inverse where it fails: G_SS is singular when columns repeat).
-    When the row's own face j is in A_r, D = bound' and the system is linear
-    in b. D is affine in alpha = rss / (2 D), so alpha solves one quadratic;
-    the root with D > 0 and the lowest objective on the restricted set wins.
-    Returns (b, m, ok): points and multipliers (R, p), and the rows with a
-    valid root.
+    a bordered system solved for three right-hand sides by ``solve``. A row
+    whose support holds two copies (``copies``, from ``_copies``), or whose
+    ``solve`` fails, takes the pseudo-inverse: there G_SS is singular, and
+    ``solve`` can pass its residual test with an arbitrary split between the
+    copies, where the pseudo-inverse gives the least-norm one. With no faces
+    this is the polish of ``_solve_subproblems``. With the row's own face j
+    in A_r, D is fixed and the system is linear in b; otherwise D is affine
+    in alpha, so alpha solves one quadratic. The root with D > 0 and the
+    lowest objective on the restricted set wins, signs kept or not. Returns
+    (b, m, ok): points and multipliers (R, p), and the rows with a valid root.
     """
     R, p = S.shape
+    A = face != 0.0
     nS, nA = S.sum(axis=1), A.sum(axis=1)
     mS, n = int(nS.max()), int(nS.max() + nA.max())
     # row r's support, then its faces, each padded (``val`` marks the real
@@ -231,19 +205,22 @@ def _face_points(G, xty, yty, c, j, s, pen_w, bound, S, sig, A, tau):
     a = (s / pen_w[j])[:, None] * G[Sidx, j[:, None]] * val[:, :mS]
     rhs = np.zeros((R, n, 3))
     rhs[:, :mS, 0] = xty[Sidx]
-    rhs[:, mS:, 0] = xty[Aidx] - tau[rr, Aidx] * (bound * (1.0 - 1e-12)) * pen_w[Aidx]
+    rhs[:, mS:, 0] = xty[Aidx] - face[rr, Aidx] * pen_w[Aidx]
     rhs[:, :mS, 1] = a
     rhs[:, :mS, 2] = pen_w[Sidx] * sig[rr, Sidx]
     rhs *= val[:, :, None]
-    U, bad = rhs, np.zeros(R, dtype=bool)
-    if n:
+    U, bad = np.zeros_like(rhs), np.zeros(R, dtype=bool)
+    if copies is not None:
+        bad = (S @ copies > 1.0).any(axis=1)
+    if n and not bad.all():
+        go = ~bad if bad.any() else slice(None)
         try:
-            U = np.linalg.solve(Mx, rhs)
-            with np.errstate(invalid="ignore", over="ignore"):
-                bad = ~(np.abs(Mx @ U - rhs).max(axis=(1, 2))
-                        <= 1e-9 * (1.0 + np.abs(rhs).max(axis=(1, 2))))
+            U[go] = np.linalg.solve(Mx[go], rhs[go])
         except np.linalg.LinAlgError:
-            U, bad = np.empty_like(rhs), np.ones(R, dtype=bool)
+            bad[:] = True
+        with np.errstate(invalid="ignore", over="ignore"):
+            bad |= ~(np.abs(Mx @ U - rhs).max(axis=(1, 2))
+                     <= 1e-9 * (1.0 + np.abs(rhs).max(axis=(1, 2))))
     if bad.any():
         U[bad] = np.linalg.pinv(Mx[bad], rcond=n * np.finfo(float).eps,
                                 hermitian=True) @ rhs[bad]
@@ -305,14 +282,16 @@ def _face_lower(xty, bound, pen_w, yz, r, M):
     return t * (yz + M @ xty - bound * (np.abs(M) @ pen_w))
 
 
-def _face_finish(G, xty, yty, c, j, s, pen_w, bound, delta, B, incumbent):
+def _face_finish(G, xty, yty, c, j, s, pen_w, bound, delta, B, incumbent, copies):
     """Solve R sign rows under ``bound`` to their KKT points, batched.
 
     An active-set iteration on the support S with signs sig and the active
-    faces A with sides tau. The support starts as the row's own coordinate j
-    with the sign of B (empty if B_j = 0), the faces as those B lies within a
-    relative 1e-6 of. Each round moves every row to the stationary point of
-    its current sets (``_face_points``), then
+    faces, the nonzero entries of their sides tau. The support starts as the
+    row's own coordinate j with the sign of B (empty if B_j = 0), the faces
+    as those B lies within a relative 1e-6 of. Each round moves every row to
+    the stationary point of its current sets (``_face_points``), with the
+    faces a relative 1e-12 inside ``bound`` so that the point passes the
+    engine's bound test despite rounding, then it
 
     - keeps the coordinates whose sign held and the faces whose multiplier
       has the face's side;
@@ -320,21 +299,21 @@ def _face_finish(G, xty, yty, c, j, s, pen_w, bound, delta, B, incumbent):
       |(g - G m)_i| / w_i - 1 is positive and at least half the row's
       largest (after 10 rounds only the largest, which damps a row that
       cycles), with sign -sign((g - G m)_i), g the gradient of the smooth
-      part; of coordinates with equal columns of G and equal weights
-      (copies) only the first, and none whose copy is in the support;
+      part; of a set of copies (``copies``, columns equal up to sign)
+      only the first, and none while one of the set is in the support;
     - adds the face the point violates most, if any; a row that meets a new
       face keeps its support and signs, since the face stops the move
       before a sign changes.
 
     A point must keep D > delta, the engine's domain. A row whose sets did
-    not change is at a KKT point of its convex subproblem. A support that would become empty keeps its coordinates
-    with their signs flipped. A row without a stationary point gets its own
-    face j (D = bound), and then one more start from the whole support and
-    the faces of B. A round prunes every row whose LB_k(m) at its point
-    (``_face_lower``) exceeds the incumbent (the best feasible objective,
-    lowered by the rows already solved) by more than ``_near_margin``; the
-    points on the way need not be feasible, since LB_k(m) holds anywhere in
-    the row's domain.
+    not change is at a KKT point of its convex subproblem. A support that
+    would become empty keeps its coordinates with their signs flipped. A row
+    without a stationary point gets its own face j (D = bound), and then one
+    more start from the whole support and the faces of B. A round prunes
+    every row whose LB_k(m) at its point (``_face_lower``) exceeds the
+    incumbent (the best feasible objective, lowered by the rows already
+    solved) by more than ``_near_margin``; the points on the way need not be
+    feasible, since LB_k(m) holds anywhere in the row's domain.
 
     Returns (B, M, lower, status, rounds): for rows with status 1 the KKT
     point and its multipliers, for rows with status 2 (pruned) the bound
@@ -354,27 +333,20 @@ def _face_finish(G, xty, yty, c, j, s, pen_w, bound, delta, B, incumbent):
     sig = np.zeros((R, p))
     sig[rows, j] = np.sign(B[rows, j])
     S = sig != 0.0
-    A0 = np.abs(q) >= bound * (1.0 - 1e-6) * pen_w
-    A, tau = A0.copy(), np.sign(q) * A0
+    tau0 = np.sign(q) * (np.abs(q) >= bound * (1.0 - 1e-6) * pen_w)
+    tau = tau0.copy()
     restarted = np.zeros(R, dtype=bool)
-    # copies: coordinates with equal columns of G and equal weights. A
-    # support needs at most one of each (any split between copies has the
-    # same objective), and two would make the bordered system singular
-    _, first, copy = np.unique(np.column_stack([G, pen_w]), axis=0,
-                               return_index=True, return_inverse=True)
-    copies = first.size < p
-    if copies:
-        copy = copy.ravel()
-        lead = np.zeros(p, dtype=bool)
-        lead[first] = True
+    if copies is not None:
+        # a support adds only the first of a set of copies, and none of a set it holds
+        later = (np.cumsum(copies, axis=0) * copies).sum(axis=1) > 1.0
     for round_ in range(MAX_FACE_ROUNDS):
         run = np.flatnonzero(status == 0)
         if run.size == 0:
             break
         rounds[run] += 1
         jr, sr = j[run], s[run]
-        Bt, Mt, ok = _face_points(G, xty, yty, c, jr, sr, pen_w, bound,
-                                  S[run], sig[run], A[run], tau[run])
+        Bt, Mt, ok = _face_points(G, xty, yty, c, jr, sr, pen_w, S[run], sig[run],
+                                  bound * (1.0 - 1e-12) * tau[run], copies)
         qt = xty[None, :] - Bt @ G
         rss = np.maximum(yty - 2.0 * (Bt @ xty) + np.einsum("kp,kp->k", Bt, xty - qt), 0.0)
         D = sr * qt[np.arange(run.size), jr] / pen_w[jr]
@@ -382,12 +354,12 @@ def _face_finish(G, xty, yty, c, j, s, pen_w, bound, delta, B, incumbent):
         ok &= D > delta
         # a row without a stationary point tries again on its own face, then
         # once more from the whole support of its start
-        retry = run[~ok & ~A[run, jr]]
-        A[retry, j[retry]], tau[retry, j[retry]] = True, s[retry]
+        retry = run[~ok & (tau[run, jr] == 0.0)]
+        tau[retry, j[retry]] = s[retry]
         again = run[~ok & ~np.isin(run, retry) & ~restarted[run]]
         restarted[again] = True
         S[again], sig[again] = B[again] != 0.0, np.sign(B[again])
-        A[again], tau[again] = A0[again], np.sign(q[again]) * A0[again]
+        tau[again] = tau0[again]
         status[run[~ok & ~np.isin(run, retry) & ~np.isin(run, again)]] = -1
         run, jr, sr, Bt, Mt = run[ok], jr[ok], sr[ok], Bt[ok], Mt[ok]
         qt, rss, D = qt[ok], rss[ok], D[ok]
@@ -398,7 +370,7 @@ def _face_finish(G, xty, yty, c, j, s, pen_w, bound, delta, B, incumbent):
              + ((rss / (c * D * D)) * sr / pen_w[jr])[:, None] * G[:, jr].T) - Mt @ G
         resid = np.abs(r)
         yz = (2.0 * (yty - Bt @ xty) - rss * sr * xty[jr] / (pen_w[jr] * D)) / (c * D)
-        Sr, Ar = S[run], A[run]
+        Sr, Ar = S[run], tau[run] != 0.0
         keep_S = Sr & (sig[run] * Bt > 0.0)
         # the coordinates off the support that violate stationarity by at
         # least half the largest violation (after 10 rounds only the
@@ -406,11 +378,8 @@ def _face_finish(G, xty, yty, c, j, s, pen_w, bound, delta, B, incumbent):
         over = np.where(Sr, 0.0, resid / pen_w - 1.0)
         share = 0.5 if round_ < 10 else 1.0
         add_S = (over > 1e-12) & (over >= share * over.max(axis=1, keepdims=True))
-        if copies:
-            # only the first copy of a coordinate, and none with a copy in S
-            held = np.zeros((run.size, first.size))
-            np.add.at(held, (np.nonzero(Sr)[0], copy[np.nonzero(Sr)[1]]), 1.0)
-            add_S &= lead & (held[:, copy] == 0.0)
+        if copies is not None:
+            add_S &= ~later & (Sr @ copies @ copies.T == 0.0)
         keep_A = Ar & (tau[run] * Mt > 0.0)
         # the most violated face only: a far point violates many
         over = np.where(Ar, 0.0, np.abs(qt) / pen_w - bound)
@@ -438,7 +407,7 @@ def _face_finish(G, xty, yty, c, j, s, pen_w, bound, delta, B, incumbent):
         status[run[hopeless]] = 2
         lower[run[hopeless]] = lb[hopeless]
         sig[run] = np.where(add_S, -np.sign(r), sig[run])
-        S[run], A[run] = keep_S | add_S, keep_A | add_A
+        S[run] = keep_S | add_S
         tau[run] = np.where(add_A, np.sign(qt), np.where(keep_A, tau[run], 0.0))
     status[status < 0] = 0
     return out_B, out_M, lower, status, rounds
@@ -685,13 +654,14 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
     when LB_k lies above the incumbent min_k F_k by more than
     ``_near_margin``, since it cannot win. A row within that margin of the
     incumbent whose sign pattern has held for 3 iterations is moved, once per
-    pattern, to the closed-form stationary point on its support
-    (``_polish``) when that point keeps the domain, ``bound`` and every sign
-    and does not raise F_k; its bound then becomes exact. An accepted sign
-    row doubles its step, a group row grows it by 1.3. Any row whose
-    objective fell by at most tolerance (1 + |F_k|) over ``window``
-    iterations stops too: the fallback for rows the certificate does not
-    close, and the only stop of group rows.
+    pattern, to the closed-form stationary point on its support (the rows
+    due in one iteration in one ``_face_points`` call with no faces) when
+    that point keeps every sign, the domain and ``bound`` and does not raise
+    F_k; its bound then becomes exact. An accepted sign row doubles its
+    step, a group row grows it by 1.3. Any row whose objective fell by at
+    most tolerance (1 + |F_k|) over ``window`` iterations stops too: the
+    fallback for rows the certificate does not close, and the only stop of
+    group rows.
 
     Under ``bound`` every feasible sign row is first handed to the face
     finish (``_face_finish``), which solves it to its KKT point on its
@@ -764,6 +734,7 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
 
         inv_pen_w = 1.0 / pen_w
         a_y = s_arr * xty[j_arr] / dw
+        copies = _copies(G, pen_w)
 
         def lower_bound(sub, grad):
             # The gradient z of g(r) = ||r||^2 / (c a.r) satisfies x.T z = -grad,
@@ -804,6 +775,18 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
         with np.errstate(divide="ignore", invalid="ignore"):
             return ok, np.where(ok, rssQ / (c * np.where(ok, DQ, 1.0)), np.inf)
 
+    def adopt(ks, Cand):
+        """Move rows ks to the points Cand that pass ``admitted`` and do
+        not raise F; returns the rows moved."""
+        qC, rssC, DC = eval_rows(Cand, ks)
+        ok, gC = admitted(qC, rssC, DC)
+        FC = gC + penalty(Cand)
+        ok &= FC <= F[ks]
+        take = ks[ok]
+        B[take], q[take], rss[take], D[take], F[take] = (
+            Cand[ok], qC[ok], rssC[ok], DC[ok], FC[ok])
+        return take
+
     q, rss, D = eval_rows(B, np.arange(K))
     # the bound is checked with the q stored for the row, which may differ in
     # its last bits from the q its caller computed for the same start
@@ -832,19 +815,11 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
         # pass the engine's own checks and do not raise F, keep every
         # multiplier, prune the feasible rows the finish pruned; the loop
         # then closes the adopted rows on their certificate and steps the rest
-        ks = np.arange(K)
         Bk, M, lbk, st, iterations = _face_finish(
-            G, xty, yty, c, j_arr, s_arr, pen_w, bound, delta, B, float(F.min()))
-        gone = ks[(st == 2) & feasible]
+            G, xty, yty, c, j_arr, s_arr, pen_w, bound, delta, B, float(F.min()), copies)
+        gone = np.flatnonzero((st == 2) & feasible)
         pruned[gone], known[gone], active[gone] = True, lbk[gone], False
-        ks, Cand = ks[st == 1], Bk[st == 1]
-        qC, rssC, DC = eval_rows(Cand, ks)
-        ok, gC = admitted(qC, rssC, DC)
-        FC = gC + penalty(Cand)
-        ok &= FC <= F[ks]
-        take = ks[ok]
-        B[take], q[take], rss[take], D[take], F[take] = (
-            Cand[ok], qC[ok], rssC[ok], DC[ok], FC[ok])
+        take = adopt(np.flatnonzero(st == 1), Bk[st == 1])
         feasible[take] = active[take] = True
     hist = [F.copy()]
 
@@ -905,18 +880,13 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
             due = act[(steady[act] >= 3) & ~polished[act]
                       & (F[act] <= incumbent + _near_margin(incumbent))]
             polished[due] = True
-            found = {k: _polish(G, xty, yty, c, j_arr[k], s_arr[k], pen_w, B[k])
-                     for k in due}
-            ks = np.array([k for k, b in found.items() if b is not None], dtype=int)
-            if ks.size:
-                Cand = np.array([found[k] for k in ks])
-                qC, rssC, DC = eval_rows(Cand, ks)
-                ok, gC = admitted(qC, rssC, DC)
-                FC = gC + penalty(Cand)
-                ok &= FC <= F[ks]
-                take = ks[ok]
-                B[take], q[take], rss[take], D[take], F[take] = (
-                    Cand[ok], qC[ok], rssC[ok], DC[ok], FC[ok])
+            if due.size:
+                sig = np.sign(B[due])
+                Cand, _, ok = _face_points(G, xty, yty, c, j_arr[due], s_arr[due], pen_w,
+                                           sig != 0.0, sig, np.zeros_like(sig), copies)
+                # the point must keep every sign of the row
+                ok &= (np.sign(Cand) == sig).all(axis=1)
+                adopt(due[ok], Cand[ok])
         hist.append(F.copy())
         if len(hist) > window + 1:
             hist.pop(0)
@@ -1144,7 +1114,7 @@ def solve_trex_unpenalized(problem: RegressionProblem, config: SolverConfig = No
         raise ConfigError("unpenalized indices out of range")
     if u_idx.size == 0:
         return solve_trex(problem, config, spec)
-    p_idx = np.array([j for j in range(p) if j not in set(u_idx.tolist())], dtype=int)
+    p_idx = np.setdiff1d(np.arange(p), u_idx)
 
     x, y = problem.x, problem.y
     x_u = x[:, u_idx]

@@ -43,12 +43,31 @@ from oracles import (
 )
 
 
-def _settles_nothing(G, xty, yty, c, j, s, pen_w, bound, delta, B, incumbent):
+def _settles_nothing(G, xty, yty, c, j, s, pen_w, bound, delta, B, incumbent, copies):
     """A face finish that leaves every row as it was, one round each: the
     constrained engine then steps its rows as it did before the finish."""
     R, p = B.shape
     return (B.copy(), np.zeros((R, p)), np.full(R, -np.inf), np.zeros(R, dtype=int),
             np.ones(R, dtype=int))
+
+
+def _flipped_copies():
+    """A duplicated-columns design, pairs (0, 1) and (2, 3), with column 1
+    flipped; the signal lies on columns 0-2."""
+    problem, _ = generate(ScenarioSpec(
+        n=30, p=12, s=3, seed=2,
+        design=DesignSpec(kind="duplicated_columns", duplicates=2)))
+    return RegressionProblem(problem.x * np.append([1.0, -1.0], np.ones(10)), problem.y,
+                             normalized=True)
+
+
+def _same_optimum(a, b):
+    """Both problems have the same optimum under both solvers, certified."""
+    for solve in (solve_trex, solve_trex_constrained):
+        fits = solve(a), solve(b)
+        assert fits[1].objective == pytest.approx(fits[0].objective, rel=1e-10)
+        for fit in fits:
+            assert fit.diagnostics["certified_gap"] <= 1e-12 * (1.0 + abs(fit.objective))
 
 
 def subproblem_objective(problem, beta, c, j, s):
@@ -175,6 +194,11 @@ class TestSolveTrex:
         np.testing.assert_allclose(b.beta_hat, a.beta_hat[perm],
                                    rtol=1e-6, atol=1e-8)
         assert a.objective == pytest.approx(b.objective, rel=1e-8)
+        # copies split their coefficient freely, so only the optimum is compared
+        problem = _flipped_copies()
+        perm = rng.permutation(problem.p)
+        _same_optimum(problem, RegressionProblem(problem.x[:, perm], problem.y,
+                                                 normalized=True))
 
     def test_sign_flip_equivariance(self, rng):
         problem = random_problem(rng, 10, 4)
@@ -185,6 +209,10 @@ class TestSolveTrex:
         np.testing.assert_allclose(b.beta_hat,
                                    a.beta_hat * np.array([1, -1, 1, -1.0]),
                                    rtol=1e-4, atol=1e-7)
+        problem = _flipped_copies()
+        flips = rng.choice([-1.0, 1.0], problem.p)
+        _same_optimum(problem, RegressionProblem(problem.x * flips, problem.y,
+                                                 normalized=True))
 
     def test_per_subproblem_records(self, rng):
         problem = random_problem(rng, 9, 3)
@@ -400,6 +428,19 @@ def _restricted_optimum(problem, c, j, s, b):
     return out, res.fun
 
 
+def _polish(G, xty, yty, j, s, starts):
+    """Row (j, s) polished from each start as the engine polishes it: one
+    batched ``_face_points`` call with no faces on the supports and signs of
+    the starts. Returns the points and which of them the engine would try:
+    those with a valid root that keep every sign."""
+    R, p = starts.shape
+    sig = np.sign(starts)
+    B, _, ok = trex._face_points(G, xty, yty, 0.5, np.full(R, j), np.full(R, float(s)),
+                                 np.ones(p), sig != 0.0, sig, np.zeros_like(sig),
+                                 trex._copies(G, np.ones(p)))
+    return B, ok & (np.sign(B) == sig).all(axis=1)
+
+
 class TestCertificateFinish:
     def _row(self):
         # the winning row of an instance whose solution has 6 coordinates
@@ -414,24 +455,37 @@ class TestCertificateFinish:
         assert np.count_nonzero(b) == 6
         # the polish sees only the support and the signs of its input
         start = b * rng.uniform(0.5, 1.5, b.size)
-        polished = trex._polish(G, xty, yty, 0.5, j, s, np.ones(problem.p), start)
         ref, ref_f = _restricted_optimum(problem, 0.5, j, s, start)
-        np.testing.assert_allclose(polished, ref, rtol=1e-6, atol=1e-8)
-        assert subproblem_objective(problem, polished, 0.5, j, s) <= ref_f + 1e-12 * ref_f
+        polished, ok = _polish(G, xty, yty, j, s, start[None, :])
+        assert ok[0]
+        np.testing.assert_allclose(polished[0], ref, rtol=1e-6, atol=1e-8)
+        assert subproblem_objective(problem, polished[0], 0.5, j, s) <= ref_f + 1e-12 * ref_f
+        # one more column, a sign-flipped copy of support coordinate k: with
+        # both in the support G_SS is singular, and the point is the least-norm
+        # restricted optimum, ref with ref_k split evenly between the copies
+        x = problem.x
+        for k in np.setdiff1d(np.flatnonzero(b), [j]):
+            xk = np.column_stack([x, -x[:, k]])
+            split = np.append(start, -0.5 * start[k])
+            split[k] *= 0.5
+            polished, ok = _polish(xk.T @ xk, xk.T @ problem.y, yty, j, s, split[None, :])
+            want = np.append(ref, -0.5 * ref[k])
+            want[k] *= 0.5
+            assert ok[0]
+            np.testing.assert_allclose(polished[0], want, rtol=1e-6, atol=1e-8)
 
     def test_polish_returns_none_when_a_sign_flips(self):
         # at the row optimum every coordinate i off the support has
         # |d f / d b_i| < 1, so the stationary point on the support plus i
-        # with either sign moves b_i to the other sign
+        # with either sign moves b_i to the other sign, and the polish keeps
+        # no point
         problem, (G, xty, yty), j, s, b = self._row()
         off = np.flatnonzero(b == 0)
         assert off.size
-        for i in off[:3]:
-            for sign in (-1.0, 1.0):
-                start = b.copy()
-                start[i] = sign * 1e-3
-                assert trex._polish(G, xty, yty, 0.5, j, s, np.ones(problem.p),
-                                    start) is None
+        starts = np.repeat(b[None, :], 6, axis=0)
+        starts[np.arange(6), np.repeat(off[:3], 2)] = np.tile([-1e-3, 1e-3], 3)
+        _, ok = _polish(G, xty, yty, j, s, starts)
+        assert not ok.any()
 
     def test_duplicated_columns_certified(self):
         # the winning support holds a duplicated pair, so G_SS is singular

@@ -8,13 +8,16 @@ directory, then runs ``trexlab verify --no-timestamp`` on every config once
 in the base commit, extracted as ``tools/bench_pairs.py`` extracts it (into
 the gitignored ``.bench_base/<sha>``), and once in this checkout, each side in
 one process of its own. It prints, per theorem, how many report rows went
-from each verdict to each other verdict, and exits 1 if any row that was not
-``violated`` in the base is ``violated`` here.
+from each verdict to each other verdict, then how many configs wrote a
+``report.csv`` that differs byte for byte between the two sides, naming the
+first few. It exits 1 if any row that was not ``violated`` in the base is
+``violated`` here.
 """
 
 import argparse
 import collections
 import csv
+import io
 import json
 import os
 import subprocess
@@ -55,8 +58,9 @@ def write_configs(seeds, passes, work_dir) -> list:
     return configs
 
 
-def verdicts(root, configs, out_dir) -> dict:
-    """Verdict of every report row, keyed by (tag, scenario, replicate, theorem)."""
+def verdicts(root, configs, out_dir) -> tuple:
+    """Verdict of every report row, keyed by (tag, scenario, replicate, theorem),
+    and the bytes of every config's ``report.csv``, keyed by tag."""
     jobs = [(path, os.path.join(out_dir, str(i))) for i, (_, path) in enumerate(configs)]
     plan = os.path.join(out_dir, "plan.json")
     with open(plan, "w") as fh:
@@ -64,13 +68,14 @@ def verdicts(root, configs, out_dir) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     subprocess.run([sys.executable, "-c", RUNNER, plan], cwd=root, env=env, check=True,
                    stdout=subprocess.DEVNULL)
-    rows = {}
+    rows, reports = {}, {}
     for (tag, _), (_, out) in zip(configs, jobs):
-        with open(os.path.join(out, "report.csv")) as fh:
-            for row in csv.DictReader(fh):
-                key = (tag, row["scenario"], row["replicate"], row["theorem"])
-                rows[key] = row["verdict"]
-    return rows
+        with open(os.path.join(out, "report.csv"), "rb") as fh:
+            reports[tag] = fh.read()
+        for row in csv.DictReader(io.StringIO(reports[tag].decode(), newline="")):
+            key = (tag, row["scenario"], row["replicate"], row["theorem"])
+            rows[key] = row["verdict"]
+    return rows, reports
 
 
 def main(argv=None) -> int:
@@ -84,10 +89,10 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         configs = write_configs(seeds_of(args.seeds), seeds_of(args.passes),
                                 os.path.join(tmp, "configs"))
-        sides = {}
+        sides, reports = {}, {}
         for side, root in (("base", base), ("change", ROOT)):
             os.makedirs(os.path.join(tmp, side))
-            sides[side] = verdicts(root, configs, os.path.join(tmp, side))
+            sides[side], reports[side] = verdicts(root, configs, os.path.join(tmp, side))
     if sides["base"].keys() != sides["change"].keys():
         print("the two sides wrote different report rows")
         return 1
@@ -103,6 +108,9 @@ def main(argv=None) -> int:
             print(f"{theorem:22s} {old:>15s} -> {new:<15s} {count:5d}{mark}")
             if new == "violated" and old != "violated":
                 new_violations += count
+    differ = [tag for tag, _ in configs if reports["base"][tag] != reports["change"][tag]]
+    print(f"{len(differ)} of {len(configs)} configs wrote a report.csv that differs "
+          "byte for byte" + "".join(f"\n  {tag}" for tag in differ[:5]))
     if new_violations:
         print(f"{new_violations} rows became violated")
         return 1
