@@ -204,13 +204,14 @@ def estimate_compatibility(problem: RegressionProblem, support, samples: int = 2
 
     on, tail = eta[n_probes:, :s], eta[n_probes:, s:]
     frac = np.zeros(m)
-    for i in range(m):
-        rng.standard_normal(out=on[i])
-        if off.size and rng.random() < 0.7:
-            rng.standard_normal(out=tail[i])
-            if tail[i].any():
+    normal, uniform = rng.standard_normal, rng.random
+    for i, (on_i, tail_i) in enumerate(zip(on, tail)):
+        normal(out=on_i)
+        if off.size and uniform() < 0.7:
+            normal(out=tail_i)
+            if tail_i[0] or tail_i.any():
                 # include the cone boundary with positive probability
-                frac[i] = 3.0 if rng.random() < 0.2 else 3.0 * rng.random()
+                frac[i] = 3.0 if uniform() < 0.2 else 3.0 * uniform()
     l1_s = np.abs(eta[:, :s]).sum(axis=1)
     l1_tail = np.abs(tail).sum(axis=1)[:, None]
     tail *= frac[:, None]

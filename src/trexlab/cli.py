@@ -58,9 +58,10 @@ def _openblas() -> tuple:
 def _one_blas_thread() -> None:
     """Set every OpenBLAS this process has loaded to one thread.
 
-    ``verify --jobs N`` forks its workers from this process, so each runs on
-    one thread and ``--jobs`` alone sets the parallelism. Does nothing where
-    no OpenBLAS is loaded.
+    ``verify --jobs N`` runs one share of its cells in this process and the
+    others in children forked from it with ``os.fork``, so every share runs
+    on one thread and ``--jobs`` alone sets the parallelism. Does nothing
+    where no OpenBLAS is loaded.
     """
     for get, set_ in _openblas():
         if get() != 1:
@@ -105,7 +106,7 @@ def cmd_verify(args) -> int:
         from dataclasses import replace
         config = replace(config, scenarios=tuple(
             replace(s, seed=args.seed + i) for i, s in enumerate(config.scenarios)))
-    jobs = args.jobs or int(os.environ.get("TREXLAB_JOBS", "1"))
+    jobs = args.jobs if args.jobs is not None else int(os.environ.get("TREXLAB_JOBS", "1"))
     rows = harness.run_verification(config, jobs=jobs)
     out_dir = args.out or "."
     summary = harness.write_reports(rows, out_dir, timestamp=not args.no_timestamp)

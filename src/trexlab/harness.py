@@ -2,22 +2,28 @@
 
 Expands an :class:`ExperimentConfig` into (scenario, replicate) cells, fits
 the requested estimators on each synthetic instance, evaluates the selected
-bound reports, and assembles rows in a frozen, deterministic order. Cells may
-execute concurrently; output order never depends on scheduling because every
-cell derives its own seed and rows are sorted by (scenario index, replicate).
+bound reports, and assembles rows in a frozen, deterministic order.
+
+``run_verification(config, jobs)`` splits the cells into k = min(jobs, cells)
+strided shares. The caller forks k − 1 children with ``os.fork``, runs share
+0 itself, and reads each child's rows back as one pickle over a pipe. Every
+cell derives its own seed and rows are put back in (scenario index,
+replicate) order, so the output never depends on ``jobs`` or scheduling.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import datetime
 import json
 import os
+import pickle
+import signal
 
 import numpy as np
 
 from . import bounds as bd
 from .datagen import derive_seed, generate
+from .errors import ConfigError, TrexlabError
 from .lasso import fit_lasso
 from .norms import l1_spec
 from .serialize import ExperimentConfig
@@ -114,18 +120,87 @@ def run_cell(config: ExperimentConfig, scenario_idx: int, replicate: int) -> lis
     return rows
 
 
+def _run_share(config: ExperimentConfig, cells) -> list[list[dict]]:
+    # looks ``run_cell`` up at call time, so a wrapper installed on the
+    # module also runs in the forked children
+    return [run_cell(config, i, r) for i, r in cells]
+
+
+def _fork_share(config: ExperimentConfig, cells) -> tuple[int, int]:
+    """Fork a child that runs ``cells`` and writes one pickle to a pipe:
+    (chunks, None, None), or (None, pickled exception or None, its text).
+    Returns (pid, read end)."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, read
+    status = 1
+    try:
+        os.close(read)
+        try:
+            payload = pickle.dumps((_run_share(config, cells), None, None))
+        except Exception as exc:
+            try:
+                blob = pickle.dumps(exc)
+            except Exception:
+                blob = None
+            payload = pickle.dumps((None, blob, f"{type(exc).__name__}: {exc}"))
+        with open(write, "wb") as fh:
+            fh.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _unpack(payload: bytes, pid: int, status: int) -> list[list[dict]]:
+    """A child's chunks, or its exception raised here with its own type."""
+    try:
+        chunks, blob, text = pickle.loads(payload)
+    except Exception:
+        raise TrexlabError(f"verification child {pid} exited with status "
+                           f"{os.waitstatus_to_exitcode(status)} and no result") from None
+    if text is None:
+        return chunks
+    try:
+        exc = pickle.loads(blob)
+    except Exception:
+        raise TrexlabError(text) from None
+    raise exc
+
+
 def run_verification(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
-    """Run every (scenario, replicate) cell, deterministically ordered."""
+    """Run every (scenario, replicate) cell, share s of k = min(jobs, cells)
+    holding cells s, s+k, s+2k, ...; rows come back in cell order."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     cells = [(i, r) for i in range(len(config.scenarios))
              for r in range(config.replicates)]
-    if jobs <= 1:
-        chunks = [run_cell(config, i, r) for i, r in cells]
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {pool.submit(run_cell, config, i, r): (i, r) for i, r in cells}
-            got = {futures[f]: f.result() for f in
-                   concurrent.futures.as_completed(futures)}
-        chunks = [got[cell] for cell in cells]
+    k = min(jobs, len(cells))
+    if jobs > 1 and not hasattr(os, "fork"):
+        raise ConfigError("jobs > 1 needs os.fork, which this platform lacks")
+    children, payloads, statuses = [], [], []
+    try:
+        for share in range(1, k):
+            children.append(_fork_share(config, cells[share::k]))
+        shares = [_run_share(config, cells[::k])]
+        # read every pipe to its end before reaping: a child blocks on a
+        # payload larger than the pipe's buffer until it is read
+        for _, read in children:
+            with open(read, "rb", closefd=False) as fh:
+                payloads.append(fh.read())
+    finally:
+        failed = len(payloads) < len(children)
+        for pid, read in children:
+            os.close(read)
+            if failed:
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitpid(pid, 0)[1])
+    for (pid, _), payload, status in zip(children, payloads, statuses):
+        shares.append(_unpack(payload, pid, status))
+    chunks = [None] * len(cells)
+    for share, got in enumerate(shares):
+        chunks[share::k] = got
     return [row for chunk in chunks for row in chunk]
 
 

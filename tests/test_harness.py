@@ -1,5 +1,11 @@
-import numpy as np
+import os
+import signal
 
+import numpy as np
+import pytest
+
+from trexlab import harness
+from trexlab.errors import ConfigError, TrexlabError
 from trexlab.harness import (
     CSV_COLUMNS,
     rows_to_csv,
@@ -83,6 +89,131 @@ class TestRunVerification:
         serial = run_verification(cfg, jobs=1)
         parallel = run_verification(cfg, jobs=2)
         assert serial == parallel
+
+
+def _cell_stub(config, scenario_idx, replicate):
+    """Stands in for ``run_cell``: one cheap row naming the cell and the
+    process that ran it."""
+    return [{"scenario": scenario_idx, "replicate": replicate, "pid": os.getpid()}]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class _TwoArgError(Exception):
+    """An exception that pickles but cannot be unpickled: its constructor
+    takes two arguments and its ``args`` hold one."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+@pytest.fixture
+def deadline():
+    """Fails a test that still waits on its children after 60 s."""
+    def expire(signum, frame):
+        raise TimeoutError("run_verification still waiting after 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.usefixtures("deadline")
+class TestScheduler:
+    def test_uneven_shares_match_serial(self):
+        cfg = _config()                      # 2 scenarios x 2 replicates
+        assert run_verification(cfg, jobs=3) == run_verification(cfg, jobs=1)
+
+    def test_caller_runs_share_zero_and_children_the_rest(self, monkeypatch):
+        monkeypatch.setattr(harness, "run_cell", _cell_stub)
+        rows = run_verification(_config(replicates=3), jobs=4)
+        assert [(r["scenario"], r["replicate"]) for r in rows] == [
+            (i, r) for i in range(2) for r in range(3)]
+        pids = [r["pid"] for r in rows]
+        assert pids[0] == pids[4] == os.getpid()
+        assert len(set(pids)) == 4
+        _no_child_left()
+
+    def test_forks_at_most_one_process_per_extra_cell(self, monkeypatch):
+        forks = []
+        real_fork = os.fork
+
+        def counting_fork():
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(harness, "run_cell", _cell_stub)
+        monkeypatch.setattr(harness.os, "fork", counting_fork)
+        rows = run_verification(_config(replicates=1), jobs=64)   # 2 cells
+        assert len(forks) == 1
+        assert len(rows) == 2
+        _no_child_left()
+
+    def test_payload_larger_than_a_pipe_buffer(self, monkeypatch):
+        def big(config, scenario_idx, replicate):
+            return [{"cell": (scenario_idx, replicate), "gates": "x" * 200_000}]
+
+        monkeypatch.setattr(harness, "run_cell", big)
+        rows = run_verification(_config(), jobs=2)
+        assert [r["cell"] for r in rows] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        _no_child_left()
+
+    @pytest.mark.parametrize("where", ["child", "caller"])
+    def test_error_keeps_its_type_and_leaves_no_child(self, monkeypatch, where):
+        caller = os.getpid()
+
+        def failing(config, scenario_idx, replicate):
+            if (os.getpid() == caller) == (where == "caller"):
+                raise ConfigError(f"cell {scenario_idx},{replicate} failed")
+            return _cell_stub(config, scenario_idx, replicate)
+
+        monkeypatch.setattr(harness, "run_cell", failing)
+        with pytest.raises(ConfigError, match="failed"):
+            run_verification(_config(), jobs=2)
+        _no_child_left()
+
+    def test_child_error_that_cannot_be_unpickled(self, monkeypatch):
+        caller = os.getpid()
+
+        def failing(config, scenario_idx, replicate):
+            if os.getpid() != caller:
+                raise _TwoArgError("first", "second")
+            return _cell_stub(config, scenario_idx, replicate)
+
+        monkeypatch.setattr(harness, "run_cell", failing)
+        with pytest.raises(TrexlabError, match="_TwoArgError: first and second"):
+            run_verification(_config(), jobs=2)
+        _no_child_left()
+
+    def test_child_that_dies_without_a_result(self, monkeypatch):
+        caller = os.getpid()
+
+        def dying(config, scenario_idx, replicate):
+            if os.getpid() != caller:
+                os._exit(3)
+            return _cell_stub(config, scenario_idx, replicate)
+
+        monkeypatch.setattr(harness, "run_cell", dying)
+        with pytest.raises(TrexlabError, match="exited with status 3"):
+            run_verification(_config(), jobs=2)
+        _no_child_left()
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ConfigError, match="jobs"):
+            run_verification(_config(), jobs=jobs)
+
+    def test_parallel_jobs_need_fork(self, monkeypatch):
+        monkeypatch.setattr(harness, "run_cell", _cell_stub)
+        monkeypatch.delattr(harness.os, "fork")
+        with pytest.raises(ConfigError, match="fork"):
+            run_verification(_config(), jobs=2)
+        assert len(run_verification(_config(), jobs=1)) == 4
 
 
 class TestReports:
