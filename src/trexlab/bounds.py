@@ -166,14 +166,23 @@ def estimate_compatibility(problem: RegressionProblem, support, samples: int = 2
     sqrt(s) ||x eta||_2 / (sqrt(n) ||eta_on||_1).
 
     The candidates are deterministic probes (single indicators and signed
-    pairs inside the support) and ``samples`` random directions, drawn one by
-    one in a fixed order: the support values, a coin for an off-support tail,
-    the tail, a coin for the cone boundary and the tail fraction. All of them
-    are then scored by matrix products over blocks of ``_SCORE_ROWS`` rows,
-    so memory grows with ``samples`` times p only. The smallest ratio
+    pairs inside the support) and ``samples`` random directions. These are
+    drawn from ``default_rng(seed)`` in blocks, in this order:
+      1. the support values, a (samples, s) standard normal block;
+      2. a uniform coin per sample; the samples whose coin is below 0.7 get
+         an off-support tail (no coin is drawn when the support is all of
+         the columns);
+      3. the tails of those samples, a standard normal block;
+      4. for those samples, a uniform coin (below 0.2: the tail sits on the
+         cone boundary, fraction 3) and then a uniform u (fraction 3u).
+    Each tail is rescaled to l1 norm fraction * ||eta_on||_1. All candidates
+    are scored by matrix products over blocks of ``_SCORE_ROWS`` rows, so
+    memory grows with ``samples`` times p only. The smallest ratio
     upper-bounds the largest admissible compatibility constant.
     Verified-orthogonal designs short-circuit to the exact value 1.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {samples}")
     support = np.asarray(sorted(set(int(i) for i in support)), dtype=int)
     if support.size == 0:
         raise ValueError("support must be nonempty")
@@ -186,44 +195,40 @@ def estimate_compatibility(problem: RegressionProblem, support, samples: int = 2
     s = support.size
     off = np.setdiff1d(np.arange(p), support)
     rng = np.random.default_rng(seed)
-    # one row per candidate in the coordinates (support, off), so that every
-    # draw fills a contiguous slice of its row
+    # one row per candidate in the coordinates (support, off), so that the
+    # support values and the tail of a row are contiguous slices
     order = np.r_[support, off]
     xo = x[:, order]
 
     a, b = np.triu_indices(s, 1)
     a, b = a[:400], b[:400]
     n_probes = s + 2 * a.size
-    m = max(samples, 0)
-    eta = np.zeros((n_probes + m, p))
+    eta = np.zeros((n_probes + samples, p))
     pair = s + 2 * np.arange(a.size)
     eta[np.arange(s), np.arange(s)] = 1.0
     eta[np.r_[pair, pair + 1], np.r_[a, a]] = 1.0
     eta[pair, b] = -1.0
     eta[pair + 1, b] = 1.0
 
-    on, tail = eta[n_probes:, :s], eta[n_probes:, s:]
-    frac = np.zeros(m)
-    normal, uniform = rng.standard_normal, rng.random
-    for i, (on_i, tail_i) in enumerate(zip(on, tail)):
-        normal(out=on_i)
-        if off.size and uniform() < 0.7:
-            normal(out=tail_i)
-            if tail_i[0] or tail_i.any():
-                # include the cone boundary with positive probability
-                frac[i] = 3.0 if uniform() < 0.2 else 3.0 * uniform()
+    eta[n_probes:, :s] = rng.standard_normal((samples, s))
     l1_s = np.abs(eta[:, :s]).sum(axis=1)
-    l1_tail = np.abs(tail).sum(axis=1)[:, None]
-    tail *= frac[:, None]
-    tail *= l1_s[n_probes:, None]
-    np.divide(tail, l1_tail, out=tail, where=l1_tail > 0)
+    if off.size:
+        rows = n_probes + np.flatnonzero(rng.random(samples) < 0.7)
+        tail = rng.standard_normal((rows.size, off.size))
+        boundary = rng.random(rows.size) < 0.2
+        frac = np.where(boundary, 3.0, 3.0 * rng.random(rows.size))
+        l1_tail = np.abs(tail).sum(axis=1)
+        scale = np.divide(frac * l1_s[rows], l1_tail, out=np.zeros(rows.size),
+                          where=l1_tail > 0)
+        eta[rows, s:] = tail * scale[:, None]
 
     # scored in blocks of rows, so that x eta needs no (candidates, n) array
-    x_eta = np.empty(len(eta))
+    x_eta_sq = np.empty(len(eta))
     for lo in range(0, len(eta), _SCORE_ROWS):
-        x_eta[lo:lo + _SCORE_ROWS] = np.linalg.norm(eta[lo:lo + _SCORE_ROWS] @ xo.T, axis=1)
+        z = eta[lo:lo + _SCORE_ROWS] @ xo.T
+        x_eta_sq[lo:lo + _SCORE_ROWS] = np.einsum("ij,ij->i", z, z)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.sqrt(s) * x_eta / (np.sqrt(n) * l1_s)
+        ratio = np.sqrt(s) * np.sqrt(x_eta_sq) / (np.sqrt(n) * l1_s)
     ratio[l1_s <= 0] = np.inf
     return CompatibilityEstimate(float(np.min(ratio)), len(eta), False)
 

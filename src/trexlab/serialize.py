@@ -105,7 +105,8 @@ def problem_from_dict(d: dict):
 
 def load_problem(path: str):
     """Load a problem file by extension; returns (problem, truth_or_None)."""
-    text = open(path).read()
+    with open(path) as fh:
+        text = fh.read()
     if path.endswith(".json"):
         problem, truth, _ = problem_from_dict(json.loads(text))
         return problem, truth
@@ -176,6 +177,8 @@ class ExperimentConfig:
             raise ConfigError("name one of trex and trex_constrained, not both")
         if self.replicates < 1:
             raise ConfigError("replicates must be at least 1")
+        if self.compat_samples < 0:
+            raise ConfigError("compat_samples must be nonnegative")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":

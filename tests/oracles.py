@@ -117,8 +117,10 @@ def _cone_ratio(x, support, eta):
 def compatibility_scalar(x, support, samples=2000, seed=0):
     """The compatibility search scored one candidate at a time.
 
-    Same probes and the same random draws in the same order as
-    ``bounds.estimate_compatibility``, without its orthogonal short-circuit.
+    Same probes and the same random blocks in the same order as
+    ``bounds.estimate_compatibility`` (support values, tail coins, tails,
+    boundary coins, fractions), without its orthogonal short-circuit; each
+    candidate is then built, rescaled into the cone and scored on its own.
     Returns (smallest ratio, candidates scored).
     """
     support = np.asarray(sorted(set(int(i) for i in support)), dtype=int)
@@ -145,14 +147,22 @@ def compatibility_scalar(x, support, samples=2000, seed=0):
             e[b] = sb
             consider(e)
 
-    for _ in range(max(samples, 0)):
+    on = rng.standard_normal((samples, s))
+    has_tail = rng.random(samples) < 0.7 if off.size else np.zeros(samples, bool)
+    k = int(np.count_nonzero(has_tail))
+    tails = rng.standard_normal((k, off.size))
+    boundary = rng.random(k) < 0.2
+    u = rng.random(k)
+    t = 0
+    for i in range(samples):
         eta = np.zeros(p)
-        eta[support] = rng.standard_normal(s)
-        if off.size and rng.random() < 0.7:
-            tail = rng.standard_normal(off.size)
+        eta[support] = on[i]
+        if has_tail[i]:
+            tail = tails[t]
+            frac = 3.0 if boundary[t] else 3.0 * u[t]
+            t += 1
             l1_tail = float(np.sum(np.abs(tail)))
             if l1_tail > 0:
-                frac = 3.0 if rng.random() < 0.2 else 3.0 * rng.random()
                 eta[off] = tail * frac * np.sum(np.abs(eta[support])) / l1_tail
         consider(eta)
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from trexlab.bounds import (
     AssumptionCheck,
@@ -139,6 +140,25 @@ class TestAssumptionChecks:
                 assert implied.holds
 
 
+_DRAWN_SHAPES = dict(n=st.integers(3, 40), p=st.integers(1, 40), s=st.integers(1, 40),
+                     samples=st.integers(0, 400), seed=st.integers(0, 2**32 - 1),
+                     duplicated=st.booleans())
+
+
+def _drawn_instance(n, p, s, seed, duplicated):
+    """A normalized random design and a support of min(s, p) columns; with
+    ``duplicated`` (and p >= 2) the second support column, or an off-support
+    one, repeats the first."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, p))
+    support = rng.choice(p, min(s, p), replace=False)
+    if duplicated and p >= 2:
+        others = support[1:] if support.size > 1 else np.setdiff1d(np.arange(p), support)
+        x[:, others[0]] = x[:, support[0]]
+    x, _ = normalize_columns(x)
+    return RegressionProblem(x, rng.standard_normal(n), normalized=True), support
+
+
 class TestCompatibility:
     def test_orthogonal_design_exact_one(self, rng):
         n, p = 16, 4
@@ -174,14 +194,19 @@ class TestCompatibility:
         with pytest.raises(ValueError):
             estimate_compatibility(problem, [])
 
+    def test_negative_samples_rejected(self, rng):
+        problem, truth = _instance(rng)
+        with pytest.raises(ValueError, match="samples"):
+            estimate_compatibility(problem, truth.support, samples=-5)
+
     def test_sampled_estimate_is_pinned(self):
-        # captured before the draw loop was tightened; any change to the
-        # draw order or the tail guard moves these bits
+        # captured when the draws became blocks; any change to the block
+        # order or the tail rescaling moves these bits
         spec = ScenarioSpec(n=40, p=25, s=5, seed=3,
                             design=DesignSpec(kind="toeplitz", rho=0.6))
         problem, truth = generate(spec)
         est = estimate_compatibility(problem, truth.support, samples=2000, seed=17)
-        assert est.nu_lower_report == float.fromhex("0x1.3b2e79268b3c5p-1")
+        assert est.nu_lower_report == float.fromhex("0x1.3e49a19bfcaa0p-1")
         assert est.samples == 2025
 
     @pytest.mark.parametrize("n,p,s,seed,samples,repeated", [
@@ -207,6 +232,38 @@ class TestCompatibility:
         assert not est.exact
         assert est.samples == count
         assert est.nu_lower_report == pytest.approx(nu, rel=1e-14)
+
+    @settings(max_examples=30, deadline=None)
+    @given(**_DRAWN_SHAPES)
+    @example(n=20, p=5, s=5, samples=300, seed=1, duplicated=False)    # p = s
+    @example(n=30, p=12, s=3, samples=0, seed=2, duplicated=False)     # probes only
+    @example(n=25, p=10, s=3, samples=200, seed=3, duplicated=True)
+    def test_batched_search_matches_one_at_a_time_drawn(self, n, p, s, samples,
+                                                        seed, duplicated):
+        problem, support = _drawn_instance(n, p, s, seed, duplicated)
+        est = estimate_compatibility(problem, support, samples=samples, seed=seed)
+        if est.exact:
+            return
+        nu, count = compatibility_scalar(problem.x, support, samples=samples,
+                                         seed=seed)
+        assert est.samples == count
+        assert est.nu_lower_report == pytest.approx(nu, rel=1e-14)
+
+    @settings(max_examples=30, deadline=None)
+    @given(**_DRAWN_SHAPES)
+    @example(n=20, p=5, s=5, samples=300, seed=1, duplicated=False)
+    @example(n=25, p=10, s=3, samples=200, seed=3, duplicated=True)
+    def test_estimate_above_eigenvalue_floor(self, n, p, s, samples, seed,
+                                             duplicated):
+        # every cone candidate has sqrt(s) ||x eta|| / (sqrt(n) ||eta_S||_1)
+        # >= sqrt(lambda_min(x.T x / n)), since ||eta_S||_1 <= sqrt(s) ||eta||_2.
+        # The slack is on lambda_min: eigvalsh returns about 1e-17 for a zero
+        # eigenvalue, and its square root (about 4e-9) exceeds any slack on nu
+        p = min(p, n)
+        problem, support = _drawn_instance(n, p, s, seed, duplicated)
+        lam_min = np.linalg.eigvalsh(problem.x.T @ problem.x / n)[0]
+        est = estimate_compatibility(problem, support, samples=samples, seed=seed)
+        assert est.nu_lower_report >= np.sqrt(max(lam_min - 1e-12, 0.0))
 
 
 class TestLassoBounds:

@@ -279,11 +279,12 @@ class TestVerify:
                         "design": {"kind": "toeplitz", "rho": "x"}}]},
         {"norm": {"kind": "group", "partition": [1, 2]}},
         {"theorems": "trex_slow"},
+        {"compat_samples": -5},
     ], ids=["top_level_key", "compat_refine", "solver_key", "solver_not_object",
             "scenario_without_n", "scenario_not_object", "scenario_key", "design_key",
             "noise_key", "signal_key", "norm_without_kind", "norm_key",
             "scenario_n_null", "design_rho_string", "partition_not_nested",
-            "theorems_string"])
+            "theorems_string", "compat_samples_negative"])
     def test_bad_config_fails_with_one_error_line(self, verify_config, tmp_path,
                                                   capsys, change):
         config = json.loads(verify_config.read_text())

@@ -1,8 +1,10 @@
 import os
 import signal
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trexlab import harness
 from trexlab.errors import ConfigError, TrexlabError
@@ -89,6 +91,33 @@ class TestRunVerification:
         serial = run_verification(cfg, jobs=1)
         parallel = run_verification(cfg, jobs=2)
         assert serial == parallel
+
+    @settings(max_examples=4, deadline=None)
+    @given(data=st.data())
+    def test_report_csv_byte_identical_at_one_and_two_jobs(self, data):
+        scenario = st.fixed_dictionaries({
+            "n": st.integers(20, 30), "p": st.integers(6, 12),
+            "s": st.integers(1, 3), "seed": st.integers(0, 2**31 - 1),
+            "design": st.sampled_from([{"kind": "iid_gaussian"},
+                                       {"kind": "toeplitz", "rho": 0.6},
+                                       {"kind": "duplicated_columns",
+                                        "duplicates": 1}])})
+        others = ["trex_slow", "l1_ordering", "lasso_slow", "trex_fast_compat"]
+        cfg = ExperimentConfig.from_dict({
+            "scenarios": data.draw(st.lists(scenario, min_size=1, max_size=2)),
+            "estimators": [data.draw(st.sampled_from(["trex", "trex_constrained"]))],
+            "theorems": ["lasso_fast"] + data.draw(st.lists(
+                st.sampled_from(others), max_size=2, unique=True)),
+            "replicates": data.draw(st.integers(1, 2)),
+            "compat_samples": data.draw(st.integers(0, 300)),
+        })
+        reports = []
+        for jobs in (1, 2):
+            with tempfile.TemporaryDirectory() as out:
+                write_reports(run_verification(cfg, jobs=jobs), out, timestamp=False)
+                with open(os.path.join(out, "report.csv"), "rb") as fh:
+                    reports.append(fh.read())
+        assert reports[0] == reports[1]
 
 
 def _cell_stub(config, scenario_idx, replicate):
