@@ -27,9 +27,10 @@ convex, and their optima usually lie on a face |q_i| = bound w_i of the
 constraint set, where the line search, which only rejects steps that leave
 the set, cannot move. There every subproblem is first solved to its KKT
 point by a batched active-set iteration on its support and its active faces
-(``_face_finish``, through the same ``_face_points``), and its bound comes
-from weak duality for the faces, LB_k(m) with the face multipliers m
-(``_face_lower``). So constrained subproblems close on their certificate and
+(``_face_finish``, through the same ``_face_points``), every support seeded
+from the signs of one lasso at lam = c bound / 2 so that few rounds remain,
+and its bound comes from weak duality for the faces, LB_k(m) with the face
+multipliers m (``_face_lower``). So constrained subproblems close on their certificate and
 are pruned like unconstrained ones, and ``certified_gap`` is a number under
 a bound too.
 
@@ -40,6 +41,12 @@ Every start is one row of the same batched engine, with the group prox in
 place of soft thresholding; group rows are neither certified, pruned nor
 polished, stop when their objective stops falling, and the best of them are
 refined by a second engine call at a tighter tolerance.
+
+The engine's cost at the sizes of ``trexlab verify`` is its number of batched
+rounds, not arithmetic: each backtracking round (``_ladder``) holds at least
+``WIDE_ROUND`` / p^2 candidates, so the few group rows of a small problem try
+many steps at once, and the fit reports its rounds of the face finish and of
+the line search (``face_rounds``, ``trial_rounds``).
 """
 
 from __future__ import annotations
@@ -62,8 +69,13 @@ from .norms import NormSpec, l1_spec, omega, omega_dual, penalty_weight_vector
 TIE_TOL = 1e-10
 # backtracking steps one iteration of the engine tries per row
 MAX_TRIALS = 80
+# a ladder round over p coordinates holds at least WIDE_ROUND // p^2
+# candidates: below that a round costs its Python overhead, not arithmetic
+WIDE_ROUND = 2 ** 14
 # active-set rounds of one face finish (``_face_finish``)
 MAX_FACE_ROUNDS = 40
+# proximal-gradient steps of the lasso that seeds the face finish's supports
+LASSO_STEPS = 20
 
 
 @dataclass(frozen=True)
@@ -282,16 +294,39 @@ def _face_lower(xty, bound, pen_w, yz, r, M):
     return t * (yz + M @ xty - bound * (np.abs(M) @ pen_w))
 
 
-def _face_finish(G, xty, yty, c, j, s, pen_w, bound, delta, B, incumbent, copies):
+def _lasso_signs(G, xty, lam, pen_w, Lg):
+    """Signs of the weighted lasso 1/2 b.G b - xty.b + lam sum_i w_i |b_i|
+    after ``LASSO_STEPS`` proximal-gradient steps of length 1 / Lg from 0;
+    all zero where G has fewer than p / 2 dimensions, or no more than the
+    signs that are nonzero."""
+    p = G.shape[0]
+    b = np.zeros(p)
+    for _ in range(LASSO_STEPS):
+        b = _soft(b + (xty - G @ b) / Lg, lam * pen_w / Lg)
+    sig = np.sign(b)
+    # with p >> n the supports of the face finish outgrow the rank of G
+    # anyway, and a lasso support near the rank only makes the rows' first
+    # systems larger, or singular once the row's own coordinate joins
+    rank = np.linalg.matrix_rank(G, hermitian=True)
+    if p > 2 * rank or np.count_nonzero(sig) >= rank:
+        sig[:] = 0.0
+    return sig
+
+
+def _face_finish(G, xty, yty, c, j, s, pen_w, bound, delta, B, incumbent, copies, Lg):
     """Solve R sign rows under ``bound`` to their KKT points, batched.
 
     An active-set iteration on the support S with signs sig and the active
-    faces, the nonzero entries of their sides tau. The support starts as the
-    row's own coordinate j with the sign of B (empty if B_j = 0), the faces
-    as those B lies within a relative 1e-6 of. Each round moves every row to
-    the stationary point of its current sets (``_face_points``), with the
-    faces a relative 1e-12 inside ``bound`` so that the point passes the
-    engine's bound test despite rounding, then it
+    faces, the nonzero entries of their sides tau. Every support starts from
+    one shared seed, the signs of the weighted lasso at lam = c bound / 2 on
+    (G, xty) (``_lasso_signs``, which reuses the engine's ``Lg``), less the
+    later copies of each set of ``copies`` and the other copies of j; the
+    row's own coordinate j joins with the sign of B_j unless B_j = 0. The
+    seed changes how many rounds a row takes, not the KKT point it reaches.
+    The faces start as those B lies within a relative 1e-6 of. Each round
+    moves every row to the stationary point of its current sets
+    (``_face_points``), with the faces a relative 1e-12 inside ``bound`` so
+    that the point passes the engine's bound test despite rounding, then it
 
     - keeps the coordinates whose sign held and the faces whose multiplier
       has the face's side;
@@ -306,18 +341,23 @@ def _face_finish(G, xty, yty, c, j, s, pen_w, bound, delta, B, incumbent, copies
       before a sign changes.
 
     A point must keep D > delta, the engine's domain. A row whose sets did
-    not change is at a KKT point of its convex subproblem. A support that
-    would become empty keeps its coordinates with their signs flipped. A row
-    without a stationary point gets its own face j (D = bound), and then one
-    more start from the whole support and the faces of B. A round prunes
-    every row whose LB_k(m) at its point (``_face_lower``) exceeds the
-    incumbent (the best feasible objective, lowered by the rows already
-    solved) by more than ``_near_margin``; the points on the way need not be
-    feasible, since LB_k(m) holds anywhere in the row's domain.
+    not change stops: it is at a KKT point of its convex subproblem when it
+    is stationary on its support, (g - G m)_i = -w_i sig_i to 1e-9 there;
+    where it is not, the system was singular and inconsistent (a support
+    past the rank of G), and its sets would never change again. A support
+    that would become empty keeps its coordinates with their signs
+    flipped. A row without a stationary point gets its own face j
+    (D = bound), and then one more start from the whole support and the
+    faces of B. A round prunes every row whose LB_k(m) at its point
+    (``_face_lower``) exceeds the incumbent (the best feasible objective,
+    lowered by the rows already solved) by more than ``_near_margin``; the
+    points on the way need not be feasible, since LB_k(m) holds anywhere in
+    the row's domain.
 
     Returns (B, M, lower, status, rounds): for rows with status 1 the KKT
-    point and its multipliers, for rows with status 2 (pruned) the bound
-    that pruned them; rows with status 0 reached neither within
+    point and its multipliers, for rows with status 3 the settled point that
+    is not one and its multipliers, for rows with status 2 (pruned) the
+    bound that pruned them; rows with status 0 reached none of these within
     ``MAX_FACE_ROUNDS``. ``rounds`` counts the rounds each row took part in.
     """
     R, p = B.shape
@@ -326,19 +366,22 @@ def _face_finish(G, xty, yty, c, j, s, pen_w, bound, delta, B, incumbent, copies
     status = np.zeros(R, dtype=int)
     rounds = np.zeros(R, dtype=int)
     q = xty[None, :] - B @ G
-    # the support starts from the row's own coordinate alone: the support of
-    # a start repaired into the constraint set, or of an iterate that crawled
-    # along a face, is a poor guess
+    # the support of a start repaired into the constraint set, or of an
+    # iterate that crawled along a face, is a poor seed; one lasso is a
+    # better one for every row
     rows = np.arange(R)
-    sig = np.zeros((R, p))
-    sig[rows, j] = np.sign(B[rows, j])
+    sig = np.tile(_lasso_signs(G, xty, 0.5 * c * bound, pen_w, Lg), (R, 1))
+    if copies is not None:
+        # a support adds only the first of a set of copies, and none of a set it holds
+        later = (np.cumsum(copies, axis=0) * copies).sum(axis=1) > 1.0
+        sig[:, later] = 0.0
+        sig[copies[j] @ copies.T > 0.0] = 0.0
+    own = B[rows, j] != 0.0
+    sig[rows[own], j[own]] = np.sign(B[rows[own], j[own]])
     S = sig != 0.0
     tau0 = np.sign(q) * (np.abs(q) >= bound * (1.0 - 1e-6) * pen_w)
     tau = tau0.copy()
     restarted = np.zeros(R, dtype=bool)
-    if copies is not None:
-        # a support adds only the first of a set of copies, and none of a set it holds
-        later = (np.cumsum(copies, axis=0) * copies).sum(axis=1) > 1.0
     for round_ in range(MAX_FACE_ROUNDS):
         run = np.flatnonzero(status == 0)
         if run.size == 0:
@@ -395,15 +438,18 @@ def _face_finish(G, xty, yty, c, j, s, pen_w, bound, delta, B, incumbent, copies
         flip = ~(keep_S | add_S).any(axis=1) & Sr.any(axis=1)
         keep_S[flip] = Sr[flip]
         sig[run[flip]] = np.where(Sr[flip], -sig[run[flip]], 0.0)
-        kkt = ((keep_S == Sr) & (keep_A == Ar) & ~add_S & ~add_A).all(axis=1) & ~flip
-        done = run[kkt]
-        status[done] = 1
-        out_B[done], out_M[done] = Bt[kkt], Mt[kkt]
-        if kkt.any():
+        settled = ((keep_S == Sr) & (keep_A == Ar) & ~add_S & ~add_A).all(axis=1) & ~flip
+        # a settled point that is not stationary on its support solved an
+        # inconsistent system by least squares: status 3, not a KKT point
+        stuck = np.where(Sr, np.abs(r / pen_w + sig[run]), 0.0).max(axis=1) > 1e-9
+        done = run[settled]
+        status[done] = np.where(stuck[settled], 3, 1)
+        out_B[done], out_M[done] = Bt[settled], Mt[settled]
+        if settled.any():
             incumbent = min(incumbent, float(np.min(
-                rss[kkt] / (c * D[kkt]) + np.abs(Bt[kkt]) @ pen_w)))
+                rss[settled] / (c * D[settled]) + np.abs(Bt[settled]) @ pen_w)))
         lb = _face_lower(xty, bound, pen_w, yz, r, Mt)
-        hopeless = ~kkt & (lb > incumbent + _near_margin(incumbent))
+        hopeless = ~settled & (lb > incumbent + _near_margin(incumbent))
         status[run[hopeless]] = 2
         lower[run[hopeless]] = lb[hopeless]
         sig[run] = np.where(add_S, -np.sign(r), sig[run])
@@ -423,6 +469,8 @@ class _BatchResult(NamedTuple):
     stalled: np.ndarray
     pruned: np.ndarray
     lower: np.ndarray
+    face_rounds: int
+    trial_rounds: int
 
 
 def _spectral_norm_estimate(G: np.ndarray, iters: int = 30) -> float:
@@ -494,29 +542,26 @@ def _sign_rows(G, xty, yty, c, j_arr, s_arr, pen_w, dual_ref, delta, bound=None)
     the domain boundary. Under ``bound`` a start that violates the constraint
     is then repaired.
     """
-    p = G.shape[0]
     dw = pen_w[j_arr]
     tau = max(1e-3 * dual_ref, 10.0 * delta)
     B, feasible = _coordinate_starts(G, xty, yty, c, j_arr, s_arr, pen_w, delta, tau)
     if bound is not None:
         # repair starts that violate the dual constraint: aim the correlation
-        # vector at a point strictly inside the constraint set
+        # vector at a point strictly inside the constraint set; the stacked
+        # products take one matrix-vector product per start, all in one call
         qS = xty[None, :] - B @ G
         dualS = np.max(np.abs(qS) / pen_w[None, :], axis=1)
         viol = np.flatnonzero(feasible & (dualS > bound * (1.0 + 1e-12)))
         if viol.size:
-            Gpinv = np.linalg.pinv(G)
-            for k in viol:
-                j = j_arr[k]
-                target = np.zeros(p)
-                target[j] = s_arr[k] * 0.5 * bound * pen_w[j]
-                bk = Gpinv @ (xty - target)
-                qk = xty - G @ bk
-                dk = s_arr[k] * qk[j] / dw[k]
-                if dk > delta and float(np.max(np.abs(qk) / pen_w)) <= bound:
-                    B[k] = bk
-                else:
-                    feasible[k] = False
+            jv = j_arr[viol]
+            target = np.zeros((viol.size, G.shape[0]))
+            target[np.arange(viol.size), jv] = s_arr[viol] * 0.5 * bound * pen_w[jv]
+            Bv = (np.linalg.pinv(G) @ (xty[None, :] - target)[:, :, None])[:, :, 0]
+            qv = xty[None, :] - (G @ Bv[:, :, None])[:, :, 0]
+            ok = ((s_arr[viol] * qv[np.arange(viol.size), jv] / dw[viol] > delta)
+                  & (np.max(np.abs(qv) / pen_w[None, :], axis=1) <= bound))
+            B[viol[ok]] = Bv[ok]
+            feasible[viol[~ok]] = False
     return _Rows(j_arr[:, None], s_arr, dw), B, feasible
 
 
@@ -567,11 +612,15 @@ def _ladder(t, t_floor, cap, trial, out, dest):
     """Backtracking of k rows at once: each row's largest passing step among
     t, t/2, t/4, ..., at most ``MAX_TRIALS`` steps per row.
 
-    Round r tries the next m = 2^r steps of every pending row in one call
+    Round r tries the next m steps of every pending row in one call
     ``trial(rows, steps)`` (``rows`` is the slice of all rows when all are
     pending with one step each), which returns a pass mask over the
-    candidates and a tuple of per-candidate arrays; m is capped so that a
-    round holds at most ``cap`` candidates. Every t must be at least its
+    candidates and a tuple of per-candidate arrays. m = 2^r, but at least
+    (``WIDE_ROUND`` // p^2) // pending, so that rounds over few cheap
+    candidates (small p, few pending rows) are wide, with p the columns of
+    ``out[0]`` (1 if it has none); m is capped so that a round holds at most
+    ``cap`` candidates and no row tries more than ``MAX_TRIALS`` steps. Every
+    row still takes the largest passing step. Every t must be at least its
     floor ``t_floor``; a step below it is never tried, and a row whose next
     step would fall below it is dead (stalled). The arrays of row i's
     accepted candidate go to row dest[i] of the arrays in ``out``. Returns the
@@ -583,8 +632,10 @@ def _ladder(t, t_floor, cap, trial, out, dest):
     dead = np.zeros(t.size, dtype=bool)
     pending = np.arange(t.size)
     tried = r = 0
+    p = out[0].shape[1] if out[0].ndim > 1 else 1
     while pending.size and tried < MAX_TRIALS:
-        m = min(2 ** r, max(cap // pending.size, 1), MAX_TRIALS - tried)
+        m = min(max(2 ** r, WIDE_ROUND // p ** 2 // pending.size),
+                max(cap // pending.size, 1), MAX_TRIALS - tried)
         if m == 1:
             # the common round: one step per row, never below its floor;
             # a slice spares the copies when every row is pending
@@ -634,10 +685,12 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
       whose prox is ``norms.prox_omega``; its objective need not be convex.
 
     Each iteration backtracks every active row at once (``_ladder``): round r
-    tries the next 2^r steps t, t/2, t/4, ... of every pending row in one
-    batch of at most max(K, 2p) candidates, and each row keeps its largest
-    step that stays in the domain, passes ``bound`` and gives sufficient
-    decrease; these are the decisions of trying one step at a time. A row
+    tries the next 2^r steps t, t/2, t/4, ... of every pending row, or more
+    where few cheap candidates are pending (small p, as for group rows), in
+    one batch of at most max(K, 2p, ``WIDE_ROUND`` // p^2) candidates, and
+    each row keeps its largest step that stays in the domain, passes
+    ``bound`` and gives sufficient decrease; these are the decisions of
+    trying one step at a time. A row
     tries at most ``MAX_TRIALS`` steps per iteration and stalls once its step
     would fall below 1e-18 times its first. A stalled row counts as
     converged only if its certificate closes at its final point.
@@ -799,7 +852,7 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
         t[:] = c * np.where(D > 0, D, 1.0) / (2.0 * Lg)
     t = np.maximum(t, 1e-300)
     t_floor = 1e-18 * t
-    cap = max(K, 2 * p)
+    cap = max(K, 2 * p, WIDE_ROUND // p ** 2)
     active = feasible.copy()
     converged = np.zeros(K, dtype=bool)
     stalled = np.zeros(K, dtype=bool)
@@ -809,6 +862,8 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
     polished = np.zeros(K, dtype=bool)
     growth = 1.3 if group else 2.0
     iterations = np.zeros(K, dtype=int)
+    # rounds of the face finish, and batched ``trial`` calls of the ladder
+    face_rounds = trial_rounds = 0
     if faces:
         # every sign row goes to its KKT point first, also a row whose start
         # could not be put inside the constraint set: adopt the points that
@@ -816,10 +871,13 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
         # multiplier, prune the feasible rows the finish pruned; the loop
         # then closes the adopted rows on their certificate and steps the rest
         Bk, M, lbk, st, iterations = _face_finish(
-            G, xty, yty, c, j_arr, s_arr, pen_w, bound, delta, B, float(F.min()), copies)
+            G, xty, yty, c, j_arr, s_arr, pen_w, bound, delta, B, float(F.min()), copies,
+            Lg)
+        face_rounds = int(iterations.max(initial=0))
         gone = np.flatnonzero((st == 2) & feasible)
         pruned[gone], known[gone], active[gone] = True, lbk[gone], False
-        take = adopt(np.flatnonzero(st == 1), Bk[st == 1])
+        settled = np.flatnonzero((st == 1) | (st == 3))
+        take = adopt(settled, Bk[settled])
         feasible[take] = active[take] = True
     hist = [F.copy()]
 
@@ -846,6 +904,8 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
         gr = rss[act] / (c * D[act])
 
         def trial(ix, steps):
+            nonlocal trial_rounds
+            trial_rounds += 1
             b, g = Br[ix], grad[ix]
             Cand = prox(b - steps[:, None] * g, steps[:, None])
             qC, rssC, DC = eval_rows(Cand, act[ix])
@@ -903,7 +963,7 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
     with np.errstate(invalid="ignore"):
         converged |= stalled & (F - lower <= config.tolerance * (1.0 + np.abs(F)))
     return _BatchResult(B, q, F, converged, feasible, iterations, stalled, pruned,
-                        lower)
+                        lower, face_rounds, trial_rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -948,7 +1008,11 @@ def solve_trex(problem: RegressionProblem, config: SolverConfig = None,
       (the only one for sign fits), rounds of the face finish included;
     - ``row_iterations``: proximal-gradient steps and face-finish rounds
       summed over all rows (every start of every subproblem), including a
-      heuristic fit's refine stage.
+      heuristic fit's refine stage;
+    - ``face_rounds``: the rounds of the face finish, each one batched
+      ``_face_points`` call (0 without a bound and for heuristic fits);
+    - ``trial_rounds``: the batched line-search rounds, ``trial`` calls of
+      ``_ladder``, summed over the engine calls.
 
     A subproblem's record holds its best row. Ties within 1e-10 break to the
     lowest subproblem: the lowest coordinate, negative sign first.
@@ -988,6 +1052,7 @@ def solve_trex(problem: RegressionProblem, config: SolverConfig = None,
                               "no start lies inside both the constraint and the domain")
         raise DomainError("all subproblems infeasible; input is degenerate")
     row_iterations = int(np.sum(res.iterations))
+    trial_rounds = res.trial_rounds
     if heuristic:
         # refine the group rows near the best at a thousandth of the tolerance
         near = np.flatnonzero(res.objective <= best + _near_margin(best))
@@ -996,6 +1061,7 @@ def solve_trex(problem: RegressionProblem, config: SolverConfig = None,
                                  replace(config, tolerance=config.tolerance * 1e-3),
                                  bound=bound)
         row_iterations += int(np.sum(ref.iterations))
+        trial_rounds += ref.trial_rounds
         # a row whose refine start fails the domain or the bound by rounding
         # keeps its main-stage result
         kept = near[ref.feasible]
@@ -1042,6 +1108,8 @@ def solve_trex(problem: RegressionProblem, config: SolverConfig = None,
             "heuristic": heuristic,
             "iterations": int(np.max(res.iterations)),
             "row_iterations": row_iterations,
+            "face_rounds": res.face_rounds,
+            "trial_rounds": trial_rounds,
             "bound": bound,
             "all_converged": bool(np.all((converged | pruned)[feasible])),
             "pruned": int(np.sum(res.pruned)),

@@ -1,12 +1,18 @@
 """Independent brute-force oracles used to freeze expected values.
 
 These deliberately avoid the library's solver code paths: objectives are
-re-stated from scratch and minimized by iteratively zoomed dense grids.
+re-stated from scratch and minimized by iteratively zoomed dense grids. The
+exception is ``face_finish_from_own_coordinate``, the library's face finish
+with an earlier seeding, kept to check the current one.
 """
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
+
+from trexlab import trex
 
 
 def zoom_grid_minimize(f, lower, upper, points=61, rounds=10, shrink=4):
@@ -207,3 +213,18 @@ def constrained_row_oracle(x, y, c, j, s, bound, pen_w=None, starts=()):
         if np.max(np.abs(q) / w) <= bound * (1.0 + 1e-9) and res.fun < best_f:
             best, best_f = b, float(res.fun)
     return best, best_f
+
+
+# the library's face finish, held here so that a test may patch it with the oracle
+_face_finish = trex._face_finish
+
+
+def face_finish_from_own_coordinate(*args):
+    """``trex._face_finish`` with the support of row (j, s) seeded from its own
+    coordinate j alone (with the sign of B_j, empty if B_j = 0), the seeding
+    it had before the shared lasso support: with an empty lasso support the
+    seed is j alone. The seeding changes the rounds a row takes, never the
+    KKT point it reaches.
+    """
+    with mock.patch.object(trex, "_lasso_signs", lambda G, *_: np.zeros(G.shape[0])):
+        return _face_finish(*args)

@@ -63,3 +63,26 @@ class TestSummarize:
         stats = bench_pairs.summarize(runs(PARENT, change, "rate"), [RATE])["rate"]
         assert stats["within_bound"] is within
         assert not stats["claim_met"]
+
+
+_DIFF_PATH = _PATH.parent / "verdict_diff.py"
+_DIFF_SPEC = importlib.util.spec_from_file_location("verdict_diff", _DIFF_PATH)
+verdict_diff = importlib.util.module_from_spec(_DIFF_SPEC)
+_DIFF_SPEC.loader.exec_module(verdict_diff)
+
+
+class TestFieldDiffs:
+    HEAD = "scenario,replicate,theorem,verdict,lhs,rhs\n"
+
+    def test_counts_and_largest_relative_difference(self):
+        old = (self.HEAD + "a,0,t1,holds,1.0,2.0\na,1,t1,holds,4.0,0\n"
+               "a,0,t2,holds,3.0,5.0\n").encode()
+        new = (self.HEAD + "a,0,t1,holds,1.0,2.5\na,1,t1,holds,5.0,0.0\n"
+               "a,0,t2,not_applicable,3.0,5.0\n").encode()
+        same = old
+        fields = verdict_diff.field_diffs([(old, new), (same, same)])
+        assert fields.keys() == {("t1", "lhs"), ("t1", "rhs"), ("t2", "verdict")}
+        assert fields[("t1", "lhs")] == [1, pytest.approx(0.2)]
+        # 2.0 -> 2.5 and 0 -> 0.0, which is no difference in value
+        assert fields[("t1", "rhs")] == [2, pytest.approx(0.2)]
+        assert fields[("t2", "verdict")] == [1, float("inf")]

@@ -1,8 +1,9 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize, minimize_scalar
 
 from trexlab.errors import ConfigError, DomainError
@@ -37,13 +38,14 @@ from trexlab.serialize import problem_to_csv
 from conftest import random_problem
 from oracles import (
     constrained_row_oracle,
+    face_finish_from_own_coordinate,
     subproblem_objective_batch,
     trex_grid_oracle,
     zoom_grid_minimize,
 )
 
 
-def _settles_nothing(G, xty, yty, c, j, s, pen_w, bound, delta, B, incumbent, copies):
+def _settles_nothing(G, xty, yty, c, j, s, pen_w, bound, delta, B, incumbent, copies, Lg):
     """A face finish that leaves every row as it was, one round each: the
     constrained engine then steps its rows as it did before the finish."""
     R, p = B.shape
@@ -569,6 +571,39 @@ class TestCoordinateStarts:
         assert D == pytest.approx(tau, rel=1e-9)
         assert D > delta
 
+    @pytest.mark.parametrize("shape", ["tall", "wide", "copies", "weighted"])
+    @pytest.mark.parametrize("scale", [0.5, 1.0])
+    def test_batched_repair_matches_one_start_at_a_time(self, rng, shape, scale):
+        # ``_sign_rows`` repairs every start outside the bound in one call;
+        # the reference loop below repairs them one at a time
+        problem = (_flipped_copies() if shape == "copies" else
+                   random_problem(rng, 8, 14) if shape == "wide" else
+                   random_problem(rng, 20, 8))
+        w = rng.uniform(0.5, 2.0, problem.p) if shape == "weighted" else np.ones(problem.p)
+        c = 0.5
+        G, xty, yty, j_arr, s_arr, delta, _, B, feasible = _starts(problem, c, w)
+        bound = scale * float(np.max(np.abs(xty) / w))
+        Gpinv = np.linalg.pinv(G)
+        viol = np.flatnonzero(feasible & (np.max(np.abs(xty - B @ G) / w, axis=1)
+                                          > bound * (1.0 + 1e-12)))
+        assert viol.size
+        for k in viol:
+            j = j_arr[k]
+            target = np.zeros(problem.p)
+            target[j] = s_arr[k] * 0.5 * bound * w[j]
+            bk = Gpinv @ (xty - target)
+            qk = xty - G @ bk
+            if s_arr[k] * qk[j] / w[j] > delta and np.max(np.abs(qk) / w) <= bound:
+                B[k] = bk
+            else:
+                feasible[k] = False
+        _, got_B, got_feasible = trex._sign_rows(G, xty, yty, c, j_arr, s_arr, w,
+                                                 float(np.max(np.abs(xty) / w)), delta,
+                                                 bound)
+        # the same matrix-vector products, so the same bits
+        np.testing.assert_array_equal(got_feasible, feasible)
+        np.testing.assert_array_equal(got_B, B)
+
     def test_zero_column_stays_infeasible(self, rng):
         x = rng.standard_normal((12, 3))
         x[:, 1] = 0.0
@@ -614,6 +649,34 @@ class TestRowIterations:
             fit = solve_trex(problem, spec=spec)
         assert len(stages) == 1
         assert fit.diagnostics["row_iterations"] == stages[0] > 0
+
+    @pytest.mark.parametrize("kind", ["l1", "bound", "group"])
+    def test_face_and_trial_rounds_count_the_batched_calls(self, rng, kind, monkeypatch):
+        counts = {"face": [], "trial": 0}
+        finish, ladder = trex._face_finish, trex._ladder
+
+        def record_finish(*args):
+            out = finish(*args)
+            counts["face"].append(int(out[4].max()))
+            return out
+
+        def record_ladder(t, t_floor, cap, trial, out, dest):
+            def counted(ix, steps):
+                counts["trial"] += 1
+                return trial(ix, steps)
+            return ladder(t, t_floor, cap, counted, out, dest)
+
+        monkeypatch.setattr(trex, "_face_finish", record_finish)
+        monkeypatch.setattr(trex, "_ladder", record_ladder)
+        problem = random_problem(rng, 30, 10)
+        if kind == "group":
+            fit = solve_trex(problem, spec=group_spec([(0, 1, 2), (3, 4), (5, 6, 7, 8, 9)]))
+        else:
+            fit = (solve_trex_constrained if kind == "bound" else solve_trex)(problem)
+        assert fit.diagnostics["face_rounds"] == sum(counts["face"])
+        assert fit.diagnostics["trial_rounds"] == counts["trial"]
+        assert (fit.diagnostics["face_rounds"] > 0) == (kind == "bound")
+        assert (counts["trial"] > 0) == (kind != "bound")
 
 
 def _plain_ladder(t, t_floor, cap, trial, out, dest):
@@ -696,6 +759,41 @@ class TestLadder:
         np.testing.assert_allclose(res.beta, ref.beta, rtol=1e-13, atol=1e-15)
         if kind == "bound":
             assert res.stalled.any() and acc.any()
+
+    def test_wide_rounds_over_few_group_rows_match_one_step_at_a_time(self, rng,
+                                                                       monkeypatch):
+        # one start of each of the 3 groups at p = 8: every round of the
+        # ladder tries at least WIDE_ROUND // 64 // 3 = 85 steps per row
+        # (all 80 at once), where the doubling would try 1, 2, 4, ...
+        args, _ = _engine_case("group", rng)
+        G, xty, yty, spec, rows, B, feasible, delta, config = args
+        few = np.arange(0, len(B), 8)
+        runs = []
+        for ladder in (trex._ladder, _plain_ladder):
+            calls, widths = [], []
+
+            def record(t, t_floor, cap, trial, out, dest, ladder=ladder):
+                def logged(ix, steps):
+                    widths.append(steps.size)
+                    return trial(ix, steps)
+                calls.append(ladder(t, t_floor, cap, logged, out, dest))
+                return calls[-1]
+
+            monkeypatch.setattr(trex, "_ladder", record)
+            res = trex._solve_subproblems(G, xty, yty, spec, rows.take(few), B[few].copy(),
+                                          feasible[few], delta,
+                                          replace(config, max_iterations=40))
+            runs.append((res, calls, widths))
+        (res, calls, widths), (ref, ref_calls, ref_widths) = runs
+        assert len(calls) == len(ref_calls) == 40
+        for got, want in zip(calls, ref_calls):
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+        # the same decisions; a candidate's last bits depend on its batch
+        np.testing.assert_allclose(res.beta, ref.beta, rtol=1e-12, atol=1e-13)
+        # one wide round per iteration, where one step at a time took more
+        assert len(widths) == 40 < len(ref_widths)
+        assert min(widths) > few.size
 
     @staticmethod
     def _threshold_trial(limit, log):
@@ -923,6 +1021,68 @@ class TestFaceFinish:
                 lb = trex._face_lower(xty, bound, w, z @ y, -(z @ x) - M @ G, M)
                 assert np.all(lb <= oracle + 1e-9 * (1.0 + abs(oracle)))
         assert f <= best * (1.0 + 1e-7) + 1e-9
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 24), p=st.integers(2, 30),
+           copies=st.sampled_from([None, 1.0, -1.0]), weighted=st.booleans(),
+           scale=st.floats(0.3, 1.0))
+    # p > n weighted, p > n with copies, copies weighted: 4, 9 and 15 rows
+    # reach their KKT points under both seedings, and both fits are certified
+    @example(seed=3, n=10, p=16, copies=None, weighted=True, scale=0.8)
+    @example(seed=5, n=10, p=14, copies=1.0, weighted=False, scale=1.0)
+    @example(seed=2, n=24, p=20, copies=1.0, weighted=True, scale=0.5)
+    def test_lasso_seed_reaches_the_same_kkt_points(self, seed, n, p, copies, weighted,
+                                                     scale):
+        # the supports start from one lasso instead of from j alone: the rows
+        # both seedings solve reach the same optimum, and the fits the same
+        # winner; columns 0 and 1 are copies (up to sign) when ``copies`` is set
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, p))
+        if copies and p > 2:
+            x[:, 1] = copies * x[:, 0]
+        problem, _ = make_problem(x, x[:, :2] @ rng.standard_normal(2)
+                                  + rng.standard_normal(n))
+        w = rng.uniform(0.5, 2.0, p) if weighted else np.ones(p)
+        w[1] = w[0]
+        spec = weighted_l1_spec(w) if weighted else l1_spec()
+        x, y = problem.x, problem.y
+        G, xty, yty = x.T @ x, x.T @ y, float(y @ y)
+        dual0 = float(np.max(np.abs(xty) / w))
+        bound, delta, c = scale * dual0, 1e-10 * dual0, 0.5
+        j, s = np.repeat(np.arange(p), 2), np.tile([-1.0, 1.0], p)
+        _, B, _ = trex._sign_rows(G, xty, yty, c, j, s, w, dual0, delta, bound)
+        args = (G, xty, yty, c, j, s, w, bound, delta, B, np.inf, trex._copies(G, w),
+                trex._spectral_norm_estimate(G))
+        objectives = []
+        for finish in (trex._face_finish, face_finish_from_own_coordinate):
+            Bk, _, _, status, _ = finish(*args)
+            q = xty[None, :] - Bk @ G
+            rss = yty - 2.0 * (Bk @ xty) + np.einsum("kp,kp->k", Bk, xty[None, :] - q)
+            D = s * q[np.arange(2 * p), j] / w[j]
+            objectives.append((np.where(status == 1, rss / (c * D) + np.abs(Bk) @ w,
+                                        np.nan)))
+        both = ~np.isnan(objectives[0]) & ~np.isnan(objectives[1])
+        np.testing.assert_allclose(objectives[0][both], objectives[1][both],
+                                   rtol=1e-9, atol=1e-12)
+        fits = []
+        for finish in (trex._face_finish, face_finish_from_own_coordinate):
+            with mock.patch.object(trex, "_face_finish", finish):
+                try:
+                    fits.append(solve_trex_constrained(problem, spec=spec, bound=bound))
+                except DomainError:
+                    fits.append(None)
+        if fits[0] is None or fits[1] is None:
+            assert fits[0] is fits[1] is None
+            return
+        # each fit lies above the other's certified lower bound; where both
+        # close their certificates (p > n rows often cannot), they agree
+        f = [fit.objective for fit in fits]
+        gap = [fit.diagnostics["certified_gap"] for fit in fits]
+        for a, b in ((0, 1), (1, 0)):
+            assert f[a] >= f[b] - gap[b] - 1e-9 * (1.0 + abs(f[b]))
+        if all(fit.diagnostics["all_converged"] for fit in fits):
+            assert fits[0].winner == fits[1].winner
+            assert f[0] == pytest.approx(f[1], rel=1e-9)
 
 
 class TestUnpenalized:

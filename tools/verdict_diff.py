@@ -10,8 +10,10 @@ the gitignored ``.bench_base/<sha>``), and once in this checkout, each side in
 one process of its own. It prints, per theorem, how many report rows went
 from each verdict to each other verdict, then how many configs wrote a
 ``report.csv`` that differs byte for byte between the two sides, naming the
-first few. It exits 1 if any row that was not ``violated`` in the base is
-``violated`` here.
+first few, and for every (theorem, column) with differing cells their count
+and the largest relative difference |a - b| / max(|a|, |b|) ("-" where a
+cell is not a number). It exits 1 if any row that was not ``violated`` in
+the base is ``violated`` here.
 """
 
 import argparse
@@ -19,6 +21,7 @@ import collections
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -78,6 +81,38 @@ def verdicts(root, configs, out_dir) -> tuple:
     return rows, reports
 
 
+def _cells(report: bytes) -> dict:
+    """Every cell of a ``report.csv``, keyed by (scenario, replicate, theorem)
+    and column."""
+    cells = {}
+    for row in csv.DictReader(io.StringIO(report.decode(), newline="")):
+        key = (row["scenario"], row["replicate"], row["theorem"])
+        cells.update(((key, column), value) for column, value in row.items())
+    return cells
+
+
+def field_diffs(pairs) -> dict:
+    """[count, largest relative difference] of the differing cells per
+    (theorem, column), over (base, change) ``report.csv`` pairs; the
+    difference is inf where a cell is not a number."""
+    out = {}
+    for old_report, new_report in pairs:
+        old, new = _cells(old_report), _cells(new_report)
+        for (key, column), a in old.items():
+            b = new.get((key, column))
+            if a == b:
+                continue
+            try:
+                fa, fb = float(a), float(b)
+                rel = abs(fa - fb) / max(abs(fa), abs(fb), math.ulp(0.0))
+            except (TypeError, ValueError):
+                rel = math.inf
+            entry = out.setdefault((key[2], column), [0, 0.0])
+            entry[0] += 1
+            entry[1] = max(entry[1], rel)
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--base", default="HEAD", help="the base side's commit")
@@ -111,6 +146,10 @@ def main(argv=None) -> int:
     differ = [tag for tag, _ in configs if reports["base"][tag] != reports["change"][tag]]
     print(f"{len(differ)} of {len(configs)} configs wrote a report.csv that differs "
           "byte for byte" + "".join(f"\n  {tag}" for tag in differ[:5]))
+    fields = field_diffs((reports["base"][tag], reports["change"][tag]) for tag in differ)
+    for (theorem, column), (count, rel) in sorted(fields.items()):
+        print(f"{theorem:22s} {column:22s} {count:5d} cells differ, largest relative "
+              + ("-" if rel == math.inf else f"{rel:.2e}"))
     if new_violations:
         print(f"{new_violations} rows became violated")
         return 1
