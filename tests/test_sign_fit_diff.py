@@ -29,9 +29,21 @@ class TestSummarize:
         # the gap 0.5 on objective 2 is open: falsely converged on the parent
         assert a["uncertified_parent"] == a["false_converged_parent"] == 1
         assert a["uncertified_change"] == 1 and a["false_converged_change"] == 0
-        assert a["winners_differ"] == 1
-        assert a["max_rel_objective_change"] == pytest.approx(0.05)
+        # winners and objectives are compared where both sides certify: the
+        # second fit, open on both sides, moved its winner and fell by 5 %
+        assert a["winners_differ"] == 0
+        assert a["max_rel_objective_change"] == pytest.approx(1e-13)
+        # the first fit rose by 1e-13 relative, within 1e-9: not counted
+        assert a["rose"] == a["rose_where_parent_certified"] == 0
         assert a["cpu_parent"] == [1.5] and a["cpu_change"] == [1.25]
         # a failed fit is uncertified and is left out of the comparisons
         assert b["uncertified_parent"] == 1 and b["uncertified_change"] == 0
         assert b["winners_differ"] == 0 and b["max_rel_objective_change"] == 0.0
+
+    def test_a_rise_where_the_parent_certified_is_named(self):
+        parent = [[fit(1.0, [0, 1], 0.0, True), fit(1.0, [0, 1], 0.9, False)]]
+        change = [[fit(1.1, [2, 1], 0.0, True), fit(1.1, [0, 1], 0.9, False)]]
+        a = sign_fit_diff.summarize(["a", "a"], parent, change)["a"]
+        assert a["rose"] == 2 and a["rose_where_parent_certified"] == 1
+        assert a["winners_differ"] == 1
+        assert a["max_rel_objective_change"] == pytest.approx(0.1)

@@ -22,8 +22,10 @@ families:
 
 Per family it prints the fits, the uncertified fits (``certified_gap`` above
 1e-9 (1 + |f|), or no fit), the falsely converged ones (``all_converged``
-with such a gap), the fits whose winners differ, the largest relative
-objective change and the CPU seconds of each side (one number per run).
+with such a gap), and the CPU seconds of each side (one number per run);
+among the fits both sides certify, the ones whose winners differ and the
+largest relative objective change; and the fits whose objective rose by
+more than 1e-9 relative, with those of them the base certified.
 """
 
 import argparse
@@ -133,8 +135,9 @@ def _uncertified(rec) -> bool:
 def summarize(families, parent, change) -> dict:
     """Per family: fits, uncertified and falsely converged fits on each side,
     differing winners and the largest relative objective change among the
-    fits both sides solved. ``families`` names the family of each record;
-    ``parent`` and ``change`` are lists of runs, each a list of records."""
+    fits both sides certified, and the fits whose objective rose. ``families``
+    names the family of each record; ``parent`` and ``change`` are lists of
+    runs, each a list of records."""
     out = {}
     for family in dict.fromkeys(families):
         at = [i for i, f in enumerate(families) if f == family]
@@ -145,12 +148,17 @@ def summarize(families, parent, change) -> dict:
             row[f"false_converged_{side}"] = sum(
                 "error" not in r and r["converged"] and _uncertified(r) for r in recs)
             row[f"cpu_{side}"] = [round(sum(run[i]["cpu"] for i in at), 3) for run in runs]
-        both = [(parent[0][i], change[0][i]) for i in at
-                if "error" not in parent[0][i] and "error" not in change[0][i]]
+        pairs = [(parent[0][i], change[0][i]) for i in at
+                 if "error" not in parent[0][i] and "error" not in change[0][i]]
+        both = [(a, b) for a, b in pairs if not (_uncertified(a) or _uncertified(b))]
         row["winners_differ"] = sum(a["winner"] != b["winner"] for a, b in both)
         row["max_rel_objective_change"] = max(
             (abs(b["objective"] - a["objective"]) / max(abs(a["objective"]), 1e-300)
              for a, b in both), default=0.0)
+        rose = [(a, b) for a, b in pairs
+                if b["objective"] - a["objective"] > CERTIFIED * abs(a["objective"])]
+        row["rose"] = len(rose)
+        row["rose_where_parent_certified"] = sum(not _uncertified(a) for a, _ in rose)
         out[family] = row
     return out
 
