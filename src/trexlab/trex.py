@@ -48,7 +48,7 @@ from .norms import NormSpec, l1_spec, omega, omega_dual, penalty_weight_vector
 
 TIE_TOL = 1e-10
 # rounds of failed guesses after which a face-finish row moves
-SAFE_AFTER = 2
+SAFE_AFTER = 8
 # backtracking steps one iteration of the engine tries per row
 MAX_TRIALS = 80
 # a ladder round over p coordinates holds at least WIDE_ROUND // p^2
@@ -245,18 +245,20 @@ def _face_points(G, xty, yty, c, j, s, pen_w, S, sig, face, copies, rank):
     rhs[:, :mS, 1] = a
     rhs[:, :mS, 2] = pen_w[Sidx] * sig[rr, Sidx]
     rhs *= val[:, :, None]
-    U, bad = np.zeros_like(rhs), (nS > rank) | (nA > nS)
+    # an empty support has the one point b = 0, and no multipliers
+    empty = nS == 0
+    U, bad = np.zeros_like(rhs), ((nS > rank) | (nA > nS)) & ~empty
     if copies is not None:
         bad |= (S @ copies > 1.0).any(axis=1)
-    if n and not bad.all():
-        go = ~bad if bad.any() else slice(None)
+    go = ~bad & ~empty
+    if n and go.any():
         try:
             U[go] = np.linalg.solve(Mx[go], rhs[go])
         except np.linalg.LinAlgError:
-            bad[:] = True
+            bad |= go
         with np.errstate(invalid="ignore", over="ignore"):
-            bad |= ~(np.abs(Mx @ U - rhs).max(axis=(1, 2))
-                     <= 1e-9 * (1.0 + np.abs(rhs).max(axis=(1, 2))))
+            bad |= go & ~(np.abs(Mx @ U - rhs).max(axis=(1, 2))
+                          <= 1e-9 * (1.0 + np.abs(rhs).max(axis=(1, 2))))
     null_ray = np.zeros((R, mS))
     if bad.any():
         lam, V = np.linalg.eigh(Mx[bad])
@@ -506,11 +508,12 @@ def _face_finish(G, xty, yty, c, j, s, pen_w, bound, delta, tolerance, B, feasib
     guessed = feasible.copy()
     misses = np.zeros(R, dtype=int)
 
-    def certify(k):
-        """Raise the lower bounds of rows k at their points, stop the rows
-        whose certificate closes or that cannot win; returns g - G m."""
+    def certify(k, known=None):
+        """Raise the lower bounds of rows k at their points (LB_k and g - G m
+        there, unless ``known``), stop the rows whose certificate closes or
+        that cannot win; returns g - G m."""
         nonlocal incumbent
-        lb, r = dual_bound(B[k], Q[k], rss[k], D[k], M[k], j[k], s[k])
+        lb, r = known or dual_bound(B[k], Q[k], rss[k], D[k], M[k], j[k], s[k])
         lower[k] = np.maximum(lower[k], lb)
         incumbent = min(incumbent, float(F.min()))
         closed = F[k] - lower[k] <= tolerance * (1.0 + np.abs(F[k]))
@@ -528,10 +531,13 @@ def _face_finish(G, xty, yty, c, j, s, pen_w, bound, delta, tolerance, B, feasib
         adds = (over > 1e-12) & (over >= 0.5 * over.max(axis=1, keepdims=True))
         # no more than the support needs to reach the rank, one at least
         room = np.maximum(rank - Sk.sum(axis=1), 1)
-        order = np.argsort(-np.where(adds, over, -np.inf), axis=1, kind="stable")
-        place = np.empty_like(order)
-        place[np.arange(len(order))[:, None], order] = np.arange(p)
-        adds &= place < room[:, None]
+        crowd = np.flatnonzero(adds.sum(axis=1) > room)
+        if crowd.size:
+            order = np.argsort(-np.where(adds[crowd], over[crowd], -np.inf), axis=1,
+                               kind="stable")
+            place = np.empty_like(order)
+            place[np.arange(crowd.size)[:, None], order] = np.arange(p)
+            adds[crowd] &= place < room[crowd, None]
         return adds, -np.sign(r) * adds
 
     def guess_sets(k, Pk, Qk, Mk, rk):
@@ -576,56 +582,62 @@ def _face_finish(G, xty, yty, c, j, s, pen_w, bound, delta, tolerance, B, feasib
         Pa, Ma, oka, raya = _face_points(G, xty, yty, c, j[both], s[both], pen_w,
                                          sets != 0.0, sets, faces, copies, rank)
         P, Mp, ok, ray = Pa[:n], Ma[:n], oka[:n], raya[:n]
-        # without a point or a ray, a row without faces moves toward the
-        # least-squares point of its support: where that fits y exactly the
-        # objective is linear on the way, and a sign must change first
-        toward = ok | (~ray.any(axis=1) & ~tau[sf].any(axis=1))
-        step = np.where(toward[:, None], P - B[sf], ray)
-        Gd = times_G(step)
-        # along B + t step: the first face off A to be crossed, and the
-        # coordinates of S that reach 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # a step of a coordinate below ``tiny`` is rounding: a point
-            # pinned by its faces keeps a new coordinate at 0
-            tc = np.where(S[sf] & (sig[sf] * step < -tiny), -B[sf] / step, np.inf)
-            tf = np.full((n, p), np.inf)
-            if bound is not None:
-                edge = np.where(Gd < 0.0, level, -level)
-                tf = np.where((tau[sf] == 0.0) & (Gd != 0.0),
-                              np.maximum((Q[sf] - edge) / Gd, 0.0), np.inf)
-        kf = np.argmin(tf, axis=1)
-        tf = tf[ar, kf]
-        # the ratio test: the row stops at the first coordinate of S to reach
-        # 0, at the first face off A, or at the end of the step
-        kc = np.argmin(tc, axis=1)
-        tc0 = tc[ar, kc]
-        end = np.minimum(tf, np.where(toward, 1.0, np.inf))
-        t = np.minimum(tc0, end)
-        moving = np.isfinite(t)
-        at_break = moving & (tc0 <= end)
-        at_face = moving & ~at_break & (t == tf)
-        # at the stationary point of its sets: reached with no face met and
-        # no sign changed on the way
-        reached = ok & moving & ~at_break & ~at_face & ~(tc < 1.0).any(axis=1)
-        t = np.where(moving, t, 0.0)
-        Bn = np.where(reached[:, None], P, B[sf] + t[:, None] * step)
-        # the coordinates that reach 0 at the stop leave S
-        zero = S[sf] & (tc == t[:, None]) & at_break[:, None]
-        Bn[zero] = 0.0
-        Qn = Q[sf] - t[:, None] * Gd
-        # a move below ``tiny`` is rounding: the row stays where it is
-        stay = np.abs(Bn - B[sf]).max(axis=1, initial=0.0) <= tiny
-        Bn[stay], Qn[stay] = B[sf[stay]], Q[sf[stay]]
-        rssn, Dn, Fn = evaluate(Bn, Qn, jr, sr)
-        # a move keeps the domain and does not raise F beyond rounding
-        fine = moving & (Dn > delta) & (Fn <= F[sf] + 1e-12 * (1.0 + np.abs(F[sf])))
-        # a support that fits y exactly, every sign kept on the way, with no
-        # point of the domain there (or only one at the fit): the objective
-        # falls toward that fit, a boundary point of the domain; and a
-        # support as large as the rank whose new coordinate would change
-        # sign at once, where no point of the domain beats the fit either
-        full = S[sf].sum(axis=1) >= rank
-        limit = ((toward & ~at_break & ~fine) | (zero.any(axis=1) & (t == 0.0))) & full
+        # the moves of the rows in sf (none while every row follows a guess)
+        fine = limit = reached = at_face = toward = np.zeros(n, dtype=bool)
+        zero, (Gd, Bn, Qn) = np.zeros((n, p), dtype=bool), (np.zeros((n, p)),) * 3
+        rssn = Dn = Fn = t = np.zeros(n)
+        kf = np.zeros(n, dtype=int)
+        if n:
+            # without a point or a ray, a row without faces moves toward the
+            # least-squares point of its support: where that fits y exactly the
+            # objective is linear on the way, and a sign must change first
+            toward = ok | (~ray.any(axis=1) & ~tau[sf].any(axis=1))
+            step = np.where(toward[:, None], P - B[sf], ray)
+            Gd = times_G(step)
+            # along B + t step: the first face off A to be crossed, and the
+            # coordinates of S that reach 0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                # a step of a coordinate below ``tiny`` is rounding: a point
+                # pinned by its faces keeps a new coordinate at 0
+                tc = np.where(S[sf] & (sig[sf] * step < -tiny), -B[sf] / step, np.inf)
+                tf = np.full((n, p), np.inf)
+                if bound is not None:
+                    edge = np.where(Gd < 0.0, level, -level)
+                    tf = np.where((tau[sf] == 0.0) & (Gd != 0.0),
+                                  np.maximum((Q[sf] - edge) / Gd, 0.0), np.inf)
+            kf = np.argmin(tf, axis=1)
+            tf = tf[ar, kf]
+            # the ratio test: the row stops at the first coordinate of S to reach
+            # 0, at the first face off A, or at the end of the step
+            kc = np.argmin(tc, axis=1)
+            tc0 = tc[ar, kc]
+            end = np.minimum(tf, np.where(toward, 1.0, np.inf))
+            t = np.minimum(tc0, end)
+            moving = np.isfinite(t)
+            at_break = moving & (tc0 <= end)
+            at_face = moving & ~at_break & (t == tf)
+            # at the stationary point of its sets: reached with no face met and
+            # no sign changed on the way
+            reached = ok & moving & ~at_break & ~at_face & ~(tc < 1.0).any(axis=1)
+            t = np.where(moving, t, 0.0)
+            Bn = np.where(reached[:, None], P, B[sf] + t[:, None] * step)
+            # the coordinates that reach 0 at the stop leave S
+            zero = S[sf] & (tc == t[:, None]) & at_break[:, None]
+            Bn[zero] = 0.0
+            Qn = Q[sf] - t[:, None] * Gd
+            # a move below ``tiny`` is rounding: the row stays where it is
+            stay = np.abs(Bn - B[sf]).max(axis=1, initial=0.0) <= tiny
+            Bn[stay], Qn[stay] = B[sf[stay]], Q[sf[stay]]
+            rssn, Dn, Fn = evaluate(Bn, Qn, jr, sr)
+            # a move keeps the domain and does not raise F beyond rounding
+            fine = moving & (Dn > delta) & (Fn <= F[sf] + 1e-12 * (1.0 + np.abs(F[sf])))
+            # a support that fits y exactly, every sign kept on the way, with no
+            # point of the domain there (or only one at the fit): the objective
+            # falls toward that fit, a boundary point of the domain; and a
+            # support as large as the rank whose new coordinate would change
+            # sign at once, where no point of the domain beats the fit either
+            full = S[sf].sum(axis=1) >= rank
+            limit = ((toward & ~at_break & ~fine) | (zero.any(axis=1) & (t == 0.0))) & full
 
         # the guesses: their bound holds at their points, and the next guess
         # comes from this one's point, feasible or not; a guess without a
@@ -671,8 +683,10 @@ def _face_finish(G, xty, yty, c, j, s, pen_w, bound, delta, tolerance, B, feasib
         B[adopted], Q[adopted], rss[adopted], D[adopted], F[adopted], M[adopted] = (
             Pg[adopt], Qg[adopt], rssg[adopt], Dg[adopt], Fg[adopt], Mg[adopt])
         S[adopted], sig[adopted], tau[adopted] = gset != 0.0, gset, gtau
-        r = certify(np.concatenate([k, adopted]))
-        r, r_adopted = r[:k.size], r[k.size:]
+        r = certify(k)
+        # the bound at an adopted guess's point is known
+        took = adopt[okg]
+        r_adopted = certify(adopted, (lbg[took], rg[took]))
         # the set changes of the rows still running
         go = status[k] == 0
         at, k, r = ar[fine][go], k[go], r[go]
@@ -913,10 +927,9 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
     largest step that stays in the domain, passes ``bound`` and gives
     sufficient decrease; these are the decisions of trying one step at a
     time. A row tries at most ``MAX_TRIALS`` steps per iteration and stalls
-    once its step would fall below 1e-18 times its first; a stalled row is
-    not converged. An accepted row grows its step by 1.3. A row whose
-    objective fell by at most tolerance (1 + |F_k|) over ``window``
-    iterations stops, converged.
+    once its step would fall below 1e-18 times its first. An accepted row
+    grows its step by 1.3. A row whose objective fell by at most tolerance
+    (1 + |F_k|) over ``window`` iterations stops, converged.
 
     When ``bound`` is given, candidate steps with dual(q) > bound are rejected
     (line-search feasibility, no projection); the callers repair starts with
