@@ -252,8 +252,10 @@ def _face_points(G, xty, yty, c, j, s, pen_w, S, sig, face, copies, rank):
         bad |= (S @ copies > 1.0).any(axis=1)
     go = ~bad & ~empty
     if n and go.any():
+        # a slice spares the copies when every row is regular
+        rows = slice(None) if go.all() else go
         try:
-            U[go] = np.linalg.solve(Mx[go], rhs[go])
+            U[rows] = np.linalg.solve(Mx[rows], rhs[rows])
         except np.linalg.LinAlgError:
             bad |= go
         with np.errstate(invalid="ignore", over="ignore"):
@@ -475,15 +477,16 @@ def _face_finish(G, xty, yty, c, j, s, pen_w, bound, delta, tolerance, B, feasib
 
     rss, D, F = evaluate(B, Q, j, s)
     feasible = feasible & (D > delta)
-    tau = np.zeros((R, p))
+    # signs and face sides (-1, 0, 1) are kept as int8
+    tau = np.zeros((R, p), dtype=np.int8)
     level = 0.0
     if bound is not None:
         feasible &= (np.abs(Q) / pen_w).max(axis=1) <= bound
         level = np.full(p, bound * (1.0 - 1e-12)) * pen_w
-        tau = np.sign(Q) * (np.abs(Q) >= level)
+        tau[:] = np.sign(Q) * (np.abs(Q) >= level)
     F = np.where(feasible, F, np.inf)
     M = np.zeros((R, p))
-    S, sig = B != 0.0, np.sign(B)
+    S, sig = B != 0.0, np.sign(B).astype(np.int8)
     lower = np.where(feasible, -np.inf, np.inf)
     # 0 running, 1 converged, 2 pruned, 3 open, -1 left out
     status = np.where(feasible, 0, -1)
@@ -496,7 +499,7 @@ def _face_finish(G, xty, yty, c, j, s, pen_w, bound, delta, tolerance, B, feasib
         same = copies @ copies.T
         later = (np.cumsum(copies, axis=0) * copies).sum(axis=1) > 1.0
     # the guesses: sets and signs, and the rows that hold one
-    guess = np.zeros((R, p))
+    guess = np.zeros((R, p), dtype=np.int8)
     if bound is not None:
         guess[:] = _lasso_signs(G, xty, 0.5 * c * bound, pen_w, rank)
     if copies is not None:
