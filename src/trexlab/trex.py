@@ -130,7 +130,8 @@ def trex_objective(problem: RegressionProblem, beta, c: float,
 
 
 # ---------------------------------------------------------------------------
-# one batched proximal-gradient engine over the subproblem rows
+# the batched solvers: the active set for sign rows, the proximal engine for
+# group rows
 
 
 def _soft(v, th):
@@ -1178,8 +1179,10 @@ def solve_trex(problem: RegressionProblem, config: SolverConfig = None,
             "dual residual norm vanished at the optimum; use the constrained "
             "variant or check the problem scaling"
         )
-    rss = max(float(yty - 2.0 * beta @ xty + beta @ (G @ beta)), 0.0)
-    objective = rss / (c * u_hat) + omega(spec, beta)
+    # the residual itself: near an exact fit of y, y.y - 2 b.x.T y + b.G b
+    # loses the small rss to cancellation
+    r = y - x @ beta
+    objective = float(r @ r) / (c * u_hat) + omega(spec, beta)
     winner = identities[win]
     if spec.kind == norms.GROUP and not heuristic:
         winner = (next(gi for gi, g in enumerate(spec.partition) if g[0] == winner[0]),)
