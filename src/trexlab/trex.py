@@ -6,29 +6,52 @@ The nonconvex objective
 
 equals, pointwise, the minimum over 2p convex quadratic-over-linear
 subproblems when the penalty is an (optionally weighted) l1 norm: one
-subproblem ("sign row") per coordinate j and sign s, with denominator
-s * x_j @ (y - x b), and the best optimum is the global one. With or without
-the constraint dual(x.T (y - x b)) <= bound, every sign row is solved by one
-batched primal active-set method (``_face_finish``): from a feasible start
-(``_sign_rows``) it moves toward the stationary point of its support, signs
-and active faces |q_i| = bound w_i (``_face_points``) and stops at the first
-sign change or face met (a ratio test), so its objective falls every round
-and its point stays feasible. Each row's certificate is a dual lower bound,
-LB_k(m) with its face multipliers m (``_face_lower``; Fercoq, Gramfort &
-Salmon, "Mind the duality gap", 2015): a row converges once its objective is
-within the tolerance of it, and is pruned once it lies above the best
-objective by more than a margin. A row left open is reported unconverged.
-The fit's ``certified_gap`` is its objective minus the smallest bound over
-the feasible rows.
+subproblem per coordinate j and sign s, with denominator s * x_j @ (y - x b).
+The subproblems are solved together by proximal gradient descent with
+backtracking, and the best optimum is the global one. A subproblem whose
+domain contains b = 0 starts there; any other starts at the closed-form
+minimizer of its own objective along its own coordinate. Each subproblem also
+yields a dual lower bound from its rescaled gradient (Fercoq, Gramfort &
+Salmon, "Mind the duality gap", 2015). A subproblem stops once its objective
+is within the tolerance of its bound, or is stopped (pruned) when its bound
+already lies above the best objective found so far by more than a margin,
+since then it cannot win. A subproblem within that margin of the best is
+moved to the closed-form stationary point on its support (``_face_points``)
+once its signs settle, which makes its bound exact, so every sign fit is one
+engine call. A sign subproblem counts as converged only when its certificate
+closed: one stopped for any other reason (its objective stopped falling, or
+its line search stalled) is reported open. The fit reports
+``certified_gap``, the objective minus the smallest bound over the feasible
+subproblems: the global optimum lies at most that far below the returned
+objective.
+
+Under the dual constraint dual(x.T (y - x b)) <= bound the subproblems stay
+convex, and their optima usually lie on a face |q_i| = bound w_i of the
+constraint set, where the line search, which only rejects steps that leave
+the set, cannot move. There every subproblem is first solved to its KKT
+point by a batched active-set iteration on its support and its active faces
+(``_face_finish``, through the same ``_face_points``), every support seeded
+from the signs of one lasso at lam = c bound / 2 so that few rounds remain,
+and its bound comes from weak duality for the faces, LB_k(m) with the face
+multipliers m (``_face_lower``). So constrained subproblems close on their certificate and
+are pruned like unconstrained ones, and ``certified_gap`` is a number under
+a bound too.
 
 Group penalties with a non-singleton group yield one subproblem per group,
 with denominator ||x_G.T (y - x b)|| / w_G; those are not provably convex, so
-each is solved from several seeded starts by the batched proximal-gradient
-engine (``_solve_subproblems``, with backtracking rounds ``_ladder``) and the
-fit is flagged heuristic: group rows carry no certificate, stop when their
-objective stops falling, and the best of them are refined by a second engine
-call at a tighter tolerance.
+each is solved from several seeded starts and the fit is flagged heuristic.
+Every start is one row of the same batched engine, with the group prox in
+place of soft thresholding; group rows are neither certified, pruned nor
+polished, stop when their objective stops falling, and the best of them are
+refined by a second engine call at a tighter tolerance.
+
+The engine's cost at the sizes of ``trexlab verify`` is its number of batched
+rounds, not arithmetic: each backtracking round (``_ladder``) holds at least
+``WIDE_ROUND`` / p^2 candidates, so the few group rows of a small problem try
+many steps at once, and the fit reports its rounds of the face finish and of
+the line search (``face_rounds``, ``trial_rounds``).
 """
+
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
@@ -47,16 +70,14 @@ from . import norms
 from .norms import NormSpec, l1_spec, omega, omega_dual, penalty_weight_vector
 
 TIE_TOL = 1e-10
-# rounds of failed guesses after which a face-finish row moves
-SAFE_AFTER = 8
 # backtracking steps one iteration of the engine tries per row
 MAX_TRIALS = 80
 # a ladder round over p coordinates holds at least WIDE_ROUND // p^2
 # candidates: below that a round costs its Python overhead, not arithmetic
 WIDE_ROUND = 2 ** 14
 # active-set rounds of one face finish (``_face_finish``)
-MAX_FACE_ROUNDS = 200
-# proximal-gradient steps of the lasso that seeds the face finish's guesses
+MAX_FACE_ROUNDS = 40
+# proximal-gradient steps of the lasso that seeds the face finish's supports
 LASSO_STEPS = 20
 
 
@@ -65,13 +86,13 @@ class SolverConfig:
     """Knobs for the subproblem solvers.
 
     c is the ratio constant in (0, 2); 1/2 is the customary default.
-    tolerance is the certificate tolerance: a sign row converges once its
-    objective minus its dual lower bound is at most tolerance (1 + |F|),
-    with or without a bound. delta guards the open domain of the
-    quadratic-over-linear objectives, relative to dual(x.T y).
-    max_iterations, multistart_count, seed and the stop of a row whose
-    objective falls by at most tolerance (1 + |F|) over a 10-iteration
-    window act on group rows only.
+    tolerance is the certificate tolerance: a sign subproblem converges once
+    its objective minus its dual lower bound is at most tolerance (1 + |F|),
+    with or without a bound, and never otherwise. Group rows, which have no
+    certificate, converge when their objective falls by at most that much
+    over a 10-iteration window; a sign row the window stops stays
+    unconverged. delta guards the open domain of the quadratic-over-linear
+    objectives, relative to dual(x.T y).
     """
 
     c: float = 0.5
@@ -130,8 +151,7 @@ def trex_objective(problem: RegressionProblem, beta, c: float,
 
 
 # ---------------------------------------------------------------------------
-# the batched solvers: the active set for sign rows, the proximal engine for
-# group rows
+# one batched proximal-gradient engine over the subproblem rows
 
 
 def _soft(v, th):
@@ -140,7 +160,7 @@ def _soft(v, th):
 
 def _near_margin(f):
     """The pruning margin: a row whose dual bound lies this far above the best
-    objective cannot win; group rows this near the best are refined."""
+    objective cannot win, and a row within it of the best is polished."""
     return max(1e-6 * (1.0 + abs(f)), 1e-8)
 
 
@@ -158,6 +178,289 @@ def _copies(G, pen_w):
     first = np.argmax(same, axis=1)
     lead = np.unique(first[first != np.arange(g.size)])
     return (first[:, None] == lead).astype(float) if lead.size else None
+
+
+def _face_points(G, xty, yty, c, j, s, pen_w, S, sig, face, copies):
+    """Stationary points of R sign rows on their supports and faces, batched.
+
+    Row r keeps b_i = 0 off S_r, the signs sig on S_r, and q = xty - G b at
+    q_i = face_i w_i on its faces A_r, the nonzero entries of ``face``. With
+    a = s G_Sj / w_j, alpha = rss / (2 D), face multipliers m and
+    mu = (c D / 2) m, stationarity on S_r reads
+
+        G_SS b_S - G_SA mu_A = xty_S - alpha a - (c D / 2) w_S sig,
+        G_AS b_S             = xty_A - face_A w_A,
+
+    a bordered system solved for three right-hand sides by ``solve``. A row
+    whose support holds two copies (``copies``, from ``_copies``), or whose
+    ``solve`` fails, takes the pseudo-inverse: there G_SS is singular, and
+    ``solve`` can pass its residual test with an arbitrary split between the
+    copies, where the pseudo-inverse gives the least-norm one. With no faces
+    this is the polish of ``_solve_subproblems``. With the row's own face j
+    in A_r, D is fixed and the system is linear in b; otherwise D is affine
+    in alpha, so alpha solves one quadratic. The root with D > 0 and the
+    lowest objective on the restricted set wins, signs kept or not. Returns
+    (b, m, ok): points and multipliers (R, p), and the rows with a valid root.
+    """
+    R, p = S.shape
+    A = face != 0.0
+    nS, nA = S.sum(axis=1), A.sum(axis=1)
+    mS, n = int(nS.max()), int(nS.max() + nA.max())
+    # row r's support, then its faces, each padded (``val`` marks the real
+    # entries); a padded entry gets an identity row and column
+    Sidx = np.argsort(~S, axis=1, kind="stable")[:, :mS]
+    Aidx = np.argsort(~A, axis=1, kind="stable")[:, :n - mS]
+    idx = np.concatenate([Sidx, Aidx], axis=1)
+    val = np.concatenate([np.arange(mS) < nS[:, None],
+                          np.arange(n - mS) < nA[:, None]], axis=1)
+    Mx = G[idx[:, :, None], idx[:, None, :]]
+    Mx[:, mS:, mS:] = 0.0
+    Mx *= val[:, :, None] & val[:, None, :]
+    Mx[:, np.arange(n), np.arange(n)] += ~val
+    rr = np.arange(R)[:, None]
+    a = (s / pen_w[j])[:, None] * G[Sidx, j[:, None]] * val[:, :mS]
+    rhs = np.zeros((R, n, 3))
+    rhs[:, :mS, 0] = xty[Sidx]
+    rhs[:, mS:, 0] = xty[Aidx] - face[rr, Aidx] * pen_w[Aidx]
+    rhs[:, :mS, 1] = a
+    rhs[:, :mS, 2] = pen_w[Sidx] * sig[rr, Sidx]
+    rhs *= val[:, :, None]
+    U, bad = np.zeros_like(rhs), np.zeros(R, dtype=bool)
+    if copies is not None:
+        bad = (S @ copies > 1.0).any(axis=1)
+    if n and not bad.all():
+        go = ~bad if bad.any() else slice(None)
+        try:
+            U[go] = np.linalg.solve(Mx[go], rhs[go])
+        except np.linalg.LinAlgError:
+            bad[:] = True
+        with np.errstate(invalid="ignore", over="ignore"):
+            bad |= ~(np.abs(Mx @ U - rhs).max(axis=(1, 2))
+                     <= 1e-9 * (1.0 + np.abs(rhs).max(axis=(1, 2))))
+    if bad.any():
+        U[bad] = np.linalg.pinv(Mx[bad], rcond=n * np.finfo(float).eps,
+                                hermitian=True) @ rhs[bad]
+    u0, ua, uw = U[:, :, 0], U[:, :, 1], U[:, :, 2]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        den = 1.0 - 0.5 * c * np.einsum("ri,ri->r", a, uw[:, :mS])
+        # D = e0 + e1 alpha and (b_S, -mu_A) = v0 + alpha v1
+        e0 = (s * xty[j] / pen_w[j] - np.einsum("ri,ri->r", a, u0[:, :mS])) / den
+        e1 = np.einsum("ri,ri->r", a, ua[:, :mS]) / den
+        v0 = u0 - 0.5 * c * e0[:, None] * uw
+        v1 = -ua - 0.5 * c * e1[:, None] * uw
+        b0, b1, xS = v0[:, :mS], v1[:, :mS], xty[Sidx] * val[:, :mS]
+        Gb0 = np.einsum("rij,rj->ri", Mx[:, :mS, :mS], b0)
+        Gb1 = np.einsum("rij,rj->ri", Mx[:, :mS, :mS], b1)
+        # rss(alpha) = r0 + r1 alpha + r2 alpha^2 = 2 alpha D(alpha)
+        r0 = yty - 2.0 * np.einsum("ri,ri->r", b0, xS) + np.einsum("ri,ri->r", b0, Gb0)
+        r1 = 2.0 * (np.einsum("ri,ri->r", b1, Gb0) - np.einsum("ri,ri->r", b1, xS))
+        q2, q1, q0 = np.einsum("ri,ri->r", b1, Gb1) - 2.0 * e1, r1 - 2.0 * e0, r0
+        disc = q1 * q1 - 4.0 * q2 * q0
+        h = -0.5 * (q1 + np.copysign(np.sqrt(np.maximum(disc, 0.0)), q1))
+        roots = np.where((disc >= 0)[:, None], np.stack([h / q2, q0 / h], axis=1), np.nan)
+        linear = q2 == 0.0
+        roots[linear, 0], roots[linear, 1] = -q0[linear] / q1[linear], np.nan
+        wsig = pen_w[Sidx] * sig[rr, Sidx] * val[:, :mS]
+        f = 2.0 * roots / c + (np.einsum("ri,ri->r", wsig, b0)[:, None]
+                               + np.einsum("ri,ri->r", wsig, b1)[:, None] * roots)
+        good = (roots > 0.0) & (e0[:, None] + e1[:, None] * roots > 0.0) & np.isfinite(f)
+    pick = np.argmin(np.where(good, f, np.inf), axis=1)
+    ok = good[rr[:, 0], pick]
+    alpha = np.where(ok, roots[rr[:, 0], pick], 0.0)
+    D = np.where(ok, e0 + e1 * alpha, 1.0)
+    Z = v0 + alpha[:, None] * v1
+    ok &= np.isfinite(Z).all(axis=1)
+    # scatter into (R, p + 1): padded entries land in the spare last column
+    B = np.zeros((R, p + 1))
+    B[rr, np.where(val[:, :mS], Sidx, p)] = Z[:, :mS]
+    M = np.zeros((R, p + 1))
+    M[rr, np.where(val[:, mS:], Aidx, p)] = -2.0 * Z[:, mS:] / (c * D[:, None])
+    return B[:, :p], M[:, :p], ok
+
+
+def _face_lower(xty, bound, pen_w, yz, r, M):
+    """LB_k(m) of sign rows under ``bound``, for any multipliers M.
+
+    Weak duality for the Lagrangian of the faces |q_i| <= bound w_i: the
+    row's smooth part is 1-homogeneous in the residual, so its conjugate is
+    an indicator, and at any point of the row's domain t (z_k, m) is dual
+    feasible, where z_k is the gradient of the smooth part in residual space
+    (x.T z_k = -g_k, y.z_k = ``yz``), r = g_k - G m and
+    t = min(1, 1 / max_i |r_i| / w_i). Then
+
+        LB_k(m) = t (y.z_k + xty.m - bound sum_i w_i |m_i|)
+
+    lies below the row's constrained optimum for every m: m = 0 gives the
+    unconstrained bound, and at a KKT point with its face multipliers t = 1
+    and LB_k equals the objective.
+    """
+    t = 1.0 / np.maximum(1.0, (np.abs(r) / pen_w).max(axis=1))
+    return t * (yz + M @ xty - bound * (np.abs(M) @ pen_w))
+
+
+def _lasso_signs(G, xty, lam, pen_w, Lg):
+    """Signs of the weighted lasso 1/2 b.G b - xty.b + lam sum_i w_i |b_i|
+    after ``LASSO_STEPS`` proximal-gradient steps of length 1 / Lg from 0;
+    all zero where G has fewer than p / 2 dimensions, or no more than the
+    signs that are nonzero."""
+    p = G.shape[0]
+    b = np.zeros(p)
+    for _ in range(LASSO_STEPS):
+        b = _soft(b + (xty - G @ b) / Lg, lam * pen_w / Lg)
+    sig = np.sign(b)
+    # with p >> n the supports of the face finish outgrow the rank of G
+    # anyway, and a lasso support near the rank only makes the rows' first
+    # systems larger, or singular once the row's own coordinate joins
+    rank = np.linalg.matrix_rank(G, hermitian=True)
+    if p > 2 * rank or np.count_nonzero(sig) >= rank:
+        sig[:] = 0.0
+    return sig
+
+
+def _face_finish(G, xty, yty, c, j, s, pen_w, bound, delta, B, incumbent, copies, Lg):
+    """Solve R sign rows under ``bound`` to their KKT points, batched.
+
+    An active-set iteration on the support S with signs sig and the active
+    faces, the nonzero entries of their sides tau. Every support starts from
+    one shared seed, the signs of the weighted lasso at lam = c bound / 2 on
+    (G, xty) (``_lasso_signs``, which reuses the engine's ``Lg``), less the
+    later copies of each set of ``copies`` and the other copies of j; the
+    row's own coordinate j joins with the sign of B_j unless B_j = 0. The
+    seed changes how many rounds a row takes, not the KKT point it reaches.
+    The faces start as those B lies within a relative 1e-6 of. Each round
+    moves every row to the stationary point of its current sets
+    (``_face_points``), with the faces a relative 1e-12 inside ``bound`` so
+    that the point passes the engine's bound test despite rounding, then it
+
+    - keeps the coordinates whose sign held and the faces whose multiplier
+      has the face's side;
+    - adds the coordinates off the support whose violation
+      |(g - G m)_i| / w_i - 1 is positive and at least half the row's
+      largest (after 10 rounds only the largest, which damps a row that
+      cycles), with sign -sign((g - G m)_i), g the gradient of the smooth
+      part; of a set of copies (``copies``, columns equal up to sign)
+      only the first, and none while one of the set is in the support;
+    - adds the face the point violates most, if any; a row that meets a new
+      face keeps its support and signs, since the face stops the move
+      before a sign changes.
+
+    A point must keep D > delta, the engine's domain. A row whose sets did
+    not change stops: it is at a KKT point of its convex subproblem when it
+    is stationary on its support, (g - G m)_i = -w_i sig_i to 1e-9 there;
+    where it is not, the system was singular and inconsistent (a support
+    past the rank of G), and its sets would never change again. A support
+    that would become empty keeps its coordinates with their signs
+    flipped. A row without a stationary point gets its own face j
+    (D = bound), and then one more start from the whole support and the
+    faces of B. A round prunes every row whose LB_k(m) at its point
+    (``_face_lower``) exceeds the incumbent (the best feasible objective,
+    lowered by the rows already solved) by more than ``_near_margin``; the
+    points on the way need not be feasible, since LB_k(m) holds anywhere in
+    the row's domain.
+
+    Returns (B, M, lower, status, rounds): for rows with status 1 the KKT
+    point and its multipliers, for rows with status 3 the settled point that
+    is not one and its multipliers, for rows with status 2 (pruned) the
+    bound that pruned them; rows with status 0 reached none of these within
+    ``MAX_FACE_ROUNDS``. ``rounds`` counts the rounds each row took part in.
+    """
+    R, p = B.shape
+    out_B, out_M = B.copy(), np.zeros((R, p))
+    lower = np.full(R, -np.inf)
+    status = np.zeros(R, dtype=int)
+    rounds = np.zeros(R, dtype=int)
+    q = xty[None, :] - B @ G
+    # the support of a start repaired into the constraint set, or of an
+    # iterate that crawled along a face, is a poor seed; one lasso is a
+    # better one for every row
+    rows = np.arange(R)
+    sig = np.tile(_lasso_signs(G, xty, 0.5 * c * bound, pen_w, Lg), (R, 1))
+    if copies is not None:
+        # a support adds only the first of a set of copies, and none of a set it holds
+        later = (np.cumsum(copies, axis=0) * copies).sum(axis=1) > 1.0
+        sig[:, later] = 0.0
+        sig[copies[j] @ copies.T > 0.0] = 0.0
+    own = B[rows, j] != 0.0
+    sig[rows[own], j[own]] = np.sign(B[rows[own], j[own]])
+    S = sig != 0.0
+    tau0 = np.sign(q) * (np.abs(q) >= bound * (1.0 - 1e-6) * pen_w)
+    tau = tau0.copy()
+    restarted = np.zeros(R, dtype=bool)
+    for round_ in range(MAX_FACE_ROUNDS):
+        run = np.flatnonzero(status == 0)
+        if run.size == 0:
+            break
+        rounds[run] += 1
+        jr, sr = j[run], s[run]
+        Bt, Mt, ok = _face_points(G, xty, yty, c, jr, sr, pen_w, S[run], sig[run],
+                                  bound * (1.0 - 1e-12) * tau[run], copies)
+        qt = xty[None, :] - Bt @ G
+        rss = np.maximum(yty - 2.0 * (Bt @ xty) + np.einsum("kp,kp->k", Bt, xty - qt), 0.0)
+        D = sr * qt[np.arange(run.size), jr] / pen_w[jr]
+        # the point must lie in the engine's domain, where LB_k(m) holds too
+        ok &= D > delta
+        # a row without a stationary point tries again on its own face, then
+        # once more from the whole support of its start
+        retry = run[~ok & (tau[run, jr] == 0.0)]
+        tau[retry, j[retry]] = s[retry]
+        again = run[~ok & ~np.isin(run, retry) & ~restarted[run]]
+        restarted[again] = True
+        S[again], sig[again] = B[again] != 0.0, np.sign(B[again])
+        tau[again] = tau0[again]
+        status[run[~ok & ~np.isin(run, retry) & ~np.isin(run, again)]] = -1
+        run, jr, sr, Bt, Mt = run[ok], jr[ok], sr[ok], Bt[ok], Mt[ok]
+        qt, rss, D = qt[ok], rss[ok], D[ok]
+        if run.size == 0:
+            continue
+        # g - G m, with g the gradient of the smooth part
+        r = ((-2.0 / (c * D))[:, None] * qt
+             + ((rss / (c * D * D)) * sr / pen_w[jr])[:, None] * G[:, jr].T) - Mt @ G
+        resid = np.abs(r)
+        yz = (2.0 * (yty - Bt @ xty) - rss * sr * xty[jr] / (pen_w[jr] * D)) / (c * D)
+        Sr, Ar = S[run], tau[run] != 0.0
+        keep_S = Sr & (sig[run] * Bt > 0.0)
+        # the coordinates off the support that violate stationarity by at
+        # least half the largest violation (after 10 rounds only the
+        # largest, which damps a row that cycles)
+        over = np.where(Sr, 0.0, resid / pen_w - 1.0)
+        share = 0.5 if round_ < 10 else 1.0
+        add_S = (over > 1e-12) & (over >= share * over.max(axis=1, keepdims=True))
+        if copies is not None:
+            add_S &= ~later & (Sr @ copies @ copies.T == 0.0)
+        keep_A = Ar & (tau[run] * Mt > 0.0)
+        # the most violated face only: a far point violates many
+        over = np.where(Ar, 0.0, np.abs(qt) / pen_w - bound)
+        worst = np.argmax(over, axis=1)
+        add_A = np.zeros_like(Ar)
+        add_A[np.arange(run.size), worst] = over[np.arange(run.size), worst] > 0.0
+        # a row that meets a new face keeps its support and signs: the face
+        # stops the move before a sign would change
+        meet = add_A.any(axis=1)
+        keep_S[meet] = Sr[meet]
+        # a support that would empty keeps its coordinates with the signs
+        # they crossed to: with an empty support no face can be met
+        flip = ~(keep_S | add_S).any(axis=1) & Sr.any(axis=1)
+        keep_S[flip] = Sr[flip]
+        sig[run[flip]] = np.where(Sr[flip], -sig[run[flip]], 0.0)
+        settled = ((keep_S == Sr) & (keep_A == Ar) & ~add_S & ~add_A).all(axis=1) & ~flip
+        # a settled point that is not stationary on its support solved an
+        # inconsistent system by least squares: status 3, not a KKT point
+        stuck = np.where(Sr, np.abs(r / pen_w + sig[run]), 0.0).max(axis=1) > 1e-9
+        done = run[settled]
+        status[done] = np.where(stuck[settled], 3, 1)
+        out_B[done], out_M[done] = Bt[settled], Mt[settled]
+        if settled.any():
+            incumbent = min(incumbent, float(np.min(
+                rss[settled] / (c * D[settled]) + np.abs(Bt[settled]) @ pen_w)))
+        lb = _face_lower(xty, bound, pen_w, yz, r, Mt)
+        hopeless = ~settled & (lb > incumbent + _near_margin(incumbent))
+        status[run[hopeless]] = 2
+        lower[run[hopeless]] = lb[hopeless]
+        sig[run] = np.where(add_S, -np.sign(r), sig[run])
+        S[run] = keep_S | add_S
+        tau[run] = np.where(add_A, np.sign(qt), np.where(keep_A, tau[run], 0.0))
+    status[status < 0] = 0
+    return out_B, out_M, lower, status, rounds
 
 
 class _BatchResult(NamedTuple):
@@ -186,548 +489,6 @@ def _spectral_norm_estimate(G: np.ndarray, iters: int = 30) -> float:
         v = w / nrm
         lam = nrm
     return max(lam, 1e-12)
-
-
-def _face_points(G, xty, yty, c, j, s, pen_w, S, sig, face, copies, rank):
-    """Stationary points of R sign rows on their supports and faces, batched.
-
-    Row r keeps b_i = 0 off S_r, the signs sig on S_r, and q = xty - G b at
-    q_i = face_i w_i on its faces A_r, the nonzero entries of ``face``. With
-    a = s G_Sj / w_j, alpha = rss / (2 D), face multipliers m and
-    mu = (c D / 2) m, stationarity on S_r reads
-
-        G_SS b_S - G_SA mu_A = xty_S - alpha a - (c D / 2) w_S sig,
-        G_AS b_S             = xty_A - face_A w_A,
-
-    a bordered system solved for three right-hand sides by ``solve``. D is
-    affine in alpha (constant when the row's own face j is in A_r), so alpha
-    solves one quadratic; the root with D > 0 and the lowest objective on
-    the restricted set wins. A row whose support holds two copies
-    (``copies``, from ``_copies``), more coordinates than ``rank`` or more
-    faces than coordinates, or whose ``solve`` fails, is singular: it takes the pseudo-inverse from an
-    eigendecomposition, whose least-norm split between dependent columns
-    ``solve`` cannot give.
-
-    A row without a valid root has no stationary point, and the restricted
-    objective falls without bound along a ray, one of two:
-
-    - on a singular row, the directions that leave x b and the faces as they
-      are, when w_S sig is not orthogonal to them: the ray is minus the
-      projection of w_S sig onto them, along which only the penalty moves;
-    - otherwise the limit of the stationary curve as alpha grows, scaled so
-      that D grows at rate 1, when its recession slope ||x v||^2 / c +
-      w_S sig.v is negative.
-
-    The objective is convex along a ray with a negative limit slope, so it
-    falls from every point of the restricted set. Returns (b, m, ok, ray):
-    points and multipliers (R, p), the rows with a valid root, and the rays
-    (R, p) of the other rows, zero where there is none.
-    """
-    R, p = S.shape
-    A = face != 0.0
-    nS, nA = S.sum(axis=1), A.sum(axis=1)
-    mS, n = int(nS.max()), int(nS.max() + nA.max())
-    # row r's support, then its faces, each padded (``val`` marks the real
-    # entries); a padded entry gets an identity row and column
-    Sidx = np.argsort(~S, axis=1, kind="stable")[:, :mS]
-    Aidx = np.argsort(~A, axis=1, kind="stable")[:, :n - mS]
-    idx = np.concatenate([Sidx, Aidx], axis=1)
-    val = np.concatenate([np.arange(mS) < nS[:, None],
-                          np.arange(n - mS) < nA[:, None]], axis=1)
-    Mx = G[idx[:, :, None], idx[:, None, :]]
-    Mx[:, mS:, mS:] = 0.0
-    Mx *= val[:, :, None] & val[:, None, :]
-    Mx[:, np.arange(n), np.arange(n)] += ~val
-    rr = np.arange(R)[:, None]
-    a = (s / pen_w[j])[:, None] * G[Sidx, j[:, None]] * val[:, :mS]
-    rhs = np.zeros((R, n, 3))
-    rhs[:, :mS, 0] = xty[Sidx]
-    rhs[:, mS:, 0] = xty[Aidx] - face[rr, Aidx] * pen_w[Aidx]
-    rhs[:, :mS, 1] = a
-    rhs[:, :mS, 2] = pen_w[Sidx] * sig[rr, Sidx]
-    rhs *= val[:, :, None]
-    # an empty support has the one point b = 0, and no multipliers
-    empty = nS == 0
-    U, bad = np.zeros_like(rhs), ((nS > rank) | (nA > nS)) & ~empty
-    if copies is not None:
-        bad |= (S @ copies > 1.0).any(axis=1)
-    go = ~bad & ~empty
-    if n and go.any():
-        # a slice spares the copies when every row is regular
-        rows = slice(None) if go.all() else go
-        try:
-            U[rows] = np.linalg.solve(Mx[rows], rhs[rows])
-        except np.linalg.LinAlgError:
-            bad |= go
-        with np.errstate(invalid="ignore", over="ignore"):
-            bad |= go & ~(np.abs(Mx @ U - rhs).max(axis=(1, 2))
-                          <= 1e-9 * (1.0 + np.abs(rhs).max(axis=(1, 2))))
-    null_ray = np.zeros((R, mS))
-    if bad.any():
-        lam, V = np.linalg.eigh(Mx[bad])
-        big = np.abs(lam) > 1e-10 * np.abs(lam).max(axis=1, keepdims=True)
-        Vr = np.einsum("rji,rjk->rik", V, rhs[bad])
-        U[bad] = V @ (np.where(big, 1.0 / np.where(big, lam, 1.0), 0.0)[:, :, None] * Vr)
-        null_ray[bad] = -(V[:, :mS] @ np.where(big, 0.0, Vr[:, :, 2])[:, :, None])[:, :, 0]
-    wsig = rhs[:, :mS, 2]
-    nulls = (np.linalg.norm(null_ray, axis=1)
-             > 1e-9 * (1.0 + np.linalg.norm(wsig, axis=1)))
-    u0, ua, uw = U[:, :, 0], U[:, :, 1], U[:, :, 2]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        den = 1.0 - 0.5 * c * np.einsum("ri,ri->r", a, uw[:, :mS])
-        # D = e0 + e1 alpha and (b_S, -mu_A) = v0 + alpha v1
-        e0 = (s * xty[j] / pen_w[j] - np.einsum("ri,ri->r", a, u0[:, :mS])) / den
-        e1 = np.einsum("ri,ri->r", a, ua[:, :mS]) / den
-        v0 = u0 - 0.5 * c * e0[:, None] * uw
-        v1 = -ua - 0.5 * c * e1[:, None] * uw
-        b0, b1, xS = v0[:, :mS], v1[:, :mS], xty[Sidx] * val[:, :mS]
-        Gb0 = np.einsum("rij,rj->ri", Mx[:, :mS, :mS], b0)
-        Gb1 = np.einsum("rij,rj->ri", Mx[:, :mS, :mS], b1)
-        # rss(alpha) = r0 + r1 alpha + r2 alpha^2 = 2 alpha D(alpha)
-        r0 = yty - 2.0 * np.einsum("ri,ri->r", b0, xS) + np.einsum("ri,ri->r", b0, Gb0)
-        r1 = 2.0 * (np.einsum("ri,ri->r", b1, Gb0) - np.einsum("ri,ri->r", b1, xS))
-        q2, q1, q0 = np.einsum("ri,ri->r", b1, Gb1) - 2.0 * e1, r1 - 2.0 * e0, r0
-        disc = q1 * q1 - 4.0 * q2 * q0
-        h = -0.5 * (q1 + np.copysign(np.sqrt(np.maximum(disc, 0.0)), q1))
-        roots = np.where((disc >= 0)[:, None], np.stack([h / q2, q0 / h], axis=1), np.nan)
-        linear = q2 == 0.0
-        roots[linear, 0], roots[linear, 1] = -q0[linear] / q1[linear], np.nan
-        f = 2.0 * roots / c + (np.einsum("ri,ri->r", wsig, b0)[:, None]
-                               + np.einsum("ri,ri->r", wsig, b1)[:, None] * roots)
-        good = (roots > 0.0) & (e0[:, None] + e1[:, None] * roots > 0.0) & np.isfinite(f)
-        # the recession slope of the stationary curve, per unit of D
-        slope = (np.einsum("ri,ri->r", b1, Gb1) / (c * e1 * e1)
-                 + np.einsum("ri,ri->r", wsig, b1) / e1)
-        curve_ray = (b1 / e1[:, None]) * (slope < 0.0)[:, None]
-    pick = np.argmin(np.where(good, f, np.inf), axis=1)
-    ok = good[rr[:, 0], pick] & ~nulls
-    alpha = np.where(ok, roots[rr[:, 0], pick], 0.0)
-    D = np.where(ok, e0 + e1 * alpha, 1.0)
-    Z = v0 + alpha[:, None] * v1
-    ok &= np.isfinite(Z).all(axis=1)
-    Z[~ok] = u0[~ok]
-    ray = np.where(nulls[:, None], null_ray, np.where(ok[:, None], 0.0, curve_ray))
-    ray[~np.isfinite(ray).all(axis=1)] = 0.0
-    # scatter into (R, p + 1): padded entries land in the spare last column
-    out = np.zeros((3, R, p + 1))
-    at = np.where(val[:, :mS], Sidx, p)
-    out[0, rr, at] = Z[:, :mS]
-    out[1, rr, np.where(val[:, mS:], Aidx, p)] = -2.0 * Z[:, mS:] / (c * D[:, None])
-    out[2, rr, at] = ray * val[:, :mS]
-    return out[0, :, :p], out[1, :, :p], ok, out[2, :, :p]
-
-
-def _lasso_signs(G, xty, lam, pen_w, rank):
-    """Signs of the weighted lasso 1/2 b.G b - xty.b + lam sum_i w_i |b_i|
-    after ``LASSO_STEPS`` proximal-gradient steps from 0; all zero where G
-    has fewer than p / 2 dimensions, or where the nonzero signs number the
-    rank or more: such a support only makes the systems larger."""
-    p = G.shape[0]
-    Lg = _spectral_norm_estimate(G)
-    b = np.zeros(p)
-    for _ in range(LASSO_STEPS):
-        b = _soft(b + (xty - G @ b) / Lg, lam * pen_w / Lg)
-    sig = np.sign(b)
-    if p > 2 * rank or np.count_nonzero(sig) >= rank:
-        sig[:] = 0.0
-    return sig
-
-
-def _face_lower(xty, bound, pen_w, yz, r, M):
-    """LB_k(m) of sign rows under ``bound``, for any multipliers M.
-
-    Weak duality for the Lagrangian of the faces |q_i| <= bound w_i: the
-    row's smooth part is 1-homogeneous in the residual, so its conjugate is
-    an indicator, and at any point of the row's domain t (z_k, m) is dual
-    feasible, where z_k is the gradient of the smooth part in residual space
-    (x.T z_k = -g_k, y.z_k = ``yz``), r = g_k - G m and
-    t = min(1, 1 / max_i |r_i| / w_i). Then
-
-        LB_k(m) = t (y.z_k + xty.m - bound sum_i w_i |m_i|)
-
-    lies below the row's constrained optimum for every m: m = 0 gives the
-    unconstrained bound (the only one when ``bound`` is None), and at a KKT
-    point with its face multipliers t = 1 and LB_k equals the objective.
-    """
-    t = 1.0 / np.maximum(1.0, (np.abs(r) / pen_w).max(axis=1))
-    if bound is None:
-        return t * yz
-    return t * (yz + M @ xty - bound * (np.abs(M) @ pen_w))
-
-
-def _pivot(G, times_G, xty, c, k, j, s, pen_w, S, sig, same, lower, status):
-    """Rows k whose supports fit y exactly, heading for that fit, pivot as
-    basis pursuit does (min sum_i w_i |b_i| on x b = y).
-
-    With z = x_S u_S, G_SS u_S = w_S sig_S, the dual point of that problem
-    on the support, a coordinate i off S with |x_i.z| > w_i enters with the
-    sign of x_i.z: the support then holds more columns than the rank, and
-    its next ray moves along x b = const, lowering the penalty until a
-    coordinate of S reaches 0. Where none does, the row's infimum is
-    approached at the fit, and t z bounds it below (weak duality) once t
-    puts it in the conjugate set of the smooth part, {z : a.z + (c / 4)
-    ||a||^2 ||z - (a.z / ||a||^2) a||^2 <= 1 / c} with a = s x_j / w_j, and
-    |x.T z| <= w; a row whose bound does not prune it stops open. Updates
-    S, sig, ``lower`` and ``status`` in place.
-    """
-    R, p = k.size, G.shape[0]
-    nS = S[k].sum(axis=1)
-    m = int(nS.max())
-    idx = np.argsort(~S[k], axis=1, kind="stable")[:, :m]
-    val = np.arange(m) < nS[:, None]
-    Gs = G[idx[:, :, None], idx[:, None, :]] * (val[:, :, None] & val[:, None, :])
-    Gs[:, np.arange(m), np.arange(m)] += ~val
-    rr = np.arange(R)[:, None]
-    u = np.linalg.pinv(Gs, hermitian=True) @ (pen_w[idx] * sig[k[:, None], idx] * val)[:, :, None]
-    U = np.zeros((R, p + 1))
-    U[rr, np.where(val, idx, p)] = u[:, :, 0]
-    U = U[:, :p]
-    Gu = times_G(U)
-    over = np.where(S[k], -np.inf, np.abs(Gu) / pen_w - 1.0)
-    if same is not None:
-        over[S[k] @ same > 0.0] = -np.inf
-    add = np.argmax(over, axis=1)
-    grow = over[rr[:, 0], add] > 1e-12
-    S[k[grow], add[grow]] = True
-    sig[k[grow], add[grow]] = np.sign(Gu[grow, add[grow]])
-    jk = j[k]
-    za = s[k] * Gu[rr[:, 0], jk] / pen_w[jk]
-    aa = G[jk, jk] / pen_w[jk] ** 2
-    quad = 0.25 * c * np.maximum(aa * np.einsum("kp,kp->k", U, Gu) - za * za, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # the largest t with t a.z + t^2 quad <= 1 / c
-        t = np.where(quad > 0.0, 2.0 / (c * (za + np.sqrt(za * za + 4.0 * quad / c))),
-                     np.where(za > 0.0, 1.0 / (c * za), np.inf))
-    t = np.minimum(np.minimum(t, 1.0), 1.0 / (np.abs(Gu) / pen_w).max(axis=1))
-    lower[k] = np.maximum(lower[k], t * (U @ xty))
-    status[k[~grow]] = 3
-
-
-def _face_finish(G, xty, yty, c, j, s, pen_w, bound, delta, tolerance, B, feasible,
-                 copies):
-    """Solve R sign rows, with or without ``bound``, by a primal active set.
-
-    Row k minimizes rss(b) / (c D_k(b)) + sum_i w_i |b_i| over the open domain
-    D_k(b) = s_k q_j(b) / w_j > delta, q(b) = xty - G b, under |q_i| <= bound
-    w_i when ``bound`` is given, from the feasible point B[k] (rows not
-    ``feasible``, or not in the domain or the bound at the q computed here,
-    are left out), with the support S of B[k], its signs and the faces A it
-    lies on. Each round a row moves toward the stationary point P of its sets
-    (``_face_points``, faces a relative 1e-12 inside ``bound``), or along the
-    ray where the restricted objective falls without bound, and stops at the
-    first coordinate of S to reach 0 (it leaves S) or the first face off A
-    it meets (it joins A): the objective is convex on the restricted set, so
-    it falls and the point stays feasible. At P the row releases the face of
-    A whose multiplier has the wrong side, or else adds the coordinates off
-    S that violate stationarity, |(g - G m)_i| / w_i > 1 + 1e-12 with g the
-    gradient of the smooth part, by at least half the largest violation and
-    no more than the rank allows, with signs -sign((g - G m)_i); of a set of
-    ``copies`` only the first, and none while a copy is in S. A column in the
-    span of S makes the next system singular, and its ray swaps a coordinate
-    out; a support that fits y exactly pivots (``_pivot``).
-
-    Each row also follows a guess of its sets, solved in the same batch: the
-    signs of one lasso (``_lasso_signs``, under a bound) with its own
-    coordinate, then the sets the guess's point suggests (the coordinates
-    whose signs held, the violators, the faces with multipliers of their
-    side and the face most violated). A guess whose point is feasible and
-    lower replaces the row's move; a row with a guess moves itself only
-    after ``SAFE_AFTER`` rounds of failed guesses.
-
-    The certificate is LB_k(m) (``_face_lower``) at the row's point and at
-    its guess's point, which hold anywhere in the domain, kept as the
-    largest so far. A row converges once F_k - LB_k <= tolerance (1 + |F_k|)
-    and is pruned once LB_k lies above the best objective by more than
-    ``_near_margin``; it stops open at a KKT point whose certificate does not
-    close, without a point or ray, or after ``MAX_FACE_ROUNDS``. Returns a
-    ``_BatchResult`` with q recomputed, so that it passes ``bound`` exactly.
-    """
-    R, p = B.shape
-    lam, V = np.linalg.eigh(G)
-    rank = int(np.sum(lam > lam[-1] * p * np.finfo(float).eps))
-    if p > 2 * rank:
-        # products with G through a thin factor: G = L L.T with L (p, rank)
-        L = V[:, p - rank:] * np.sqrt(lam[p - rank:])
-
-        def times_G(A):
-            return (A @ L) @ L.T
-    else:
-        def times_G(A):
-            return A @ G
-    # 1e-12 of the size of a coefficient that explains y alone
-    tiny = 1e-12 * np.sqrt(yty / np.max(np.diag(G), initial=1e-300))
-    B = B.copy()
-    Q = xty[None, :] - times_G(B)
-
-    def evaluate(Bk, Qk, jk, sk):
-        """rss, D and F at the points Bk with correlation vectors Qk."""
-        rss = np.maximum(yty - 2.0 * (Bk @ xty) + np.einsum("kp,kp->k", Bk, xty - Qk), 0.0)
-        D = sk * Qk[np.arange(len(jk)), jk] / pen_w[jk]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return rss, D, rss / (c * D) + np.abs(Bk) @ pen_w
-
-    def dual_bound(Bk, Qk, rssk, Dk, Mk, jk, sk):
-        """LB_k(m) at the points Bk, and g - G m there."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = ((-2.0 / (c * Dk))[:, None] * Qk
-                 + ((rssk / (c * Dk * Dk)) * sk / pen_w[jk])[:, None] * G[:, jk].T)
-            yz = (2.0 * (yty - Bk @ xty) - rssk * sk * xty[jk] / (pen_w[jk] * Dk)) / (c * Dk)
-        if bound is not None:
-            r -= times_G(Mk)
-        return _face_lower(xty, bound, pen_w, yz, r, Mk), r
-
-    rss, D, F = evaluate(B, Q, j, s)
-    feasible = feasible & (D > delta)
-    # signs and face sides (-1, 0, 1) are kept as int8
-    tau = np.zeros((R, p), dtype=np.int8)
-    level = 0.0
-    if bound is not None:
-        feasible &= (np.abs(Q) / pen_w).max(axis=1) <= bound
-        level = np.full(p, bound * (1.0 - 1e-12)) * pen_w
-        tau[:] = np.sign(Q) * (np.abs(Q) >= level)
-    F = np.where(feasible, F, np.inf)
-    M = np.zeros((R, p))
-    S, sig = B != 0.0, np.sign(B).astype(np.int8)
-    lower = np.where(feasible, -np.inf, np.inf)
-    # 0 running, 1 converged, 2 pruned, 3 open, -1 left out
-    status = np.where(feasible, 0, -1)
-    rounds = np.zeros(R, dtype=int)
-    incumbent = float(F.min())
-    # which coordinates are copies of each other, and which are not the
-    # first of their set
-    same = later = None
-    if copies is not None:
-        same = copies @ copies.T
-        later = (np.cumsum(copies, axis=0) * copies).sum(axis=1) > 1.0
-    # the guesses: sets and signs, and the rows that hold one
-    guess = np.zeros((R, p), dtype=np.int8)
-    if bound is not None:
-        guess[:] = _lasso_signs(G, xty, 0.5 * c * bound, pen_w, rank)
-    if copies is not None:
-        guess[:, later] = 0.0
-        guess[copies[j] @ copies.T > 0.0] = 0.0
-    own = B[np.arange(R), j] != 0.0
-    guess[own, j[own]] = np.sign(B[own, j[own]])
-    guess_tau = tau.copy()
-    guessed = feasible.copy()
-    misses = np.zeros(R, dtype=int)
-
-    def certify(k, known=None):
-        """Raise the lower bounds of rows k at their points (LB_k and g - G m
-        there, unless ``known``), stop the rows whose certificate closes or
-        that cannot win; returns g - G m."""
-        nonlocal incumbent
-        lb, r = known or dual_bound(B[k], Q[k], rss[k], D[k], M[k], j[k], s[k])
-        lower[k] = np.maximum(lower[k], lb)
-        incumbent = min(incumbent, float(F.min()))
-        closed = F[k] - lower[k] <= tolerance * (1.0 + np.abs(F[k]))
-        status[k[closed]] = 1
-        status[k[~closed & (lower[k] > incumbent + _near_margin(incumbent))]] = 2
-        return r
-
-    def violators(r, Sk):
-        """The coordinates off Sk that violate stationarity by at least half
-        the largest violation, and their signs."""
-        over = np.where(Sk, -np.inf, np.abs(r) / pen_w - 1.0)
-        if same is not None:
-            over[:, later] = -np.inf
-            over[Sk @ same > 0.0] = -np.inf
-        adds = (over > 1e-12) & (over >= 0.5 * over.max(axis=1, keepdims=True))
-        # no more than the support needs to reach the rank, one at least
-        room = np.maximum(rank - Sk.sum(axis=1), 1)
-        crowd = np.flatnonzero(adds.sum(axis=1) > room)
-        if crowd.size:
-            order = np.argsort(-np.where(adds[crowd], over[crowd], -np.inf), axis=1,
-                               kind="stable")
-            place = np.empty_like(order)
-            place[np.arange(crowd.size)[:, None], order] = np.arange(p)
-            adds[crowd] &= place < room[crowd, None]
-        return adds, -np.sign(r) * adds
-
-    def guess_sets(k, Pk, Qk, Mk, rk):
-        """The sets that rows k guess from their points Pk: the coordinates
-        whose signs held, the violators, the faces whose multipliers have
-        their side and the face Pk violates most."""
-        keep = guess[k] * Pk > 0.0
-        sides = np.where(guess_tau[k] * Mk >= 0.0, guess_tau[k], 0.0)
-        if bound is not None:
-            over = np.where(sides != 0.0, 0.0, np.abs(Qk) / level - 1.0)
-            worst = np.argmax(over, axis=1)
-            out = over[np.arange(k.size), worst] > 1e-9
-            sides[np.flatnonzero(out), worst[out]] = np.sign(Qk[out, worst[out]])
-            # a new face stops the way to Pk before a sign changes
-            keep[out] = guess[k][out] != 0.0
-        adds, signs = violators(rk, keep)
-        return np.where(keep, guess[k], signs), sides
-
-    certify(np.flatnonzero(feasible))
-    for _ in range(MAX_FACE_ROUNDS):
-        run = np.flatnonzero(status == 0)
-        if run.size == 0:
-            break
-        rounds[run] += 1
-        # a support of more than twice the rank (a start repaired into the
-        # constraint set where p >> n) would drop one coordinate a round:
-        # such a row waits for its guesses, and stops open without one
-        wide = S[run].sum(axis=1) > 2 * rank
-        status[run[wide & ~guessed[run]]] = 3
-        run = run[~wide | guessed[run]]
-        wide = S[run].sum(axis=1) > 2 * rank
-        kg = run[guessed[run]]
-        # a row with a guess moves only once its guesses failed SAFE_AFTER
-        # rounds in a row
-        sf = run[(~guessed[run] | (misses[run] >= SAFE_AFTER)) & ~wide]
-        n, ar, jr, sr = sf.size, np.arange(sf.size), j[sf], s[sf]
-        both = np.concatenate([sf, kg])
-        if both.size == 0:
-            continue
-        sets = np.concatenate([sig[sf], guess[kg]])
-        faces = np.concatenate([tau[sf], guess_tau[kg]]) * (level / pen_w)
-        Pa, Ma, oka, raya = _face_points(G, xty, yty, c, j[both], s[both], pen_w,
-                                         sets != 0.0, sets, faces, copies, rank)
-        P, Mp, ok, ray = Pa[:n], Ma[:n], oka[:n], raya[:n]
-        # the moves of the rows in sf (none while every row follows a guess)
-        fine = limit = reached = at_face = toward = np.zeros(n, dtype=bool)
-        zero, (Gd, Bn, Qn) = np.zeros((n, p), dtype=bool), (np.zeros((n, p)),) * 3
-        rssn = Dn = Fn = t = np.zeros(n)
-        kf = np.zeros(n, dtype=int)
-        if n:
-            # without a point or a ray, a row without faces moves toward the
-            # least-squares point of its support: where that fits y exactly the
-            # objective is linear on the way, and a sign must change first
-            toward = ok | (~ray.any(axis=1) & ~tau[sf].any(axis=1))
-            step = np.where(toward[:, None], P - B[sf], ray)
-            Gd = times_G(step)
-            # along B + t step: the first face off A to be crossed, and the
-            # coordinates of S that reach 0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                # a step of a coordinate below ``tiny`` is rounding: a point
-                # pinned by its faces keeps a new coordinate at 0
-                tc = np.where(S[sf] & (sig[sf] * step < -tiny), -B[sf] / step, np.inf)
-                tf = np.full((n, p), np.inf)
-                if bound is not None:
-                    edge = np.where(Gd < 0.0, level, -level)
-                    tf = np.where((tau[sf] == 0.0) & (Gd != 0.0),
-                                  np.maximum((Q[sf] - edge) / Gd, 0.0), np.inf)
-            kf = np.argmin(tf, axis=1)
-            tf = tf[ar, kf]
-            # the ratio test: the row stops at the first coordinate of S to reach
-            # 0, at the first face off A, or at the end of the step
-            kc = np.argmin(tc, axis=1)
-            tc0 = tc[ar, kc]
-            end = np.minimum(tf, np.where(toward, 1.0, np.inf))
-            t = np.minimum(tc0, end)
-            moving = np.isfinite(t)
-            at_break = moving & (tc0 <= end)
-            at_face = moving & ~at_break & (t == tf)
-            # at the stationary point of its sets: reached with no face met and
-            # no sign changed on the way
-            reached = ok & moving & ~at_break & ~at_face & ~(tc < 1.0).any(axis=1)
-            t = np.where(moving, t, 0.0)
-            Bn = np.where(reached[:, None], P, B[sf] + t[:, None] * step)
-            # the coordinates that reach 0 at the stop leave S
-            zero = S[sf] & (tc == t[:, None]) & at_break[:, None]
-            Bn[zero] = 0.0
-            Qn = Q[sf] - t[:, None] * Gd
-            # a move below ``tiny`` is rounding: the row stays where it is
-            stay = np.abs(Bn - B[sf]).max(axis=1, initial=0.0) <= tiny
-            Bn[stay], Qn[stay] = B[sf[stay]], Q[sf[stay]]
-            rssn, Dn, Fn = evaluate(Bn, Qn, jr, sr)
-            # a move keeps the domain and does not raise F beyond rounding
-            fine = moving & (Dn > delta) & (Fn <= F[sf] + 1e-12 * (1.0 + np.abs(F[sf])))
-            # a support that fits y exactly, every sign kept on the way, with no
-            # point of the domain there (or only one at the fit): the objective
-            # falls toward that fit, a boundary point of the domain; and a
-            # support as large as the rank whose new coordinate would change
-            # sign at once, where no point of the domain beats the fit either
-            full = S[sf].sum(axis=1) >= rank
-            limit = ((toward & ~at_break & ~fine) | (zero.any(axis=1) & (t == 0.0))) & full
-
-        # the guesses: their bound holds at their points, and the next guess
-        # comes from this one's point, feasible or not; a guess without a
-        # point tries again on its own face j (D = bound)
-        Pg, Mg, okg = Pa[n:], Ma[n:], oka[n:]
-        Qg = xty[None, :] - times_G(Pg)
-        rssg, Dg, Fg = evaluate(Pg, Qg, j[kg], s[kg])
-        okg &= Dg > delta
-        lbg, rg = dual_bound(Pg[okg], Qg[okg], rssg[okg], Dg[okg], Mg[okg], j[kg[okg]],
-                             s[kg[okg]])
-        lower[kg[okg]] = np.maximum(lower[kg[okg]], lbg)
-        follow = kg[okg]
-        next_guess = guess_sets(follow, Pg[okg], Qg[okg], Mg[okg], rg)
-        retry = kg[~okg & (guess_tau[kg, j[kg]] == 0.0)] if bound is not None else kg[:0]
-        # a feasible guess lower than the move replaces it
-        slot = np.full(R, -1)
-        slot[sf] = ar
-        at_g = slot[kg]
-        # (slot -1 reads the appended entries: no move)
-        moved = np.append(fine, False)[at_g]
-        adopt = okg & (guess[kg] * Pg >= 0.0).all(axis=1) & (
-            Fg < np.where(moved, np.append(Fn, 0.0)[at_g], F[kg]))
-        if bound is not None:
-            adopt &= (np.abs(Qg) <= bound * pen_w).all(axis=1)
-        misses[run] += 1
-        misses[kg[adopt]] = 0
-        lost = at_g[adopt & (at_g >= 0)]
-        fine[lost] = limit[lost] = False
-        guessed[run] = False
-        guessed[follow], guessed[retry] = True, True
-        guess_tau[retry, j[retry]] = s[retry]
-        adopted = kg[adopt]
-        gset, gtau = guess[adopted], guess_tau[adopted]
-        guess[follow], guess_tau[follow] = next_guess
-
-        status[sf[~fine & ~limit]] = 3
-        status[adopted] = 0
-        if limit.any():
-            _pivot(G, times_G, xty, c, sf[limit], j, s, pen_w, S, sig, same, lower, status)
-        k = sf[fine]
-        B[k], Q[k], rss[k], D[k], F[k] = Bn[fine], Qn[fine], rssn[fine], Dn[fine], Fn[fine]
-        M[sf[ok & fine]] = Mp[ok & fine]
-        B[adopted], Q[adopted], rss[adopted], D[adopted], F[adopted], M[adopted] = (
-            Pg[adopt], Qg[adopt], rssg[adopt], Dg[adopt], Fg[adopt], Mg[adopt])
-        S[adopted], sig[adopted], tau[adopted] = gset != 0.0, gset, gtau
-        r = certify(k)
-        # the bound at an adopted guess's point is known
-        took = adopt[okg]
-        r_adopted = certify(adopted, (lbg[took], rg[took]))
-        # the set changes of the rows still running
-        go = status[k] == 0
-        at, k, r = ar[fine][go], k[go], r[go]
-        S[k] &= ~zero[at]
-        sig[k] = np.where(B[k] != 0.0, np.sign(B[k]), sig[k]) * S[k]
-        hit = at_face[at]
-        tau[k[hit], kf[at[hit]]] = -np.sign(Gd[at[hit], kf[at[hit]]])
-        # at a stationary point: release the face whose multiplier has the
-        # wrong side, the largest, or else add the violators
-        still = status[adopted] == 0
-        k = np.concatenate([k[reached[at]], adopted[still]])
-        r = np.concatenate([r[reached[at]], r_adopted[still]])
-        wrong = np.where(tau[k] * M[k] < 0.0, np.abs(M[k]) * pen_w * (bound or 0.0), 0.0)
-        wrong[wrong <= 1e-9 * (1.0 + np.abs(F[k]))[:, None]] = 0.0
-        worst = np.argmax(wrong, axis=1)
-        free = wrong[np.arange(k.size), worst] > 0.0
-        tau[k[free], worst[free]] = 0.0
-        k, r = k[~free], r[~free]
-        # a support of the rank spans every column: its violators enter as
-        # basis pursuit pivots
-        full = S[k].sum(axis=1) == rank
-        if full.any():
-            _pivot(G, times_G, xty, c, k[full], j, s, pen_w, S, sig, same, lower, status)
-            k, r = k[~full], r[~full]
-        adds, signs = violators(r, S[k])
-        grow = adds.any(axis=1)
-        sig[k] = np.where(adds, signs, sig[k])
-        S[k] |= adds
-        # a KKT point whose certificate did not close
-        status[k[~grow]] = 3
-        incumbent = min(incumbent, float(F.min()))
-        status[(status == 3) & (lower > incumbent + _near_margin(incumbent))] = 2
-    Q[feasible] = xty[None, :] - times_G(B[feasible])
-    rss, D, F = evaluate(B, Q, j, s)
-    F = np.where(feasible, F, np.inf)
-    return _BatchResult(B, Q, F, status == 1, feasible, rounds, np.zeros(R, dtype=bool),
-                        status == 2, lower, int(rounds.max(initial=0)), 0)
 
 
 def _coordinate_starts(G, xty, yty, c, j_arr, s_arr, pen_w, delta, tau):
@@ -917,76 +678,179 @@ def _ladder(t, t_floor, cap, trial, out, dest):
 
 def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
                        bound=None, window=10):
-    """Monotone proximal gradient with backtracking over K group rows.
+    """Monotone proximal gradient with backtracking over K subproblem rows.
 
     Row k minimizes rss(b) / (c * D_k(b)) + omega(b) over the open domain
-    D_k(b) > delta, from its start B[k], with q(b) = x.T (y - x b) = xty - G b,
-    D_k(b) = ||q_idx(b)|| / dw_k and the group penalty, whose prox is
-    ``norms.prox_omega``; its objective need not be convex.
+    D_k(b) > delta, from its start B[k], with q(b) = x.T (y - x b) = xty - G b:
+
+    - a sign row has D_k(b) = s_k * q_j(b) / dw_k and a (weighted) l1
+      penalty, so its objective is convex;
+    - a group row has D_k(b) = ||q_idx(b)|| / dw_k and the group penalty,
+      whose prox is ``norms.prox_omega``; its objective need not be convex.
 
     Each iteration backtracks every active row at once (``_ladder``): round r
     tries the next 2^r steps t, t/2, t/4, ... of every pending row, or more
-    where few cheap candidates are pending (small p), in one batch of at
-    most max(K, 2p, ``WIDE_ROUND`` // p^2) candidates, and each row keeps its
-    largest step that stays in the domain, passes ``bound`` and gives
-    sufficient decrease; these are the decisions of trying one step at a
-    time. A row tries at most ``MAX_TRIALS`` steps per iteration and stalls
-    once its step would fall below 1e-18 times its first. An accepted row
-    grows its step by 1.3. A row whose objective fell by at most tolerance
-    (1 + |F_k|) over ``window`` iterations stops, converged.
+    where few cheap candidates are pending (small p, as for group rows), in
+    one batch of at most max(K, 2p, ``WIDE_ROUND`` // p^2) candidates, and
+    each row keeps its largest step that stays in the domain, passes
+    ``bound`` and gives sufficient decrease; these are the decisions of
+    trying one step at a time. A row
+    tries at most ``MAX_TRIALS`` steps per iteration and stalls once its step
+    would fall below 1e-18 times its first.
 
     When ``bound`` is given, candidate steps with dual(q) > bound are rejected
     (line-search feasibility, no projection); the callers repair starts with
     dual(q) > bound and mark those they cannot repair infeasible, and a start
     whose q, as computed here, still fails the bound is infeasible. So the q
-    returned for every feasible row satisfies the bound exactly. Group rows
-    have no certificate: ``lower`` is -inf for feasible rows and inf for
-    infeasible ones.
+    returned for every feasible row satisfies the bound exactly.
+
+    Sign rows finish on their certificate. Every iteration evaluates a dual
+    lower bound LB_k on each active row's optimum; a row converges once
+    F_k - LB_k <= tolerance (1 + |F_k|), and is otherwise stopped (pruned)
+    when LB_k lies above the incumbent min_k F_k by more than
+    ``_near_margin``, since it cannot win. A row within that margin of the
+    incumbent whose sign pattern has held for 3 iterations is moved, once per
+    pattern, to the closed-form stationary point on its support (the rows
+    due in one iteration in one ``_face_points`` call with no faces) when
+    that point keeps every sign, the domain and ``bound`` and does not raise
+    F_k; its bound then becomes exact. An accepted sign row doubles its
+    step, a group row grows it by 1.3. Any row whose objective fell by at
+    most tolerance (1 + |F_k|) over ``window`` iterations stops too: the
+    only stop of group rows, which then count as converged, and the
+    fallback that stops sign rows the certificate does not close. A sign
+    row counts as converged only if its certificate closed at its final
+    point, whether it stopped there on it, by the window or by a stall.
+
+    Under ``bound`` every feasible sign row is first handed to the face
+    finish (``_face_finish``), which solves it to its KKT point on its
+    support and active faces or prunes it; a KKT point is adopted when it
+    passes the engine's own domain and ``bound`` checks with the q stored
+    for it and does not raise F_k. The row's bound is then the larger of the
+    unconstrained one, LB_k(m) with the face multipliers m the finish found
+    (``_face_lower``, equal to F_k at a KKT point) and the bound that pruned
+    it, so the certificate closes the adopted rows at the first iteration.
+    The rows the finish leaves open are stepped and polished as above, and
+    its rounds count as iterations. ``lower`` holds LB_k at the final iterate
+    of every feasible sign row, inf for infeasible rows and -inf for group
+    rows, which have no certificate.
     """
     p = G.shape[0]
     K = len(rows.s)
     c = config.c
-    dw = rows.dw
+    s_arr, dw = rows.s, rows.dw
     Lg = _spectral_norm_estimate(G)
+    group = _is_heuristic(spec)
+    # sign rows under a bound: face multipliers M and pruning bounds
+    faces = bound is not None and not group
+    if faces:
+        known = np.full(K, -np.inf)
 
-    def block(q, sub):
-        # pads index a zero column appended to q
-        qg = np.append(q, np.zeros((sub.size, 1)), axis=1)[
-            np.arange(sub.size)[:, None], rows.idx[sub]]
-        return qg, np.sqrt(np.einsum("km,km->k", qg, qg))
+    if group:
+        def block(q, sub):
+            # pads index a zero column appended to q
+            qg = np.append(q, np.zeros((sub.size, 1)), axis=1)[
+                np.arange(sub.size)[:, None], rows.idx[sub]]
+            return qg, np.sqrt(np.einsum("km,km->k", qg, qg))
+
+        def denominator(q, sub):
+            return block(q, sub)[1] / dw[sub]
+
+        def slope(sub, coef):
+            # coef times the gradient of -D_k: G[:, idx] u / dw with the unit
+            # vector u = q_idx / ||q_idx||; pads land in a spare last column
+            qg, nrm = block(q[sub], sub)
+            U = np.zeros((sub.size, p + 1))
+            U[np.arange(sub.size)[:, None], rows.idx[sub]] = qg / nrm[:, None]
+            return (coef / dw[sub])[:, None] * (U[:, :p] @ G)
+
+        def prox(V, step):
+            return norms.prox_omega(spec, V, step)
+
+        def penalty(Bm):
+            return norms.omega(spec, Bm)
+
+        def dual(Q):
+            return norms.omega_dual(spec, Q)
+    else:
+        j_arr = rows.idx[:, 0]
+        pen_w = penalty_weight_vector(spec, p)
+
+        def denominator(q, sub):
+            return s_arr[sub] * q[np.arange(sub.size), j_arr[sub]] / dw[sub]
+
+        def slope(sub, coef):
+            return (coef * s_arr[sub] / dw[sub])[:, None] * G[:, j_arr[sub]].T
+
+        def prox(V, step):
+            return _soft(V, step if spec.kind == norms.L1 else step * pen_w[None, :])
+
+        def penalty(Bm):
+            return np.abs(Bm) @ pen_w
+
+        def dual(Q):
+            return np.max(np.abs(Q) / pen_w[None, :], axis=1)
+
+        inv_pen_w = 1.0 / pen_w
+        a_y = s_arr * xty[j_arr] / dw
+        copies = _copies(G, pen_w)
+
+        def lower_bound(sub, grad):
+            # The gradient z of g(r) = ||r||^2 / (c a.r) satisfies x.T z = -grad,
+            # and theta * z is dual feasible (Fercoq, Gramfort & Salmon 2015),
+            # so the dual objective theta * y.z bounds the row's optimum below.
+            Dr = D[sub]
+            theta = 1.0 / np.maximum(1.0, (np.abs(grad) * inv_pen_w).max(axis=1))
+            yz = (2.0 * (yty - B[sub] @ xty) - rss[sub] * a_y[sub] / Dr) / (c * Dr)
+            if not faces:
+                return theta * yz
+            # under bound: the larger of LB(0), LB(m) with the row's stored
+            # face multipliers, and the bound that pruned it
+            lb = np.maximum(theta * yz, known[sub])
+            has = np.flatnonzero(M[sub].any(axis=1))
+            if has.size:
+                Mk = M[sub[has]]
+                lb[has] = np.maximum(lb[has], _face_lower(
+                    xty, bound, pen_w, yz[has], grad[has] - Mk @ G, Mk))
+            return lb
 
     def eval_rows(Bm, sub):
         bg = Bm @ G
         q = xty[None, :] - bg
         rss = yty - 2.0 * (Bm @ xty) + np.einsum("kp,kp->k", Bm, bg)
         np.maximum(rss, 0.0, out=rss)
-        return q, rss, block(q, sub)[1] / dw[sub]
+        return q, rss, denominator(q, sub)
 
     def gradient(sub):
-        # the slope of -D_k is G[:, idx] u / dw with the unit vector
-        # u = q_idx / ||q_idx||; pads land in a spare last column
         Dr = D[sub]
-        qg, nrm = block(q[sub], sub)
-        U = np.zeros((sub.size, p + 1))
-        U[np.arange(sub.size)[:, None], rows.idx[sub]] = qg / nrm[:, None]
-        return ((-2.0 / (c * Dr))[:, None] * q[sub]
-                + (rss[sub] / (c * Dr * Dr * dw[sub]))[:, None] * (U[:, :p] @ G))
+        return (-2.0 / (c * Dr))[:, None] * q[sub] + slope(sub, rss[sub] / (c * Dr * Dr))
 
     def admitted(Q, rssQ, DQ):
         """Which rows stay in the domain and within ``bound``, and their
         rss / (c D), inf for the others."""
         ok = DQ > delta
         if bound is not None:
-            ok &= norms.omega_dual(spec, Q) <= bound
+            ok &= dual(Q) <= bound
         with np.errstate(divide="ignore", invalid="ignore"):
             return ok, np.where(ok, rssQ / (c * np.where(ok, DQ, 1.0)), np.inf)
+
+    def adopt(ks, Cand):
+        """Move rows ks to the points Cand that pass ``admitted`` and do
+        not raise F; returns the rows moved."""
+        qC, rssC, DC = eval_rows(Cand, ks)
+        ok, gC = admitted(qC, rssC, DC)
+        FC = gC + penalty(Cand)
+        ok &= FC <= F[ks]
+        take = ks[ok]
+        B[take], q[take], rss[take], D[take], F[take] = (
+            Cand[ok], qC[ok], rssC[ok], DC[ok], FC[ok])
+        return take
 
     q, rss, D = eval_rows(B, np.arange(K))
     # the bound is checked with the q stored for the row, which may differ in
     # its last bits from the q its caller computed for the same start
     ok, g = admitted(q, rss, D)
     feasible = feasible & ok
-    F = np.where(feasible, g, np.inf) + norms.omega(spec, B)
+    F = np.where(feasible, g, np.inf) + penalty(B)
 
     t = np.empty(K)
     with np.errstate(invalid="ignore"):
@@ -997,9 +861,29 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
     active = feasible.copy()
     converged = np.zeros(K, dtype=bool)
     stalled = np.zeros(K, dtype=bool)
+    pruned = np.zeros(K, dtype=bool)
+    # iterations each row's sign pattern has held, and whether it was polished
+    steady = np.zeros(K, dtype=int)
+    polished = np.zeros(K, dtype=bool)
+    growth = 1.3 if group else 2.0
     iterations = np.zeros(K, dtype=int)
-    # batched ``trial`` calls of the ladder
-    trial_rounds = 0
+    # rounds of the face finish, and batched ``trial`` calls of the ladder
+    face_rounds = trial_rounds = 0
+    if faces:
+        # every sign row goes to its KKT point first, also a row whose start
+        # could not be put inside the constraint set: adopt the points that
+        # pass the engine's own checks and do not raise F, keep every
+        # multiplier, prune the feasible rows the finish pruned; the loop
+        # then closes the adopted rows on their certificate and steps the rest
+        Bk, M, lbk, st, iterations = _face_finish(
+            G, xty, yty, c, j_arr, s_arr, pen_w, bound, delta, B, float(F.min()), copies,
+            Lg)
+        face_rounds = int(iterations.max(initial=0))
+        gone = np.flatnonzero((st == 2) & feasible)
+        pruned[gone], known[gone], active[gone] = True, lbk[gone], False
+        settled = np.flatnonzero((st == 1) | (st == 3))
+        take = adopt(settled, Bk[settled])
+        feasible[take] = active[take] = True
     hist = [F.copy()]
 
     for it in range(config.max_iterations):
@@ -1007,6 +891,18 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
         if act.size == 0:
             break
         grad = gradient(act)
+        if not group:
+            incumbent = float(F.min())
+            lb = lower_bound(act, grad)
+            closed = F[act] - lb <= config.tolerance * (1.0 + np.abs(F[act]))
+            hopeless = ~closed & (lb > incumbent + _near_margin(incumbent))
+            pruned[act[hopeless]] = True
+            stop = closed | hopeless
+            if stop.any():
+                active[act[stop]] = False
+                act, grad = act[~stop], grad[~stop]
+                if act.size == 0:
+                    break
         iterations[act] += 1
         Br = B[act]
         gr = rss[act] / (c * D[act])
@@ -1015,7 +911,7 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
             nonlocal trial_rounds
             trial_rounds += 1
             b, g = Br[ix], grad[ix]
-            Cand = norms.prox_omega(spec, b - steps[:, None] * g, steps[:, None])
+            Cand = prox(b - steps[:, None] * g, steps[:, None])
             qC, rssC, DC = eval_rows(Cand, act[ix])
             ok, gC = admitted(qC, rssC, DC)
             diff = Cand - b
@@ -1030,12 +926,31 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
         accepted, t[act], dead = _ladder(t[act], t_floor[act], cap, trial,
                                          (B, q, rss, D), act)
         sel = act[accepted]
-        t[sel] = np.minimum(t[sel] * 1.3, 1e12)
-        # cannot decrease further: stalled, not converged
-        stalled[act[dead]] = True
-        active[act[dead]] = False
+        t[sel] = np.minimum(t[sel] * growth, 1e12)
+        if dead.any():
+            # cannot decrease further: stalled, converged only if the
+            # certificate closes at the final point (checked below)
+            gone = act[dead]
+            stalled[gone] = True
+            active[gone] = False
 
-        F[act] = rss[act] / (c * D[act]) + norms.omega(spec, B[act])
+        gF = rss[act] / (c * D[act])
+        F[act] = gF + penalty(B[act])
+        if not group:
+            kept = (np.sign(B[act]) == np.sign(Br)).all(axis=1)
+            steady[act] = np.where(kept, steady[act] + 1, 0)
+            polished[act[~kept]] = False
+            incumbent = float(F.min())
+            due = act[(steady[act] >= 3) & ~polished[act]
+                      & (F[act] <= incumbent + _near_margin(incumbent))]
+            polished[due] = True
+            if due.size:
+                sig = np.sign(B[due])
+                Cand, _, ok = _face_points(G, xty, yty, c, j_arr[due], s_arr[due], pen_w,
+                                           sig != 0.0, sig, np.zeros_like(sig), copies)
+                # the point must keep every sign of the row
+                ok &= (np.sign(Cand) == sig).all(axis=1)
+                adopt(due[ok], Cand[ok])
         hist.append(F.copy())
         if len(hist) > window + 1:
             hist.pop(0)
@@ -1046,9 +961,16 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
             active[act[done]] = False
 
     F = np.where(feasible, F, np.inf)
-    lower = np.where(feasible, -np.inf, np.inf)
-    return _BatchResult(B, q, F, converged, feasible, iterations, stalled,
-                        np.zeros(K, dtype=bool), lower, 0, trial_rounds)
+    lower = np.full(K, np.inf)
+    live = np.flatnonzero(feasible)
+    lower[live] = -np.inf if group else lower_bound(live, gradient(live))
+    if not group:
+        # a sign row converged only if its certificate closed at its final
+        # point, however it stopped: the window and a stall prove nothing
+        with np.errstate(invalid="ignore"):
+            converged = ~pruned & (F - lower <= config.tolerance * (1.0 + np.abs(F)))
+    return _BatchResult(B, q, F, converged, feasible, iterations, stalled, pruned,
+                        lower, face_rounds, trial_rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -1068,42 +990,51 @@ def solve_trex(problem: RegressionProblem, config: SolverConfig = None,
     """Globally solve the ratio objective via the subproblem decomposition.
 
     For (weighted) l1 penalties, and group penalties of singletons only, the
-    2p convex sign rows are solved together by one face finish
-    (``_face_finish``) and the best optimum is returned. A row converges once
-    its objective is within the tolerance of its dual lower bound, and is
-    pruned once that bound exceeds the best objective by more than
-    max(1e-6 (1 + |best|), 1e-8), so a pruned row can never win. Any other
-    group penalty has one nonconvex subproblem per group, solved from
-    max(multistart_count, 2) seeded starts by the proximal engine, and its
+    2p convex sign subproblems are solved together in one engine call and
+    the best optimum is returned. A subproblem converges once its objective
+    is within the tolerance of its dual lower bound, and is pruned once that
+    bound exceeds the best current objective by more than
+    max(1e-6 (1 + |best|), 1e-8), so a pruned subproblem can never win. Any
+    other group penalty has one nonconvex subproblem per group, solved from
+    max(multistart_count, 2) seeded starts in the same batch, and its
     near-best starts are refined in a second call; such a fit is flagged
-    heuristic, carries no certificate and prunes nothing. ``bound`` must be
-    positive; inf is no bound. The diagnostics report, for every penalty:
+    heuristic, carries no certificate and prunes nothing. The diagnostics
+    report, for every penalty:
 
     - ``heuristic``: whether the fit comes from the group multistarts;
     - ``certified_gap``: objective minus the smallest dual lower bound over
       the feasible subproblems, an upper bound on the distance to the global
-      optimum, under ``bound`` too; None for heuristic fits;
+      optimum, under ``bound`` too (there the bound accounts for the
+      constraint); None for heuristic fits;
     - ``pruned``: the number of pruned subproblems;
-    - ``stalled``: the group rows stopped because the line-search step fell
-      below its floor (0 for sign fits);
+    - ``stalled``: the number of rows stopped because the line-search step
+      fell below its floor; such a row counts as converged only if its
+      certificate closed;
     - ``all_converged``: every feasible subproblem converged or was pruned;
-    - ``iterations``: the largest count of face-finish rounds (sign fits) or
-      of proximal-gradient steps in the first engine call (group fits);
-    - ``row_iterations``: those rounds or steps summed over all rows, with a
+      a sign subproblem converged only if its certificate closed, so a sign
+      fit with ``all_converged`` has a closed ``certified_gap``;
+    - ``iterations``: the largest iteration count of the first engine call
+      (the only one for sign fits), rounds of the face finish included;
+    - ``row_iterations``: proximal-gradient steps and face-finish rounds
+      summed over all rows (every start of every subproblem), including a
       heuristic fit's refine stage;
     - ``face_rounds``: the rounds of the face finish, each one batched
-      ``_face_points`` call (0 for heuristic fits);
+      ``_face_points`` call (0 without a bound and for heuristic fits);
     - ``trial_rounds``: the batched line-search rounds, ``trial`` calls of
-      ``_ladder``, summed over the engine calls (0 for sign fits).
+      ``_ladder``, summed over the engine calls.
 
     A subproblem's record holds its best row. Ties within 1e-10 break to the
-    lowest subproblem: the lowest coordinate, negative sign first.
+    lowest subproblem: the lowest coordinate, negative sign first. A
+    ``bound`` (see ``solve_trex_constrained``) must be positive; inf is no
+    bound, and anything else raises ``ConfigError``.
     """
     config = config or SolverConfig()
     spec = spec or l1_spec()
     _check_input(problem, config)
     if bound is not None and not bound > 0:
         raise ConfigError(f"bound must be positive or inf, got {bound}")
+    if bound == np.inf:
+        bound = None
     x, y = problem.x, problem.y
     p = problem.p
     c = config.c
@@ -1115,23 +1046,19 @@ def solve_trex(problem: RegressionProblem, config: SolverConfig = None,
         raise DomainError("dual norm of x.T y is zero; the objective is undefined at 0")
     delta = config.delta * dual0
 
-    # an infinite bound is no bound
-    active = None if bound == np.inf else bound
     heuristic = _is_heuristic(spec)
     if heuristic:
-        rows, B, feasible = _group_rows(G, xty, spec, config, active)
+        rows, B, feasible = _group_rows(G, xty, spec, config, bound)
         identities = [(gi,) for gi in range(len(spec.partition))]
-        res = _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
-                                 bound=active)
     else:
         j_arr = np.repeat(np.arange(p), 2)
         s_arr = np.tile([-1.0, 1.0], p)
-        pen_w = penalty_weight_vector(spec, p)
-        _, B, feasible = _sign_rows(G, xty, yty, c, j_arr, s_arr, pen_w, dual0, delta,
-                                    active)
+        rows, B, feasible = _sign_rows(G, xty, yty, c, j_arr, s_arr,
+                                       penalty_weight_vector(spec, p), dual0,
+                                       delta, bound)
         identities = [(int(j), int(s)) for j, s in zip(j_arr, s_arr)]
-        res = _face_finish(G, xty, yty, c, j_arr, s_arr, pen_w, active, delta,
-                           config.tolerance, B, feasible, _copies(G, pen_w))
+    res = _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
+                             bound=bound)
 
     best = float(np.min(res.objective))
     if not np.isfinite(best):
@@ -1147,7 +1074,7 @@ def solve_trex(problem: RegressionProblem, config: SolverConfig = None,
         ref = _solve_subproblems(G, xty, yty, spec, rows.take(near), res.beta[near],
                                  np.ones(near.size, dtype=bool), delta,
                                  replace(config, tolerance=config.tolerance * 1e-3),
-                                 bound=active)
+                                 bound=bound)
         row_iterations += int(np.sum(ref.iterations))
         trial_rounds += ref.trial_rounds
         # a row whose refine start fails the domain or the bound by rounding
@@ -1215,13 +1142,13 @@ def solve_trex_constrained(problem: RegressionProblem, config: SolverConfig = No
     """Solve with the extra convex constraint dual(x.T (y - x b)) <= bound.
 
     The default bound is dual(x.T y), the slow-rate gate on the fitted dual
-    residual; a bound must be positive (inf is no bound). Starts outside the
-    constraint set are repaired or marked infeasible; sign rows are solved
-    to their KKT points on the faces of the set and certified by a bound that
-    accounts for the constraint; group rows reject line-search candidates
-    that leave the set. ``u_hat`` is the dual norm of the correlation vector
-    the solver tested, so the returned fit has u_hat <= bound with no
-    rounding slack.
+    residual; a bound must be positive, and inf is no bound. Starts outside
+    the constraint set are repaired or marked infeasible; sign subproblems
+    are solved to their KKT points on the faces of the set and certified by
+    a bound that accounts for the constraint, so ``certified_gap`` is a
+    number; group rows reject line-search candidates that leave the set.
+    ``u_hat`` is the dual norm of the correlation vector the engine tested,
+    so the returned fit has u_hat <= bound with no rounding slack.
     """
     spec = spec or l1_spec()
     if bound is None:

@@ -220,10 +220,11 @@ _face_finish = trex._face_finish
 
 
 def face_finish_from_own_coordinate(*args):
-    """``trex._face_finish`` with the first guess of row (j, s) seeded from its
-    own coordinate j alone (with the sign of B_j, empty if B_j = 0) instead
-    of the shared lasso signs. The seeding changes the rounds a row takes,
-    never the KKT point it reaches.
+    """``trex._face_finish`` with the support of row (j, s) seeded from its own
+    coordinate j alone (with the sign of B_j, empty if B_j = 0), the seeding
+    it had before the shared lasso support: with an empty lasso support the
+    seed is j alone. The seeding changes the rounds a row takes, never the
+    KKT point it reaches.
     """
     with mock.patch.object(trex, "_lasso_signs", lambda G, *_: np.zeros(G.shape[0])):
         return _face_finish(*args)
