@@ -8,17 +8,18 @@ equals, pointwise, the minimum over 2p convex quadratic-over-linear
 subproblems when the penalty is an (optionally weighted) l1 norm: one
 subproblem per coordinate j and sign s, with denominator s * x_j @ (y - x b).
 The subproblems are solved together by proximal gradient descent with
-backtracking, and the best optimum is the global one. A subproblem whose
-domain contains b = 0 starts there; any other starts at the closed-form
-minimizer of its own objective along its own coordinate. Each subproblem also
-yields a dual lower bound from its rescaled gradient (Fercoq, Gramfort &
-Salmon, "Mind the duality gap", 2015). A subproblem stops once its objective
-is within the tolerance of its bound, or is stopped (pruned) when its bound
-already lies above the best objective found so far by more than a margin,
-since then it cannot win. A subproblem within that margin of the best is
-moved to the closed-form stationary point on its support (``_face_points``)
-once its signs settle, which makes its bound exact, so every sign fit is one
-engine call. A sign subproblem counts as converged only when its certificate
+backtracking, and the best optimum is the global one. Every subproblem
+starts at the exact minimizer of its own objective along its own coordinate,
+b = beta e_j, which is b = 0 when s x_j @ y lies between the two points where
+the slope of that objective vanishes (``_coordinate_starts``). Each
+subproblem also yields a dual lower bound from its rescaled gradient (Fercoq,
+Gramfort & Salmon, "Mind the duality gap", 2015). A subproblem stops once its
+objective is within the tolerance of its bound, or is stopped (pruned) when
+its bound already lies above the best objective found so far by more than a
+margin, since then it cannot win. A subproblem within that margin of the best
+is moved to the closed-form stationary point on its support
+(``_face_points``) once its signs settle, which makes its bound exact, so
+every sign fit is one engine call. A sign subproblem counts as converged only when its certificate
 closed: one stopped for any other reason (its objective stopped falling, or
 its line search stalled) is reported open. The fit reports
 ``certified_gap``, the objective minus the smallest bound over the feasible
@@ -494,29 +495,33 @@ def _spectral_norm_estimate(G: np.ndarray, iters: int = 30) -> float:
 def _coordinate_starts(G, xty, yty, c, j_arr, s_arr, pen_w, delta, tau):
     """Start points (K, p) of the sign subproblems and their feasibility.
 
-    The weight w = pen_w_j both weighs the penalty and divides the
-    denominator (d = w). A row whose denominator s * x_j @ y / d exceeds delta
-    starts at 0. Any other row starts at the minimizer of its own objective
-    along its own coordinate, b = beta * e_j. With g = G_jj, m = x_j @ y and
-    v = s * x_j @ (y - beta x_j) = d * D, the objective along that ray is
-    (d / c) (R0 / v + v / g) + (w / g) (v - s m), with R0 = y @ y - m^2 / g,
-    so v* = sqrt(d R0 g / (d + c w)), floored at tau * d, and
-    beta = (m - s v*) / g. A row with G_jj ~ 0 is infeasible.
+    Every row starts at the exact minimizer of its own objective along its
+    own coordinate, b = beta * e_j. The weight w = pen_w_j both weighs the
+    penalty and divides the denominator. With g = G_jj, m = x_j @ y, mu = s m
+    and v = s * x_j @ (y - beta x_j) = w * D, the objective along that ray is
+    the convex (w / c) (R0 / v + v / g) + (w / g) |v - mu|, with
+    R0 = y @ y - m^2 / g. Its slope vanishes at v_b = sqrt(R0 g / (1 + c))
+    where v > mu and at v_a = sqrt(R0 g / (1 - c)) (inf when c >= 1) where
+    v < mu, so v* = clip(mu, v_b, v_a), floored at tau * w, and
+    beta = (m - s v*) / g: exactly 0 when mu lies in [max(v_b, tau w), v_a].
+    A row with G_jj ~ 0 starts at 0 and is feasible only if mu / w exceeds
+    delta.
     """
     B = np.zeros((len(j_arr), G.shape[0]))
-    feasible = np.ones(len(j_arr), dtype=bool)
-    d = pen_w[j_arr]
-    need = np.flatnonzero(s_arr * xty[j_arr] / d <= delta)
+    w = pen_w[j_arr]
+    m = xty[j_arr]
+    mu = s_arr * m
     diagG = np.diag(G)
-    g = diagG[j_arr[need]]
+    g = diagG[j_arr]
     dead = g <= 1e-12 * float(np.max(diagG, initial=1.0))
-    feasible[need[dead]] = False
-    need, g = need[~dead], g[~dead]
-    j, s, d = j_arr[need], s_arr[need], d[need]
-    m = xty[j]
-    r0 = np.maximum(yty - m * m / g, 0.0)
-    v = np.maximum(np.sqrt(d * r0 * g / (d + c * pen_w[j])), tau * d)
-    B[need, j] = (m - s * v) / g
+    feasible = ~dead | (mu / w > delta)
+    live = np.flatnonzero(~dead)
+    j, s, w, m, mu, g = j_arr[live], s_arr[live], w[live], m[live], mu[live], g[live]
+    r0g = np.maximum(yty - m * m / g, 0.0) * g
+    v_b = np.sqrt(r0g / (1.0 + c))
+    v_a = np.sqrt(r0g / (1.0 - c)) if c < 1.0 else np.inf
+    v = np.maximum(np.minimum(np.maximum(mu, v_b), v_a), tau * w)
+    B[live, j] = (m - s * v) / g
     return B, feasible
 
 
@@ -540,11 +545,11 @@ def _is_heuristic(spec: NormSpec) -> bool:
 def _sign_rows(G, xty, yty, c, j_arr, s_arr, pen_w, dual_ref, delta, bound=None):
     """Rows (j, s) of the sign decomposition with their starts and feasibility.
 
-    Rows that are feasible at b = 0 start there and every other row starts at
-    the exact minimizer of its objective along its own coordinate
-    (``_coordinate_starts``), far nearer its optimum than a point just inside
-    the domain boundary. Under ``bound`` a start that violates the constraint
-    is then repaired.
+    Every row starts at the exact minimizer of its objective along its own
+    coordinate (``_coordinate_starts``): b = 0 only when that is the minimizer,
+    since a row started at 0 with a small correlation s x_j @ y sits far above
+    its optimum and steps to a dense iterate. Under ``bound`` a start that
+    violates the constraint is then repaired.
     """
     dw = pen_w[j_arr]
     tau = max(1e-3 * dual_ref, 10.0 * delta)

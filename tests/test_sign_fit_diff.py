@@ -33,8 +33,10 @@ class TestSummarize:
         # second fit, open on both sides, moved its winner and fell by 5 %
         assert a["winners_differ"] == 0
         assert a["max_rel_objective_change"] == pytest.approx(1e-13)
-        # the first fit rose by 1e-13 relative, within 1e-9: not counted
+        # the first fit rose by 1e-13 relative, within 1e-9: not counted; the
+        # second fell by 5 %
         assert a["rose"] == a["rose_where_parent_certified"] == 0
+        assert a["max_rel_rise"] == 0.0 and a["fell"] == 1
         assert a["cpu_parent"] == [1.5] and a["cpu_change"] == [1.25]
         # a failed fit is uncertified and is left out of the comparisons
         assert b["uncertified_parent"] == 1 and b["uncertified_change"] == 0
@@ -47,3 +49,16 @@ class TestSummarize:
         assert a["rose"] == 2 and a["rose_where_parent_certified"] == 1
         assert a["winners_differ"] == 1
         assert a["max_rel_objective_change"] == pytest.approx(0.1)
+
+    def test_falls_are_counted_beside_the_rises(self):
+        # an open parent fit may rise or fall by any amount; both are shown
+        parent = [[fit(1.0, [0, 1], 0.9, False), fit(2.0, [0, 1], 0.9, False),
+                   fit(4.0, [1, 1], 0.9, False), fit(1.0, [0, 1], 0.0, True)]]
+        change = [[fit(1.0 + 1e-4, [0, 1], 0.0, True), fit(1.8, [0, 1], 0.0, True),
+                   fit(4.0 * (1.0 - 1e-10), [1, 1], 0.9, False),
+                   fit(1.0 - 1e-8, [0, 1], 0.0, True)]]
+        a = sign_fit_diff.summarize(["a"] * 4, parent, change)["a"]
+        assert a["rose"] == 1 and a["rose_where_parent_certified"] == 0
+        assert a["max_rel_rise"] == pytest.approx(1e-4)
+        # 10 % and 1e-8 relative are falls, 1e-10 relative is not
+        assert a["fell"] == 2

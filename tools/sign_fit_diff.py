@@ -24,8 +24,9 @@ Per family it prints the fits, the uncertified fits (``certified_gap`` above
 1e-9 (1 + |f|), or no fit), the falsely converged ones (``all_converged``
 with such a gap), and the CPU seconds of each side (one number per run);
 among the fits both sides certify, the ones whose winners differ and the
-largest relative objective change; and the fits whose objective rose by
-more than 1e-9 relative, with those of them the base certified.
+largest relative objective change; the fits whose objective rose by more
+than 1e-9 relative, with those of them the base certified and the largest
+relative rise; and the fits whose objective fell by more than 1e-9 relative.
 """
 
 import argparse
@@ -135,7 +136,8 @@ def _uncertified(rec) -> bool:
 def summarize(families, parent, change) -> dict:
     """Per family: fits, uncertified and falsely converged fits on each side,
     differing winners and the largest relative objective change among the
-    fits both sides certified, and the fits whose objective rose. ``families``
+    fits both sides certified, the fits whose objective rose (and the largest
+    relative rise) and those whose objective fell. ``families``
     names the family of each record; ``parent`` and ``change`` are lists of
     runs, each a list of records."""
     out = {}
@@ -155,10 +157,13 @@ def summarize(families, parent, change) -> dict:
         row["max_rel_objective_change"] = max(
             (abs(b["objective"] - a["objective"]) / max(abs(a["objective"]), 1e-300)
              for a, b in both), default=0.0)
-        rose = [(a, b) for a, b in pairs
-                if b["objective"] - a["objective"] > CERTIFIED * abs(a["objective"])]
+        rise = [(b["objective"] - a["objective"]) / max(abs(a["objective"]), 1e-300)
+                for a, b in pairs]
+        rose = [(a, b) for (a, b), r in zip(pairs, rise) if r > CERTIFIED]
         row["rose"] = len(rose)
         row["rose_where_parent_certified"] = sum(not _uncertified(a) for a, _ in rose)
+        row["max_rel_rise"] = max((r for r in rise if r > CERTIFIED), default=0.0)
+        row["fell"] = sum(r < -CERTIFIED for r in rise)
         out[family] = row
     return out
 
