@@ -11,7 +11,6 @@ import argparse
 import ctypes
 import functools
 import json
-import os
 import sys
 
 import numpy as np
@@ -22,7 +21,6 @@ from .lasso import fit_lasso
 from .norms import NormSpec, l1_spec
 from .serialize import (
     ExperimentConfig,
-    ParseError,
     lasso_fit_to_dict,
     load_problem,
     trex_fit_to_dict,
@@ -106,8 +104,7 @@ def cmd_verify(args) -> int:
         from dataclasses import replace
         config = replace(config, scenarios=tuple(
             replace(s, seed=args.seed + i) for i, s in enumerate(config.scenarios)))
-    jobs = args.jobs if args.jobs is not None else int(os.environ.get("TREXLAB_JOBS", "1"))
-    rows = harness.run_verification(config, jobs=jobs)
+    rows = harness.run_verification(config, jobs=args.jobs)
     out_dir = args.out or "."
     summary = harness.write_reports(rows, out_dir, timestamp=not args.no_timestamp)
     for theorem in sorted(k for k in summary if not k.startswith("_")):
@@ -175,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run a verification suite")
     ver.add_argument("--config", required=True)
     ver.add_argument("--out", default=None)
-    ver.add_argument("--jobs", type=int, default=None)
+    ver.add_argument("--jobs", type=int, default=1)
     ver.add_argument("--seed", type=int, default=None)
     ver.add_argument("--no-timestamp", action="store_true")
     ver.set_defaults(func=cmd_verify)
@@ -191,7 +188,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (TrexlabError, ParseError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (TrexlabError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -42,14 +42,6 @@ class DesignSpec:
     rho: float = 0.0
     duplicates: int = 0
 
-    def to_dict(self):
-        d = {"kind": self.kind}
-        if self.kind == TOEPLITZ:
-            d["rho"] = self.rho
-        if self.kind == DUPLICATED:
-            d["duplicates"] = self.duplicates
-        return d
-
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -57,14 +49,6 @@ class NoiseSpec:
     sigma: float = 1.0
     df: float = 5.0
     rho: float = 0.5
-
-    def to_dict(self):
-        d = {"kind": self.kind, "sigma": self.sigma}
-        if self.kind == NOISE_STUDENT_T:
-            d["df"] = self.df
-        if self.kind == NOISE_AR1:
-            d["rho"] = self.rho
-        return d
 
 
 @dataclass(frozen=True)
@@ -75,19 +59,6 @@ class SignalSpec:
     c: float = 0.5
     groups_active: int = 1
     group_size: int = 4
-
-    def to_dict(self):
-        d = {"kind": self.kind}
-        if self.kind == SIGNAL_FIXED:
-            d["values"] = list(self.values)
-        elif self.kind == SIGNAL_GROUP:
-            d.update(groups_active=self.groups_active, group_size=self.group_size,
-                     margin=self.margin)
-        else:
-            d["margin"] = self.margin
-            if self.kind == SIGNAL_STRONG:
-                d["c"] = self.c
-        return d
 
 
 @dataclass(frozen=True)
@@ -131,14 +102,6 @@ class ScenarioSpec:
                 raise ConfigError("active groups exceed the predictor count")
         elif self.signal.margin <= 0:
             raise ConfigError("margin must be positive")
-
-    def to_dict(self):
-        out = {"n": self.n, "p": self.p, "s": self.s,
-               "design": self.design.to_dict(), "noise": self.noise.to_dict(),
-               "signal": self.signal.to_dict(), "seed": self.seed}
-        if self.design_seed is not None:
-            out["design_seed"] = self.design_seed
-        return out
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioSpec":

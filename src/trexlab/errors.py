@@ -36,7 +36,8 @@ class DegenerateResidualError(TrexlabError, ValueError):
 
 
 class ConfigError(TrexlabError, ValueError):
-    """Invalid solver or experiment configuration."""
+    """An invalid setting or argument value: a solver or experiment
+    configuration, a penalty level, a sample count, non-finite data."""
 
 
 # the JSON values a dataclass field of each annotated type accepts

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotNormalizedError
+from .errors import ConfigError, NotNormalizedError
 from .model import RegressionProblem
 
 MAX_SWEEPS = 100_000
@@ -55,10 +55,10 @@ def kkt_residual(problem: RegressionProblem, beta, lam: float) -> float:
     return viol
 
 
-def fit_lasso(problem: RegressionProblem, lam: float, max_sweeps: int = MAX_SWEEPS,
+def fit_lasso(problem: RegressionProblem, lam: float,
               allow_unnormalized: bool = False) -> LassoFit:
     """Solve the penalized least-squares problem by cyclic coordinate descent
-    from beta = 0.
+    from beta = 0, for at most ``MAX_SWEEPS`` sweeps.
 
     Convergence requires both a max coordinate change per sweep below
     COORD_TOL * (1 + ||beta||_inf) and a KKT residual below KKT_RTOL * lam.
@@ -66,7 +66,7 @@ def fit_lasso(problem: RegressionProblem, lam: float, max_sweeps: int = MAX_SWEE
     the value after the last sweep.
     """
     if lam <= 0:
-        raise ValueError("lam must be positive")
+        raise ConfigError("lam must be positive")
     if not problem.normalized and not allow_unnormalized:
         raise NotNormalizedError("fit_lasso expects sqrt(n)-normalized columns")
     x, y = problem.x, problem.y
@@ -78,7 +78,7 @@ def fit_lasso(problem: RegressionProblem, lam: float, max_sweeps: int = MAX_SWEE
     objective = float(y @ y)
     converged = False
     sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
+    for sweeps in range(1, MAX_SWEEPS + 1):
         max_delta = 0.0
         for j in range(p):
             bj = beta[j]

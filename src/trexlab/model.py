@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, NotNormalizedError, ZeroColumnError
+from .errors import ConfigError, DimensionError, NotNormalizedError, ZeroColumnError
 
 NORMALIZATION_ATOL = 1e-8
 
@@ -47,7 +47,7 @@ class RegressionProblem:
         if n < 1 or p < 1:
             raise DimensionError("need n >= 1 and p >= 1")
         if not (np.isfinite(self.x).all() and np.isfinite(self.y).all()):
-            raise ValueError("design and response must be finite")
+            raise ConfigError("design and response must be finite")
         if self.normalized and not columns_normalized(self.x):
             raise NotNormalizedError(
                 "normalized flag set but some column norm differs from sqrt(n)"
@@ -76,12 +76,12 @@ class GroundTruth:
         object.__setattr__(self, "beta_star", _frozen(self.beta_star))
         object.__setattr__(self, "epsilon", _frozen(self.epsilon))
         if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+            raise ConfigError("sigma must be positive")
         support = np.flatnonzero(self.beta_star)
         if self.support is not None:
             given = np.asarray(self.support, dtype=int)
             if not np.array_equal(np.sort(given), support):
-                raise ValueError("support does not match nonzeros of beta_star")
+                raise ConfigError("support does not match nonzeros of beta_star")
         object.__setattr__(self, "support", _frozen(support, dtype=int))
         object.__setattr__(self, "sparsity", int(support.size))
 

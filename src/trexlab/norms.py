@@ -179,7 +179,7 @@ def prox_omega(spec: NormSpec, v, t) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     spec._check_len(v)
     if np.any(np.asarray(t) < 0):
-        raise ValueError("t must be nonnegative")
+        raise ConfigError("t must be nonnegative")
     if spec.kind == L1:
         return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
     if spec.kind == WEIGHTED_L1:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, config_block
+from .errors import ConfigError, TrexlabError, config_block
 from .model import GroundTruth, RegressionProblem, columns_normalized
 from .norms import NormSpec
 from .datagen import ScenarioSpec
@@ -20,7 +20,7 @@ from .trex import SolverConfig, TrexFit
 from .lasso import LassoFit
 
 
-class ParseError(ValueError):
+class ParseError(TrexlabError, ValueError):
     def __init__(self, message: str, line: int = None):
         self.line = line
         if line is not None:
@@ -66,29 +66,6 @@ def problem_from_csv(text: str) -> RegressionProblem:
     return RegressionProblem(x, y, normalized=columns_normalized(x))
 
 
-def problem_to_dict(problem: RegressionProblem, truth: GroundTruth = None,
-                    seed: int = None) -> dict:
-    out = {
-        "problem": {
-            "n": problem.n,
-            "p": problem.p,
-            "y": problem.y.tolist(),
-            "x": problem.x.tolist(),
-            "normalized": problem.normalized,
-        }
-    }
-    if truth is not None:
-        out["ground_truth"] = {
-            "beta_star": truth.beta_star.tolist(),
-            "epsilon": truth.epsilon.tolist(),
-            "sigma": truth.sigma,
-            "support": [int(i) + 1 for i in truth.support],
-        }
-    if seed is not None:
-        out["seed"] = seed
-    return out
-
-
 def problem_from_dict(d: dict):
     pr = d["problem"]
     problem = RegressionProblem(np.asarray(pr["x"], dtype=float),
@@ -127,8 +104,7 @@ def trex_fit_to_dict(fit: TrexFit) -> dict:
             for r in fit.per_subproblem
         ],
         "spec": fit.spec.to_dict(),
-        "config": {"c": fit.config.c, "max_iterations": fit.config.max_iterations,
-                   "tolerance": fit.config.tolerance, "seed": fit.config.seed},
+        "config": {"c": fit.config.c, "seed": fit.config.seed},
         "diagnostics": {k: v for k, v in fit.diagnostics.items()
                         if isinstance(v, (bool, int, float, str, list, type(None)))},
     }
@@ -165,10 +141,6 @@ class ExperimentConfig:
         bad = [t for t in self.theorems if t not in THEOREM_IDS]
         if bad:
             raise ConfigError(f"unknown theorem ids: {bad}")
-        bad = [t for t in self.theorems if t.endswith("_kappa")]
-        if bad:
-            raise ConfigError(f"theorems {bad} need explicit kappas, which an "
-                              "experiment config does not carry")
         bad = [e for e in self.estimators if e not in ("trex", "trex_constrained")]
         if bad:
             raise ConfigError(f"unknown estimators: {bad}")

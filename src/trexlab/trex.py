@@ -19,24 +19,28 @@ its bound already lies above the best objective found so far by more than a
 margin, since then it cannot win. A subproblem within that margin of the best
 is moved to the closed-form stationary point on its support
 (``_face_points``) once its signs settle, which makes its bound exact, so
-every sign fit is one engine call. A sign subproblem counts as converged only when its certificate
-closed: one stopped for any other reason (its objective stopped falling, or
-its line search stalled) is reported open. The fit reports
-``certified_gap``, the objective minus the smallest bound over the feasible
-subproblems: the global optimum lies at most that far below the returned
-objective.
+every sign fit is one engine call. A sign subproblem counts as converged
+only when its certificate closed: one stopped for any other reason (its
+objective stopped falling, or its line search stalled) is reported open. The
+fit reports ``certified_gap``, the objective minus the smallest bound over
+the feasible subproblems: the global optimum lies at most that far below the
+returned objective.
 
 Under the dual constraint dual(x.T (y - x b)) <= bound the subproblems stay
 convex, and their optima usually lie on a face |q_i| = bound w_i of the
 constraint set, where the line search, which only rejects steps that leave
-the set, cannot move. There every subproblem is first solved to its KKT
-point by a batched active-set iteration on its support and its active faces
-(``_face_finish``, through the same ``_face_points``), every support seeded
-from the signs of one lasso at lam = c bound / 2 so that few rounds remain,
-and its bound comes from weak duality for the faces, LB_k(m) with the face
-multipliers m (``_face_lower``). So constrained subproblems close on their certificate and
-are pruned like unconstrained ones, and ``certified_gap`` is a number under
-a bound too.
+the set, cannot move. A start outside the set is first repaired into it;
+under the default bound dual(x.T y) most ray starts are, and on wide
+problems (p >> n) all of them, so the ray start matters mainly to
+unconstrained fits. Then every
+subproblem is solved to its KKT point by a batched active-set iteration on
+its support and its active faces (``_face_finish``, through the same
+``_face_points``), every support seeded from the signs of one lasso at
+lam = c bound / 2 so that few rounds remain, and its bound comes from weak
+duality for the faces, LB_k(m) with the face multipliers m
+(``_face_lower``). So constrained subproblems close on their certificate
+and are pruned like unconstrained ones, and ``certified_gap`` is a number
+under a bound too.
 
 Group penalties with a non-singleton group yield one subproblem per group,
 with denominator ||x_G.T (y - x b)|| / w_G; those are not provably convex, so
@@ -80,37 +84,39 @@ WIDE_ROUND = 2 ** 14
 MAX_FACE_ROUNDS = 40
 # proximal-gradient steps of the lasso that seeds the face finish's supports
 LASSO_STEPS = 20
+# the certificate tolerance: a sign row converges once its objective minus
+# its dual lower bound is at most TOLERANCE (1 + |F|)
+TOLERANCE = 1e-11
+# iterations of one engine call
+MAX_ITERATIONS = 20_000
+# the open domain D > DELTA dual(x.T y) of the quadratic-over-linear objectives
+DELTA = 1e-10
+# seeded starts of every group of a group penalty
+MULTISTARTS = 8
+# a row whose objective fell by at most the tolerance over WINDOW
+# iterations stops
+WINDOW = 10
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the subproblem solvers.
+    """The settings of a fit.
 
-    c is the ratio constant in (0, 2); 1/2 is the customary default.
-    tolerance is the certificate tolerance: a sign subproblem converges once
-    its objective minus its dual lower bound is at most tolerance (1 + |F|),
-    with or without a bound, and never otherwise. Group rows, which have no
-    certificate, converge when their objective falls by at most that much
-    over a 10-iteration window; a sign row the window stops stays
-    unconverged. delta guards the open domain of the quadratic-over-linear
-    objectives, relative to dual(x.T y).
+    c is the ratio constant in (0, 2); 1/2 is the customary default. seed
+    draws the perturbed starts of a group penalty. allow_unnormalized lets
+    the solvers take a design whose columns are not sqrt(n)-normalized.
+    Everything else is a module constant: the certificate ``TOLERANCE``, the
+    engine's ``MAX_ITERATIONS``, the domain guard ``DELTA`` and the
+    ``MULTISTARTS`` of a group.
     """
 
     c: float = 0.5
-    max_iterations: int = 20_000
-    tolerance: float = 1e-11
-    delta: float = 1e-10
-    multistart_count: int = 8
     seed: int = 0
     allow_unnormalized: bool = False
 
     def __post_init__(self):
         if not (0.0 < self.c < 2.0):
             raise ConfigError(f"c must lie in (0, 2), got {self.c}")
-        if self.max_iterations < 1 or self.tolerance <= 0 or self.delta <= 0:
-            raise ConfigError("max_iterations, tolerance and delta must be positive")
-        if self.multistart_count < 1:
-            raise ConfigError("multistart_count must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -352,12 +358,11 @@ def _face_finish(G, xty, yty, c, j, s, pen_w, bound, delta, B, incumbent, copies
     past the rank of G), and its sets would never change again. A support
     that would become empty keeps its coordinates with their signs
     flipped. A row without a stationary point gets its own face j
-    (D = bound), and then one more start from the whole support and the
-    faces of B. A round prunes every row whose LB_k(m) at its point
-    (``_face_lower``) exceeds the incumbent (the best feasible objective,
-    lowered by the rows already solved) by more than ``_near_margin``; the
-    points on the way need not be feasible, since LB_k(m) holds anywhere in
-    the row's domain.
+    (D = bound), and stops if it has none there either. A round prunes
+    every row whose LB_k(m) at its point (``_face_lower``) exceeds the
+    incumbent (the best feasible objective, lowered by the rows already
+    solved) by more than ``_near_margin``; the points on the way need not be
+    feasible, since LB_k(m) holds anywhere in the row's domain.
 
     Returns (B, M, lower, status, rounds): for rows with status 1 the KKT
     point and its multipliers, for rows with status 3 the settled point that
@@ -384,9 +389,7 @@ def _face_finish(G, xty, yty, c, j, s, pen_w, bound, delta, B, incumbent, copies
     own = B[rows, j] != 0.0
     sig[rows[own], j[own]] = np.sign(B[rows[own], j[own]])
     S = sig != 0.0
-    tau0 = np.sign(q) * (np.abs(q) >= bound * (1.0 - 1e-6) * pen_w)
-    tau = tau0.copy()
-    restarted = np.zeros(R, dtype=bool)
+    tau = np.sign(q) * (np.abs(q) >= bound * (1.0 - 1e-6) * pen_w)
     for round_ in range(MAX_FACE_ROUNDS):
         run = np.flatnonzero(status == 0)
         if run.size == 0:
@@ -400,15 +403,10 @@ def _face_finish(G, xty, yty, c, j, s, pen_w, bound, delta, B, incumbent, copies
         D = sr * qt[np.arange(run.size), jr] / pen_w[jr]
         # the point must lie in the engine's domain, where LB_k(m) holds too
         ok &= D > delta
-        # a row without a stationary point tries again on its own face, then
-        # once more from the whole support of its start
-        retry = run[~ok & (tau[run, jr] == 0.0)]
-        tau[retry, j[retry]] = s[retry]
-        again = run[~ok & ~np.isin(run, retry) & ~restarted[run]]
-        restarted[again] = True
-        S[again], sig[again] = B[again] != 0.0, np.sign(B[again])
-        tau[again] = tau0[again]
-        status[run[~ok & ~np.isin(run, retry) & ~np.isin(run, again)]] = -1
+        # a row without a stationary point tries again on its own face
+        retry = ~ok & (tau[run, jr] == 0.0)
+        tau[run[retry], jr[retry]] = sr[retry]
+        status[run[~ok & ~retry]] = -1
         run, jr, sr, Bt, Mt = run[ok], jr[ok], sr[ok], Bt[ok], Mt[ok]
         qt, rss, D = qt[ok], rss[ok], D[ok]
         if run.size == 0:
@@ -549,7 +547,8 @@ def _sign_rows(G, xty, yty, c, j_arr, s_arr, pen_w, dual_ref, delta, bound=None)
     coordinate (``_coordinate_starts``): b = 0 only when that is the minimizer,
     since a row started at 0 with a small correlation s x_j @ y sits far above
     its optimum and steps to a dense iterate. Under ``bound`` a start that
-    violates the constraint is then repaired.
+    violates the constraint is then repaired: under the default bound
+    dual(x.T y), most ray starts, and all of them where p >> n.
     """
     dw = pen_w[j_arr]
     tau = max(1e-3 * dual_ref, 10.0 * delta)
@@ -575,8 +574,9 @@ def _sign_rows(G, xty, yty, c, j_arr, s_arr, pen_w, dual_ref, delta, bound=None)
 
 
 def _group_rows(G, xty, spec, config, bound=None):
-    """Rows of the group subproblems, each group from max(multistart_count, 2)
-    starts: zeros, the ridge fit and perturbed ridge fits, group-major.
+    """Rows of the group subproblems, each group from ``MULTISTARTS`` starts:
+    zeros, the ridge fit and perturbed ridge fits drawn from ``config.seed``,
+    group-major.
 
     Under ``bound`` a start with omega_dual(x.T (y - x b)) > bound is repaired
     as ``_sign_rows`` repairs its starts: it moves to the point whose
@@ -586,7 +586,7 @@ def _group_rows(G, xty, spec, config, bound=None):
     """
     p = G.shape[0]
     n_groups = len(spec.partition)
-    n_starts = max(config.multistart_count, 2)
+    n_starts = MULTISTARTS
     rng = np.random.default_rng(config.seed)
     ridge = np.linalg.solve(G + np.eye(p), xty)
     # drawn group by group, start by start: the multiplicative draw first
@@ -682,7 +682,7 @@ def _ladder(t, t_floor, cap, trial, out, dest):
 
 
 def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
-                       bound=None, window=10):
+                       bound=None, tolerance=TOLERANCE):
     """Monotone proximal gradient with backtracking over K subproblem rows.
 
     Row k minimizes rss(b) / (c * D_k(b)) + omega(b) over the open domain
@@ -720,11 +720,13 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
     that point keeps every sign, the domain and ``bound`` and does not raise
     F_k; its bound then becomes exact. An accepted sign row doubles its
     step, a group row grows it by 1.3. Any row whose objective fell by at
-    most tolerance (1 + |F_k|) over ``window`` iterations stops too: the
+    most tolerance (1 + |F_k|) over ``WINDOW`` iterations stops too: the
     only stop of group rows, which then count as converged, and the
     fallback that stops sign rows the certificate does not close. A sign
     row counts as converged only if its certificate closed at its final
     point, whether it stopped there on it, by the window or by a stall.
+    ``tolerance`` is ``TOLERANCE`` except in the refine call of a group fit,
+    and a call takes at most ``MAX_ITERATIONS`` iterations.
 
     Under ``bound`` every feasible sign row is first handed to the face
     finish (``_face_finish``), which solves it to its KKT point on its
@@ -891,7 +893,7 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
         feasible[take] = active[take] = True
     hist = [F.copy()]
 
-    for it in range(config.max_iterations):
+    for it in range(MAX_ITERATIONS):
         act = np.flatnonzero(active)
         if act.size == 0:
             break
@@ -899,7 +901,7 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
         if not group:
             incumbent = float(F.min())
             lb = lower_bound(act, grad)
-            closed = F[act] - lb <= config.tolerance * (1.0 + np.abs(F[act]))
+            closed = F[act] - lb <= tolerance * (1.0 + np.abs(F[act]))
             hopeless = ~closed & (lb > incumbent + _near_margin(incumbent))
             pruned[act[hopeless]] = True
             stop = closed | hopeless
@@ -957,11 +959,11 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
                 ok &= (np.sign(Cand) == sig).all(axis=1)
                 adopt(due[ok], Cand[ok])
         hist.append(F.copy())
-        if len(hist) > window + 1:
+        if len(hist) > WINDOW + 1:
             hist.pop(0)
-        if len(hist) == window + 1:
+        if len(hist) == WINDOW + 1:
             old = hist[0][act]
-            done = (old - F[act]) <= config.tolerance * (1.0 + np.abs(F[act]))
+            done = (old - F[act]) <= tolerance * (1.0 + np.abs(F[act]))
             converged[act[done]] = True
             active[act[done]] = False
 
@@ -973,7 +975,7 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
         # a sign row converged only if its certificate closed at its final
         # point, however it stopped: the window and a stall prove nothing
         with np.errstate(invalid="ignore"):
-            converged = ~pruned & (F - lower <= config.tolerance * (1.0 + np.abs(F)))
+            converged = ~pruned & (F - lower <= tolerance * (1.0 + np.abs(F)))
     return _BatchResult(B, q, F, converged, feasible, iterations, stalled, pruned,
                         lower, face_rounds, trial_rounds)
 
@@ -997,11 +999,11 @@ def solve_trex(problem: RegressionProblem, config: SolverConfig = None,
     For (weighted) l1 penalties, and group penalties of singletons only, the
     2p convex sign subproblems are solved together in one engine call and
     the best optimum is returned. A subproblem converges once its objective
-    is within the tolerance of its dual lower bound, and is pruned once that
+    is within ``TOLERANCE`` of its dual lower bound, and is pruned once that
     bound exceeds the best current objective by more than
     max(1e-6 (1 + |best|), 1e-8), so a pruned subproblem can never win. Any
     other group penalty has one nonconvex subproblem per group, solved from
-    max(multistart_count, 2) seeded starts in the same batch, and its
+    ``MULTISTARTS`` seeded starts in the same batch, and its
     near-best starts are refined in a second call; such a fit is flagged
     heuristic, carries no certificate and prunes nothing. The diagnostics
     report, for every penalty:
@@ -1049,7 +1051,7 @@ def solve_trex(problem: RegressionProblem, config: SolverConfig = None,
     dual0 = omega_dual(spec, xty)
     if dual0 <= 0.0:
         raise DomainError("dual norm of x.T y is zero; the objective is undefined at 0")
-    delta = config.delta * dual0
+    delta = DELTA * dual0
 
     heuristic = _is_heuristic(spec)
     if heuristic:
@@ -1077,9 +1079,8 @@ def solve_trex(problem: RegressionProblem, config: SolverConfig = None,
         # refine the group rows near the best at a thousandth of the tolerance
         near = np.flatnonzero(res.objective <= best + _near_margin(best))
         ref = _solve_subproblems(G, xty, yty, spec, rows.take(near), res.beta[near],
-                                 np.ones(near.size, dtype=bool), delta,
-                                 replace(config, tolerance=config.tolerance * 1e-3),
-                                 bound=bound)
+                                 np.ones(near.size, dtype=bool), delta, config,
+                                 bound=bound, tolerance=TOLERANCE * 1e-3)
         row_iterations += int(np.sum(ref.iterations))
         trial_rounds += ref.trial_rounds
         # a row whose refine start fails the domain or the bound by rounding

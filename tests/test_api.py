@@ -1,4 +1,16 @@
+from dataclasses import fields
+
+import numpy as np
+import pytest
+
 import trexlab
+from trexlab.bounds import estimate_compatibility, verify_l1_ordering
+from trexlab.errors import TrexlabError
+from trexlab.lasso import fit_lasso
+from trexlab.model import GroundTruth, RegressionProblem
+from trexlab.norms import l1_spec, prox_omega
+from trexlab.serialize import ExperimentConfig, problem_from_csv
+from trexlab.trex import SolverConfig, TrexFit
 
 # the package's public names; a name added to or dropped from
 # trexlab/__init__.py has to be added to or dropped from this list too
@@ -16,7 +28,49 @@ PUBLIC = [
     "weighted_l1_spec",
 ]
 
+# the settings a caller can change: a setting added to either dataclass, and
+# so to the keys an experiment config accepts, has to be added here too
+SOLVER_FIELDS = ["c", "seed", "allow_unnormalized"]
+EXPERIMENT_FIELDS = ["scenarios", "estimators", "theorems", "replicates", "solver", "norm",
+                     "compat_samples"]
+
 
 def test_public_names_are_pinned():
     assert PUBLIC == sorted(PUBLIC)
     assert trexlab.__all__ == PUBLIC
+
+
+def test_config_fields_are_pinned():
+    assert [f.name for f in fields(SolverConfig)] == SOLVER_FIELDS
+    assert [f.name for f in fields(ExperimentConfig)] == EXPERIMENT_FIELDS
+
+
+def _problem():
+    x = np.array([[1.0, 1.0], [1.0, -1.0]])
+    return RegressionProblem(x, np.array([1.0, 0.5]), normalized=True)
+
+
+def _fit_at_zero_u_hat():
+    return TrexFit(np.zeros(2), 0.0, 0.0, None, (), l1_spec(), SolverConfig())
+
+
+BAD_INPUTS = {
+    "csv_empty": lambda: problem_from_csv(""),
+    "compat_negative_samples": lambda: estimate_compatibility(_problem(), [0], samples=-1),
+    "compat_empty_support": lambda: estimate_compatibility(_problem(), []),
+    "l1_ordering_zero_u_hat": lambda: verify_l1_ordering(_problem(), _fit_at_zero_u_hat()),
+    "lasso_zero_penalty": lambda: fit_lasso(_problem(), 0.0),
+    "problem_not_finite": lambda: RegressionProblem(np.array([[np.nan]]), np.ones(1)),
+    "truth_zero_sigma": lambda: GroundTruth(np.ones(2), np.zeros(2), 0.0),
+    "truth_wrong_support": lambda: GroundTruth(np.array([1.0, 0.0]), np.zeros(2), 1.0,
+                                               support=[1]),
+    "prox_negative_step": lambda: prox_omega(l1_spec(), np.ones(2), -1.0),
+}
+
+
+@pytest.mark.parametrize("call", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_raises_a_trexlab_error(call):
+    # every package error is also a ValueError, as these checks raised before
+    with pytest.raises(TrexlabError) as err:
+        call()
+    assert isinstance(err.value, ValueError)

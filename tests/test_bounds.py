@@ -333,7 +333,10 @@ class TestTrexBounds:
         assert rep.theorem_id == "trex_fast_via_lasso"
         rep2 = verify_trex_fast_via_lasso(problem, truth, fit,
                                           kappa1=3.0, kappa2=9.0)
-        assert rep2.theorem_id == "trex_fast_via_lasso_kappa"
+        # other kappas keep the theorem's id; the report records them
+        assert rep2.theorem_id == "trex_fast_via_lasso"
+        assert (rep2.inputs["kappa1"], rep2.inputs["kappa2"]) == (3.0, 9.0)
+        assert (rep.inputs["kappa1"], rep.inputs["kappa2"]) == (2.0, 8.0)
 
     def test_fast_via_lasso_never_violated_for_minimizer(self, rng):
         # the derivation compares against the actual objective minimizer, so

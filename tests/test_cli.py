@@ -9,7 +9,7 @@ import pytest
 from trexlab import cli, harness
 from trexlab.cli import main
 from trexlab.datagen import ScenarioSpec, generate
-from trexlab.serialize import problem_to_csv, problem_to_dict
+from trexlab.serialize import problem_to_csv
 from trexlab.trex import solve_trex
 
 

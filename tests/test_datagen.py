@@ -38,11 +38,16 @@ class TestValidation:
         with pytest.raises(ConfigError):
             _base(signal=SignalSpec(kind="fixed_beta", values=(1.0, 2.0)))
 
-    def test_roundtrip_dict(self):
+    def test_from_dict_reads_every_block(self):
         spec = _base(design=DesignSpec(kind="toeplitz", rho=0.6),
                      noise=NoiseSpec(kind="ar1", sigma=0.5, rho=0.3),
+                     signal=SignalSpec(kind="fixed_beta", values=tuple(range(12))),
                      design_seed=99)
-        again = ScenarioSpec.from_dict(spec.to_dict())
+        again = ScenarioSpec.from_dict({
+            "n": 30, "p": 12, "s": 3, "seed": 7, "design_seed": 99,
+            "design": {"kind": "toeplitz", "rho": 0.6},
+            "noise": {"kind": "ar1", "sigma": 0.5, "rho": 0.3},
+            "signal": {"kind": "fixed_beta", "values": list(range(12))}})
         assert again == spec
 
 

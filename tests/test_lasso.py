@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from trexlab import lasso
 from trexlab.errors import NotNormalizedError
 from trexlab.lasso import fit_lasso, kkt_residual, lasso_objective
 from trexlab.model import RegressionProblem, make_problem
@@ -48,13 +49,16 @@ class TestFitLasso:
         assert fit.kkt_residual <= 1e-6 * lam
         assert fit.kkt_residual == kkt_residual(problem, fit.beta_hat, lam)
 
-    def test_objective_descends_each_sweep(self, rng):
+    def test_objective_descends_each_sweep(self, rng, monkeypatch):
         problem = random_problem(rng, 20, 8)
         lam = 0.1 * float(np.max(np.abs(problem.x.T @ problem.y)))
         # a run cut after k sweeps reports the objective after sweep k
         sweeps = fit_lasso(problem, lam).iterations
-        hist = np.array([fit_lasso(problem, lam, max_sweeps=k).objective
-                         for k in range(sweeps + 1)])
+        hist = []
+        for k in range(sweeps + 1):
+            monkeypatch.setattr(lasso, "MAX_SWEEPS", k)
+            hist.append(fit_lasso(problem, lam).objective)
+        hist = np.array(hist)
         assert np.all(np.diff(hist) <= 1e-10 * (1.0 + np.abs(hist[:-1])))
 
     def test_response_scaling_equivariance(self, rng):

@@ -14,7 +14,6 @@ from trexlab.serialize import (
     problem_from_csv,
     problem_from_dict,
     problem_to_csv,
-    problem_to_dict,
     trex_fit_to_dict,
 )
 from trexlab.trex import solve_trex
@@ -61,22 +60,29 @@ class TestCsv:
             problem_from_csv("3,1\n1.0,1.0\n")
 
 
+def _problem_dict(problem, truth=None, seed=None) -> dict:
+    """The JSON container of a problem, with optional ground truth and seed."""
+    d = {"problem": {"n": problem.n, "p": problem.p, "y": problem.y.tolist(),
+                     "x": problem.x.tolist(), "normalized": problem.normalized}}
+    if truth is not None:
+        d["ground_truth"] = {"beta_star": truth.beta_star.tolist(),
+                             "epsilon": truth.epsilon.tolist(), "sigma": truth.sigma}
+    if seed is not None:
+        d["seed"] = seed
+    return d
+
+
 class TestJson:
     def test_roundtrip_with_truth(self):
         problem, truth = generate(ScenarioSpec(n=12, p=5, s=2, seed=3))
-        d = problem_to_dict(problem, truth, seed=3)
-        blob = json.dumps(d)
+        blob = json.dumps(_problem_dict(problem, truth, seed=3))
         p2, t2, seed = problem_from_dict(json.loads(blob))
         np.testing.assert_array_equal(p2.x, problem.x)
         np.testing.assert_array_equal(p2.y, problem.y)
+        assert p2.normalized
         np.testing.assert_array_equal(t2.beta_star, truth.beta_star)
         np.testing.assert_array_equal(t2.epsilon, truth.epsilon)
         assert seed == 3
-
-    def test_support_serialized_one_based(self):
-        problem, truth = generate(ScenarioSpec(n=10, p=4, s=2, seed=1))
-        d = problem_to_dict(problem, truth)
-        assert d["ground_truth"]["support"] == [int(i) + 1 for i in truth.support]
 
     def test_load_problem_by_extension(self, tmp_path, rng):
         problem = random_problem(rng, 8, 3)
@@ -87,7 +93,7 @@ class TestJson:
         np.testing.assert_array_equal(loaded.x, problem.x)
 
         json_path = tmp_path / "prob.json"
-        json_path.write_text(json.dumps(problem_to_dict(problem)))
+        json_path.write_text(json.dumps(_problem_dict(problem)))
         loaded2, _ = load_problem(str(json_path))
         np.testing.assert_array_equal(loaded2.y, problem.y)
 
@@ -100,6 +106,8 @@ class TestFitSerialization:
         json.dumps(d)
         assert d["estimator"] == "trex"
         assert len(d["per_subproblem"]) == 6
+        # the config block holds the settings a caller can change
+        assert d["config"] == {"c": 0.5, "seed": 0}
         np.testing.assert_allclose(d["beta_hat"], fit.beta_hat)
 
     def test_lasso_fit_json_safe(self, rng):
@@ -148,8 +156,8 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("theorem", ["trex_fast_via_lasso_kappa",
                                          "trex_fast_compat_kappa"])
     def test_kappa_theorems_rejected(self, theorem):
-        # a config carries no kappas, so the harness could only evaluate
-        # these at the default kappas under the plain id
+        # ids of the fast-rate bounds at other kappas do not exist: a config
+        # carries no kappas, and a direct call keeps the plain id
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(self._dict(theorems=["trex_slow", theorem]))
 

@@ -26,6 +26,8 @@ class TestSummarize:
         table = sign_fit_diff.summarize(families, parent, change)
         a, b = table["a"], table["b"]
         assert a["fits"] == 3 and b["fits"] == 1
+        # only the third fit is equal to the last bit; a failed fit never is
+        assert a["identical"] == 1 and b["identical"] == 0
         # the gap 0.5 on objective 2 is open: falsely converged on the parent
         assert a["uncertified_parent"] == a["false_converged_parent"] == 1
         assert a["uncertified_change"] == 1 and a["false_converged_change"] == 0
@@ -62,3 +64,18 @@ class TestSummarize:
         assert a["max_rel_rise"] == pytest.approx(1e-4)
         # 10 % and 1e-8 relative are falls, 1e-10 relative is not
         assert a["fell"] == 2
+
+    def test_identical_needs_objective_winner_and_gap_equal_to_the_bit(self):
+        base = fit(1.0, [0, 1], 1e-15, True)
+        # CPU and the convergence label are not compared: the first and the
+        # last fit are identical
+        changed = [fit(1.0, [0, 1], 1e-15, True, cpu=9.0),
+                   fit(1.0 + 2.0 ** -52, [0, 1], 1e-15, True),
+                   fit(1.0, [0, -1], 1e-15, True),
+                   fit(1.0, [0, 1], 2e-15, True),
+                   fit(1.0, [0, 1], 1e-15, False)]
+        n = len(changed)
+        a = sign_fit_diff.summarize(["a"] * n, [[base] * n], [changed])["a"]
+        assert a["fits"] == n and a["identical"] == 2
+        # a change of one bit is below every other count's threshold
+        assert a["rose"] == a["fell"] == 0 and a["winners_differ"] == 1

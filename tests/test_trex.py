@@ -1,6 +1,5 @@
 import collections
 import warnings
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -98,7 +97,7 @@ def solve_subproblem(problem, c, j, s, bound=None):
     x, y = problem.x, problem.y
     G, xty, yty = x.T @ x, x.T @ y, float(y @ y)
     dual_ref = omega_dual(l1_spec(), xty)
-    delta = config.delta * max(dual_ref, 1e-300)
+    delta = trex.DELTA * max(dual_ref, 1e-300)
     rows, B, feasible = trex._sign_rows(G, xty, yty, c, np.array([j]),
                                         np.array([float(s)]), np.ones(problem.p),
                                         dual_ref, delta, bound)
@@ -346,13 +345,14 @@ class TestGroupPenalty:
         # the batched fit
         problem = random_problem(rng, 20, 8)
         spec = group_spec([(j, j + 1) for j in range(0, 8, 2)])
-        config = SolverConfig(multistart_count=4)
+        config = SolverConfig()
         fit = solve_trex(problem, config, spec)
         x, y = problem.x, problem.y
         G, xty, yty = x.T @ x, x.T @ y, float(y @ y)
-        delta = config.delta * omega_dual(spec, xty)
+        delta = trex.DELTA * omega_dual(spec, xty)
         rows, B, feasible = trex._group_rows(G, xty, spec, config)
-        refine = replace(config, tolerance=config.tolerance * 1e-3)
+        m = trex.MULTISTARTS
+        assert len(B) == 4 * m
         main_obj, ref_obj = np.full(len(B), np.inf), np.full(len(B), np.inf)
         for k in range(len(B)):
             row = rows.take([k])
@@ -361,7 +361,8 @@ class TestGroupPenalty:
             if not main.feasible[0]:
                 continue
             ref = trex._solve_subproblems(G, xty, yty, spec, row, main.beta,
-                                          np.ones(1, dtype=bool), delta, refine)
+                                          np.ones(1, dtype=bool), delta, config,
+                                          tolerance=trex.TOLERANCE * 1e-3)
             main_obj[k], ref_obj[k] = main.objective[0], ref.objective[0]
         assert np.isfinite(ref_obj).any()
         assert fit.objective == pytest.approx(ref_obj.min(), rel=1e-12)
@@ -369,9 +370,9 @@ class TestGroupPenalty:
         assert len(fit.per_subproblem) == 4
         for gi, record in enumerate(fit.per_subproblem):
             assert record.identity == (gi,)
-            lo, hi = ref_obj[4 * gi:4 * gi + 4].min(), main_obj[4 * gi:4 * gi + 4].min()
+            lo, hi = ref_obj[m * gi:m * gi + m].min(), main_obj[m * gi:m * gi + m].min()
             assert lo * (1 - 1e-12) <= record.objective <= hi * (1 + 1e-12)
-        assert fit.winner == (int(np.argmin(ref_obj)) // 4,)
+        assert fit.winner == (int(np.argmin(ref_obj)) // m,)
 
     def test_multistart_determinism(self, rng):
         problem = random_problem(rng, 10, 4)
@@ -583,7 +584,7 @@ def _starts(problem, c, w):
     j_arr = np.repeat(np.arange(problem.p), 2)
     s_arr = np.tile([-1.0, 1.0], problem.p)
     dual_ref = float(np.max(np.abs(xty) / w))
-    delta = SolverConfig().delta * dual_ref
+    delta = trex.DELTA * dual_ref
     tau = max(1e-3 * dual_ref, 10.0 * delta)
     B, feasible = trex._coordinate_starts(G, xty, yty, c, j_arr, s_arr, w, delta, tau)
     return G, xty, yty, j_arr, s_arr, delta, tau, B, feasible
@@ -782,7 +783,7 @@ def _plain_ladder(t, t_floor, cap, trial, out, dest):
     return accepted, t, dead
 
 
-def _engine_case(kind, rng):
+def _engine_case(kind, rng, monkeypatch):
     """Engine inputs: all 2p l1 rows, all 2p rows of a stalling constrained
     instance (duplicated columns under the default bound, one row moved to
     the iterate before it stalls), or group rows."""
@@ -803,26 +804,27 @@ def _engine_case(kind, rng):
         bound = float(np.max(np.abs(xty))) if kind == "bound" else None
         rows, B, feasible = trex._sign_rows(
             G, xty, yty, config.c, np.repeat(np.arange(p), 2), np.tile([-1.0, 1.0], p),
-            np.ones(p), float(np.max(np.abs(xty))), config.delta * omega_dual(spec, xty),
+            np.ones(p), float(np.max(np.abs(xty))), trex.DELTA * omega_dual(spec, xty),
             bound)
-    delta = config.delta * omega_dual(spec, xty)
+    delta = trex.DELTA * omega_dual(spec, xty)
     if kind == "bound":
         # no row stalls at its first step from its start, but row 17 (j = 8,
         # s = +1) stalls at its eighth step without the face finish: it
         # starts from the iterate before that step, the others from their starts
-        with mock.patch.object(trex, "_face_finish", _settles_nothing):
+        with mock.patch.object(trex, "_face_finish", _settles_nothing), \
+                mock.patch.object(trex, "MAX_ITERATIONS", 7):
             res = trex._solve_subproblems(G, xty, yty, spec, rows, B.copy(), feasible,
-                                          delta, replace(config, max_iterations=7),
-                                          bound=bound)
+                                          delta, config, bound=bound)
         B[17] = res.beta[17]
-    return (G, xty, yty, spec, rows, B, feasible, delta,
-            replace(config, max_iterations=1)), bound
+    # the engine calls of the case take one iteration
+    monkeypatch.setattr(trex, "MAX_ITERATIONS", 1)
+    return (G, xty, yty, spec, rows, B, feasible, delta, config), bound
 
 
 class TestLadder:
     @pytest.mark.parametrize("kind", ["l1", "bound", "group"])
     def test_one_iteration_matches_one_step_at_a_time(self, rng, kind, monkeypatch):
-        args, bound = _engine_case(kind, rng)
+        args, bound = _engine_case(kind, rng, monkeypatch)
         # the face finish would solve every constrained row before its first
         # step; without it the rows step and stall as the ladder is meant to
         monkeypatch.setattr(trex, "_face_finish", _settles_nothing)
@@ -856,7 +858,8 @@ class TestLadder:
         # one start of each of the 3 groups at p = 8: every round of the
         # ladder tries at least WIDE_ROUND // 64 // 3 = 85 steps per row
         # (all 80 at once), where the doubling would try 1, 2, 4, ...
-        args, _ = _engine_case("group", rng)
+        args, _ = _engine_case("group", rng, monkeypatch)
+        monkeypatch.setattr(trex, "MAX_ITERATIONS", 40)
         G, xty, yty, spec, rows, B, feasible, delta, config = args
         few = np.arange(0, len(B), 8)
         runs = []
@@ -872,8 +875,7 @@ class TestLadder:
 
             monkeypatch.setattr(trex, "_ladder", record)
             res = trex._solve_subproblems(G, xty, yty, spec, rows.take(few), B[few].copy(),
-                                          feasible[few], delta,
-                                          replace(config, max_iterations=40))
+                                          feasible[few], delta, config)
             runs.append((res, calls, widths))
         (res, calls, widths), (ref, ref_calls, ref_widths) = runs
         assert len(calls) == len(ref_calls) == 40

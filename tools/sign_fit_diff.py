@@ -20,9 +20,11 @@ families:
 - ``tiny``: 300 pure-noise problems, n 2-20, p 2-15, every third with a
   weighted l1 penalty, constrained at 0.2-1 of dual(x.T y).
 
-Per family it prints the fits, the uncertified fits (``certified_gap`` above
-1e-9 (1 + |f|), or no fit), the falsely converged ones (``all_converged``
-with such a gap), and the CPU seconds of each side (one number per run);
+Per family it prints the fits, the identical ones (objective, winner and
+``certified_gap`` exactly equal on both sides), the uncertified fits
+(``certified_gap`` above 1e-9 (1 + |f|), or no fit), the falsely converged
+ones (``all_converged`` with such a gap), and the CPU seconds of each side
+(one number per run);
 among the fits both sides certify, the ones whose winners differ and the
 largest relative objective change; the fits whose objective rose by more
 than 1e-9 relative, with those of them the base certified and the largest
@@ -134,24 +136,26 @@ def _uncertified(rec) -> bool:
 
 
 def summarize(families, parent, change) -> dict:
-    """Per family: fits, uncertified and falsely converged fits on each side,
-    differing winners and the largest relative objective change among the
-    fits both sides certified, the fits whose objective rose (and the largest
-    relative rise) and those whose objective fell. ``families``
-    names the family of each record; ``parent`` and ``change`` are lists of
-    runs, each a list of records."""
+    """Per family: fits, bit-identical fits, uncertified and falsely
+    converged fits on each side, differing winners and the largest relative
+    objective change among the fits both sides certified, the fits whose
+    objective rose (and the largest relative rise) and those whose objective
+    fell. ``families`` names the family of each record; ``parent`` and
+    ``change`` are lists of runs, each a list of records."""
     out = {}
     for family in dict.fromkeys(families):
         at = [i for i, f in enumerate(families) if f == family]
-        row = {"fits": len(at)}
+        pairs = [(parent[0][i], change[0][i]) for i in at
+                 if "error" not in parent[0][i] and "error" not in change[0][i]]
+        row = {"fits": len(at),
+               "identical": sum(all(a[k] == b[k] for k in ("objective", "winner", "gap"))
+                                for a, b in pairs)}
         for side, runs in (("parent", parent), ("change", change)):
             recs = [runs[0][i] for i in at]
             row[f"uncertified_{side}"] = sum(map(_uncertified, recs))
             row[f"false_converged_{side}"] = sum(
                 "error" not in r and r["converged"] and _uncertified(r) for r in recs)
             row[f"cpu_{side}"] = [round(sum(run[i]["cpu"] for i in at), 3) for run in runs]
-        pairs = [(parent[0][i], change[0][i]) for i in at
-                 if "error" not in parent[0][i] and "error" not in change[0][i]]
         both = [(a, b) for a, b in pairs if not (_uncertified(a) or _uncertified(b))]
         row["winners_differ"] = sum(a["winner"] != b["winner"] for a, b in both)
         row["max_rel_objective_change"] = max(
