@@ -18,13 +18,12 @@ objective is within the tolerance of its bound, or is stopped (pruned) when
 its bound already lies above the best objective found so far by more than a
 margin, since then it cannot win. A subproblem within that margin of the best
 is moved to the closed-form stationary point on its support
-(``_face_points``) once its signs settle, which makes its bound exact, so
-every sign fit is one engine call. A sign subproblem counts as converged
-only when its certificate closed: one stopped for any other reason (its
-objective stopped falling, or its line search stalled) is reported open. The
-fit reports ``certified_gap``, the objective minus the smallest bound over
-the feasible subproblems: the global optimum lies at most that far below the
-returned objective.
+(``_face_points``) once its signs settle, which makes its bound exact. A sign
+subproblem counts as converged only when its certificate closed: one stopped
+for any other reason (its objective stopped falling, or its line search
+stalled) is reported open. The fit reports ``certified_gap``, the objective
+minus the smallest bound over the feasible subproblems: the global optimum
+lies at most that far below the returned objective.
 
 Under the dual constraint dual(x.T (y - x b)) <= bound the subproblems stay
 convex, and their optima usually lie on a face |q_i| = bound w_i of the
@@ -47,8 +46,8 @@ with denominator ||x_G.T (y - x b)|| / w_G; those are not provably convex, so
 each is solved from several seeded starts and the fit is flagged heuristic.
 Every start is one row of the same batched engine, with the group prox in
 place of soft thresholding; group rows are neither certified, pruned nor
-polished, stop when their objective stops falling, and the best of them are
-refined by a second engine call at a tighter tolerance.
+polished, and stop when their objective stops falling. So every fit, sign or
+group, is one engine call.
 
 The engine's cost at the sizes of ``trexlab verify`` is its number of batched
 rounds, not arithmetic: each backtracking round (``_ladder``) holds at least
@@ -59,7 +58,7 @@ the line search (``face_rounds``, ``trial_rounds``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -103,16 +102,15 @@ class SolverConfig:
     """The settings of a fit.
 
     c is the ratio constant in (0, 2); 1/2 is the customary default. seed
-    draws the perturbed starts of a group penalty. allow_unnormalized lets
-    the solvers take a design whose columns are not sqrt(n)-normalized.
-    Everything else is a module constant: the certificate ``TOLERANCE``, the
-    engine's ``MAX_ITERATIONS``, the domain guard ``DELTA`` and the
-    ``MULTISTARTS`` of a group.
+    draws the perturbed starts of a group penalty. Everything else is a
+    module constant: the certificate ``TOLERANCE``, the engine's
+    ``MAX_ITERATIONS``, the domain guard ``DELTA`` and the ``MULTISTARTS`` of
+    a group. The solvers take only designs whose columns are
+    sqrt(n)-normalized.
     """
 
     c: float = 0.5
     seed: int = 0
-    allow_unnormalized: bool = False
 
     def __post_init__(self):
         if not (0.0 < self.c < 2.0):
@@ -531,9 +529,6 @@ class _Rows(NamedTuple):
     s: np.ndarray
     dw: np.ndarray
 
-    def take(self, sel):
-        return _Rows(self.idx[sel], self.s[sel], self.dw[sel])
-
 
 def _is_heuristic(spec: NormSpec) -> bool:
     """Group penalties with a non-singleton group have no sign decomposition."""
@@ -682,7 +677,7 @@ def _ladder(t, t_floor, cap, trial, out, dest):
 
 
 def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
-                       bound=None, tolerance=TOLERANCE):
+                       bound=None):
     """Monotone proximal gradient with backtracking over K subproblem rows.
 
     Row k minimizes rss(b) / (c * D_k(b)) + omega(b) over the open domain
@@ -711,7 +706,7 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
 
     Sign rows finish on their certificate. Every iteration evaluates a dual
     lower bound LB_k on each active row's optimum; a row converges once
-    F_k - LB_k <= tolerance (1 + |F_k|), and is otherwise stopped (pruned)
+    F_k - LB_k <= ``TOLERANCE`` (1 + |F_k|), and is otherwise stopped (pruned)
     when LB_k lies above the incumbent min_k F_k by more than
     ``_near_margin``, since it cannot win. A row within that margin of the
     incumbent whose sign pattern has held for 3 iterations is moved, once per
@@ -720,13 +715,12 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
     that point keeps every sign, the domain and ``bound`` and does not raise
     F_k; its bound then becomes exact. An accepted sign row doubles its
     step, a group row grows it by 1.3. Any row whose objective fell by at
-    most tolerance (1 + |F_k|) over ``WINDOW`` iterations stops too: the
+    most ``TOLERANCE`` (1 + |F_k|) over ``WINDOW`` iterations stops too: the
     only stop of group rows, which then count as converged, and the
     fallback that stops sign rows the certificate does not close. A sign
     row counts as converged only if its certificate closed at its final
-    point, whether it stopped there on it, by the window or by a stall.
-    ``tolerance`` is ``TOLERANCE`` except in the refine call of a group fit,
-    and a call takes at most ``MAX_ITERATIONS`` iterations.
+    point, whether it stopped there on it, by the window or by a stall. A
+    call takes at most ``MAX_ITERATIONS`` iterations.
 
     Under ``bound`` every feasible sign row is first handed to the face
     finish (``_face_finish``), which solves it to its KKT point on its
@@ -901,7 +895,7 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
         if not group:
             incumbent = float(F.min())
             lb = lower_bound(act, grad)
-            closed = F[act] - lb <= tolerance * (1.0 + np.abs(F[act]))
+            closed = F[act] - lb <= TOLERANCE * (1.0 + np.abs(F[act]))
             hopeless = ~closed & (lb > incumbent + _near_margin(incumbent))
             pruned[act[hopeless]] = True
             stop = closed | hopeless
@@ -963,7 +957,7 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
             hist.pop(0)
         if len(hist) == WINDOW + 1:
             old = hist[0][act]
-            done = (old - F[act]) <= tolerance * (1.0 + np.abs(F[act]))
+            done = (old - F[act]) <= TOLERANCE * (1.0 + np.abs(F[act]))
             converged[act[done]] = True
             active[act[done]] = False
 
@@ -975,7 +969,7 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
         # a sign row converged only if its certificate closed at its final
         # point, however it stopped: the window and a stall prove nothing
         with np.errstate(invalid="ignore"):
-            converged = ~pruned & (F - lower <= tolerance * (1.0 + np.abs(F)))
+            converged = ~pruned & (F - lower <= TOLERANCE * (1.0 + np.abs(F)))
     return _BatchResult(B, q, F, converged, feasible, iterations, stalled, pruned,
                         lower, face_rounds, trial_rounds)
 
@@ -984,16 +978,13 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
 # full solves
 
 
-def _check_input(problem: RegressionProblem, config: SolverConfig):
-    if not problem.normalized and not config.allow_unnormalized:
-        raise NotNormalizedError(
-            "solver expects sqrt(n)-normalized columns; "
-            "set allow_unnormalized to override"
-        )
+def _check_input(problem: RegressionProblem):
+    if not problem.normalized:
+        raise NotNormalizedError("solver expects sqrt(n)-normalized columns")
 
 
 def solve_trex(problem: RegressionProblem, config: SolverConfig = None,
-               spec: NormSpec = None, bound=None) -> TrexFit:
+               spec: NormSpec = None) -> TrexFit:
     """Globally solve the ratio objective via the subproblem decomposition.
 
     For (weighted) l1 penalties, and group penalties of singletons only, the
@@ -1003,16 +994,15 @@ def solve_trex(problem: RegressionProblem, config: SolverConfig = None,
     bound exceeds the best current objective by more than
     max(1e-6 (1 + |best|), 1e-8), so a pruned subproblem can never win. Any
     other group penalty has one nonconvex subproblem per group, solved from
-    ``MULTISTARTS`` seeded starts in the same batch, and its
-    near-best starts are refined in a second call; such a fit is flagged
-    heuristic, carries no certificate and prunes nothing. The diagnostics
-    report, for every penalty:
+    ``MULTISTARTS`` seeded starts in the same engine call; such a fit is
+    flagged heuristic, carries no certificate and prunes nothing. The
+    diagnostics report, for every penalty:
 
     - ``heuristic``: whether the fit comes from the group multistarts;
     - ``certified_gap``: objective minus the smallest dual lower bound over
       the feasible subproblems, an upper bound on the distance to the global
-      optimum, under ``bound`` too (there the bound accounts for the
-      constraint); None for heuristic fits;
+      optimum, under the bound of ``solve_trex_constrained`` too (there the
+      bound accounts for the constraint); None for heuristic fits;
     - ``pruned``: the number of pruned subproblems;
     - ``stalled``: the number of rows stopped because the line-search step
       fell below its floor; such a row counts as converged only if its
@@ -1020,28 +1010,26 @@ def solve_trex(problem: RegressionProblem, config: SolverConfig = None,
     - ``all_converged``: every feasible subproblem converged or was pruned;
       a sign subproblem converged only if its certificate closed, so a sign
       fit with ``all_converged`` has a closed ``certified_gap``;
-    - ``iterations``: the largest iteration count of the first engine call
-      (the only one for sign fits), rounds of the face finish included;
+    - ``iterations``: the largest iteration count over the rows, rounds of
+      the face finish included;
     - ``row_iterations``: proximal-gradient steps and face-finish rounds
-      summed over all rows (every start of every subproblem), including a
-      heuristic fit's refine stage;
+      summed over all rows (every start of every subproblem);
     - ``face_rounds``: the rounds of the face finish, each one batched
       ``_face_points`` call (0 without a bound and for heuristic fits);
     - ``trial_rounds``: the batched line-search rounds, ``trial`` calls of
-      ``_ladder``, summed over the engine calls.
+      ``_ladder``.
 
     A subproblem's record holds its best row. Ties within 1e-10 break to the
-    lowest subproblem: the lowest coordinate, negative sign first. A
-    ``bound`` (see ``solve_trex_constrained``) must be positive; inf is no
-    bound, and anything else raises ``ConfigError``.
+    lowest subproblem: the lowest coordinate, negative sign first.
     """
-    config = config or SolverConfig()
-    spec = spec or l1_spec()
-    _check_input(problem, config)
-    if bound is not None and not bound > 0:
-        raise ConfigError(f"bound must be positive or inf, got {bound}")
-    if bound == np.inf:
-        bound = None
+    _check_input(problem)
+    return _solve(problem, config or SolverConfig(), spec or l1_spec())
+
+
+def _solve(problem: RegressionProblem, config: SolverConfig, spec: NormSpec,
+           bound=None) -> TrexFit:
+    """The fit of ``solve_trex``, under ``bound`` (None, or positive and
+    finite) when given; the caller checks the problem."""
     x, y = problem.x, problem.y
     p = problem.p
     c = config.c
@@ -1067,27 +1055,11 @@ def solve_trex(problem: RegressionProblem, config: SolverConfig = None,
     res = _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
                              bound=bound)
 
-    best = float(np.min(res.objective))
-    if not np.isfinite(best):
+    if not np.isfinite(np.min(res.objective)):
         if bound is not None:
             raise DomainError(f"all subproblems infeasible under bound={bound:g}: "
                               "no start lies inside both the constraint and the domain")
         raise DomainError("all subproblems infeasible; input is degenerate")
-    row_iterations = int(np.sum(res.iterations))
-    trial_rounds = res.trial_rounds
-    if heuristic:
-        # refine the group rows near the best at a thousandth of the tolerance
-        near = np.flatnonzero(res.objective <= best + _near_margin(best))
-        ref = _solve_subproblems(G, xty, yty, spec, rows.take(near), res.beta[near],
-                                 np.ones(near.size, dtype=bool), delta, config,
-                                 bound=bound, tolerance=TOLERANCE * 1e-3)
-        row_iterations += int(np.sum(ref.iterations))
-        trial_rounds += ref.trial_rounds
-        # a row whose refine start fails the domain or the bound by rounding
-        # keeps its main-stage result
-        kept = near[ref.feasible]
-        for name in ("beta", "q", "objective", "converged", "stalled"):
-            getattr(res, name)[kept] = getattr(ref, name)[ref.feasible]
 
     # one record per subproblem: the best of its per_sub consecutive rows
     n_sub = len(identities)
@@ -1130,9 +1102,9 @@ def solve_trex(problem: RegressionProblem, config: SolverConfig = None,
         diagnostics={
             "heuristic": heuristic,
             "iterations": int(np.max(res.iterations)),
-            "row_iterations": row_iterations,
+            "row_iterations": int(np.sum(res.iterations)),
             "face_rounds": res.face_rounds,
-            "trial_rounds": trial_rounds,
+            "trial_rounds": res.trial_rounds,
             "bound": bound,
             "all_converged": bool(np.all((converged | pruned)[feasible])),
             "pruned": int(np.sum(res.pruned)),
@@ -1148,18 +1120,23 @@ def solve_trex_constrained(problem: RegressionProblem, config: SolverConfig = No
     """Solve with the extra convex constraint dual(x.T (y - x b)) <= bound.
 
     The default bound is dual(x.T y), the slow-rate gate on the fitted dual
-    residual; a bound must be positive, and inf is no bound. Starts outside
-    the constraint set are repaired or marked infeasible; sign subproblems
-    are solved to their KKT points on the faces of the set and certified by
-    a bound that accounts for the constraint, so ``certified_gap`` is a
-    number; group rows reject line-search candidates that leave the set.
+    residual; inf is no bound, and a bound that is not positive (zero,
+    negative or NaN) raises ``ConfigError``. Starts outside the constraint
+    set are repaired or marked infeasible; sign subproblems are solved to
+    their KKT points on the faces of the set and certified by a bound that
+    accounts for the constraint, so ``certified_gap`` is a number; group
+    rows reject line-search candidates that leave the set.
     ``u_hat`` is the dual norm of the correlation vector the engine tested,
     so the returned fit has u_hat <= bound with no rounding slack.
     """
     spec = spec or l1_spec()
+    _check_input(problem)
     if bound is None:
         bound = omega_dual(spec, problem.x.T @ problem.y)
-    return solve_trex(problem, config, spec, bound=float(bound))
+    if not bound > 0:
+        raise ConfigError(f"bound must be positive or inf, got {bound}")
+    return _solve(problem, config or SolverConfig(), spec,
+                  None if bound == np.inf else float(bound))
 
 
 def _restrict_spec(spec: NormSpec, keep: np.ndarray) -> NormSpec:
@@ -1196,13 +1173,13 @@ def solve_trex_unpenalized(problem: RegressionProblem, config: SolverConfig = No
     """
     config = config or SolverConfig()
     spec = spec or l1_spec()
-    _check_input(problem, config)
+    _check_input(problem)
     p = problem.p
     u_idx = np.array(sorted(set(int(i) for i in unpenalized)), dtype=int)
     if u_idx.size and (u_idx[0] < 0 or u_idx[-1] >= p):
         raise ConfigError("unpenalized indices out of range")
     if u_idx.size == 0:
-        return solve_trex(problem, config, spec)
+        return _solve(problem, config, spec)
     p_idx = np.setdiff1d(np.arange(p), u_idx)
 
     x, y = problem.x, problem.y
@@ -1227,9 +1204,7 @@ def solve_trex_unpenalized(problem: RegressionProblem, config: SolverConfig = No
     sub_x = m_u @ x[:, p_idx]
     sub_y = m_u @ y
     sub_spec = _restrict_spec(spec, p_idx)
-    sub_cfg = replace(config, allow_unnormalized=True)
-    sub_problem = RegressionProblem(sub_x, sub_y, normalized=False)
-    sub_fit = solve_trex(sub_problem, sub_cfg, sub_spec)
+    sub_fit = _solve(RegressionProblem(sub_x, sub_y, normalized=False), config, sub_spec)
 
     beta = np.zeros(p)
     beta[p_idx] = sub_fit.beta_hat

@@ -21,10 +21,11 @@ from trexlab.datagen import DesignSpec, NoiseSpec, ScenarioSpec, SignalSpec, der
 from trexlab.harness import rows_to_csv, run_verification
 from trexlab.lasso import fit_lasso
 from trexlab.model import RegressionProblem, make_problem
-from trexlab.norms import singleton_groups
+from trexlab.norms import l1_spec, singleton_groups
 from trexlab.serialize import ExperimentConfig
 from trexlab.trex import (
     SolverConfig,
+    _solve,
     solve_trex,
     solve_trex_constrained,
     solve_trex_unpenalized,
@@ -194,11 +195,12 @@ def test_criterion_07_unpenalized_identities():
                              @ (y - x @ fit.beta_hat))) <= 1e-8
 
         # split path: project y off the unpenalized span, solve on the
-        # penalized block, then least squares for the unpenalized block
+        # penalized block (not normalized, so through the solver's body),
+        # then least squares for the unpenalized block
         x_u = x[:, list(u_idx)]
         m_u = np.eye(n) - x_u @ np.linalg.pinv(x_u)
         sub = RegressionProblem(m_u @ x[:, :p_pen], m_u @ y, normalized=False)
-        sub_fit = solve_trex(sub, SolverConfig(allow_unnormalized=True))
+        sub_fit = _solve(sub, SolverConfig(), l1_spec())
         resid = y - x[:, :p_pen] @ sub_fit.beta_hat
         beta_u = np.linalg.pinv(x_u.T @ x_u) @ (x_u.T @ resid)
         split = np.concatenate([sub_fit.beta_hat, beta_u])

@@ -30,7 +30,7 @@ PUBLIC = [
 
 # the settings a caller can change: a setting added to either dataclass, and
 # so to the keys an experiment config accepts, has to be added here too
-SOLVER_FIELDS = ["c", "seed", "allow_unnormalized"]
+SOLVER_FIELDS = ["c", "seed"]
 EXPERIMENT_FIELDS = ["scenarios", "estimators", "theorems", "replicates", "solver", "norm",
                      "compat_samples"]
 

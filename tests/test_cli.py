@@ -266,6 +266,7 @@ class TestVerify:
         {"compat_refine": True},
         {"solver": {"tol": 1e-6}},
         {"solver": 0.5},
+        {"solver": {"allow_unnormalized": True}},
         {"scenarios": [{"p": 8, "s": 2}]},
         {"scenarios": [3]},
         {"scenarios": [{"n": 25, "p": 8, "sed": 1}]},
@@ -281,6 +282,7 @@ class TestVerify:
         {"theorems": "trex_slow"},
         {"compat_samples": -5},
     ], ids=["top_level_key", "compat_refine", "solver_key", "solver_not_object",
+            "solver_allow_unnormalized",
             "scenario_without_n", "scenario_not_object", "scenario_key", "design_key",
             "noise_key", "signal_key", "norm_without_kind", "norm_key",
             "scenario_n_null", "design_rho_string", "partition_not_nested",

@@ -26,6 +26,8 @@ class TestSummarize:
         table = sign_fit_diff.summarize(families, parent, change)
         a, b = table["a"], table["b"]
         assert a["fits"] == 3 and b["fits"] == 1
+        assert a["converged_parent"] == 3 and a["converged_change"] == 2
+        assert a["heuristic_parent"] == a["heuristic_change"] == 0
         # only the third fit is equal to the last bit; a failed fit never is
         assert a["identical"] == 1 and b["identical"] == 0
         # the gap 0.5 on objective 2 is open: falsely converged on the parent
@@ -79,3 +81,17 @@ class TestSummarize:
         assert a["fits"] == n and a["identical"] == 2
         # a change of one bit is below every other count's threshold
         assert a["rose"] == a["fell"] == 0 and a["winners_differ"] == 1
+
+    def test_heuristic_fits_are_compared_pair_by_pair(self):
+        # a group fit carries no certificate (gap None): it is heuristic,
+        # neither uncertified nor falsely converged, and every pair of them
+        # enters the winner and objective comparisons
+        parent = [[fit(1.0, [0], None, True), fit(2.0, [1], None, False)]]
+        change = [[fit(1.0, [0], None, True), fit(2.0 * (1.0 + 1e-13), [2], None, True)]]
+        a = sign_fit_diff.summarize(["group"] * 2, parent, change)["group"]
+        assert a["heuristic_parent"] == a["heuristic_change"] == 2
+        assert a["uncertified_parent"] == a["uncertified_change"] == 0
+        assert a["false_converged_parent"] == a["false_converged_change"] == 0
+        assert a["converged_parent"] == 1 and a["converged_change"] == 2
+        assert a["identical"] == 1 and a["winners_differ"] == 1
+        assert a["max_rel_objective_change"] == pytest.approx(1e-13)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize, minimize_scalar
 
-from trexlab.errors import ConfigError, DegenerateResidualError, DomainError
+from trexlab.errors import ConfigError, DegenerateResidualError, DomainError, NotNormalizedError
 from trexlab.datagen import (
     DesignSpec,
     NoiseSpec,
@@ -239,10 +239,8 @@ class TestSolveTrex:
     def test_rejects_unnormalized(self, rng):
         x = rng.standard_normal((6, 2)) * 4.0
         problem = RegressionProblem(x, rng.standard_normal(6))
-        with pytest.raises(Exception):
+        with pytest.raises(NotNormalizedError):
             solve_trex(problem)
-        fit = solve_trex(problem, SolverConfig(allow_unnormalized=True))
-        assert np.isfinite(fit.objective)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -341,8 +339,7 @@ class TestGroupPenalty:
 
     def test_rows_do_not_interact_in_the_batch(self, rng):
         # group rows are never pruned, so solving every (group, start) row
-        # alone through the engine, main then refine stage, must reproduce
-        # the batched fit
+        # alone through the engine must reproduce the batched fit
         problem = random_problem(rng, 20, 8)
         spec = group_spec([(j, j + 1) for j in range(0, 8, 2)])
         config = SolverConfig()
@@ -353,26 +350,19 @@ class TestGroupPenalty:
         rows, B, feasible = trex._group_rows(G, xty, spec, config)
         m = trex.MULTISTARTS
         assert len(B) == 4 * m
-        main_obj, ref_obj = np.full(len(B), np.inf), np.full(len(B), np.inf)
+        alone = np.full(len(B), np.inf)
         for k in range(len(B)):
-            row = rows.take([k])
-            main = trex._solve_subproblems(G, xty, yty, spec, row, B[[k]],
-                                           feasible[[k]], delta, config)
-            if not main.feasible[0]:
-                continue
-            ref = trex._solve_subproblems(G, xty, yty, spec, row, main.beta,
-                                          np.ones(1, dtype=bool), delta, config,
-                                          tolerance=trex.TOLERANCE * 1e-3)
-            main_obj[k], ref_obj[k] = main.objective[0], ref.objective[0]
-        assert np.isfinite(ref_obj).any()
-        assert fit.objective == pytest.approx(ref_obj.min(), rel=1e-12)
-        # a record holds its group's best start, refined or not
+            res = trex._solve_subproblems(G, xty, yty, spec, _take(rows, [k]), B[[k]],
+                                          feasible[[k]], delta, config)
+            alone[k] = res.objective[0]
+        assert np.isfinite(alone).any()
+        assert fit.objective == pytest.approx(alone.min(), rel=1e-12)
+        # a record holds its group's best start
         assert len(fit.per_subproblem) == 4
         for gi, record in enumerate(fit.per_subproblem):
             assert record.identity == (gi,)
-            lo, hi = ref_obj[m * gi:m * gi + m].min(), main_obj[m * gi:m * gi + m].min()
-            assert lo * (1 - 1e-12) <= record.objective <= hi * (1 + 1e-12)
-        assert fit.winner == (int(np.argmin(ref_obj)) // m,)
+            assert record.objective == pytest.approx(alone[m * gi:m * gi + m].min(), rel=1e-12)
+        assert fit.winner == (int(np.argmin(alone)) // m,)
 
     def test_multistart_determinism(self, rng):
         problem = random_problem(rng, 10, 4)
@@ -697,6 +687,11 @@ class TestCoordinateStarts:
         assert not B[2:4].any()
 
 
+def _take(rows, sel):
+    """The engine rows ``sel`` of ``rows``."""
+    return trex._Rows(*(a[sel] for a in rows))
+
+
 def _engine_calls(monkeypatch):
     """Row iterations of every engine call solve_trex makes, in order."""
     stages = []
@@ -712,22 +707,15 @@ def _engine_calls(monkeypatch):
 
 
 class TestRowIterations:
-    def test_sums_main_and_refine_stages(self, rng, monkeypatch):
-        # heuristic group fits are the one path that keeps a refine stage
-        stages = _engine_calls(monkeypatch)
-        problem = random_problem(rng, 30, 10)
-        fit = solve_trex(problem, spec=group_spec([(0, 1, 2), (3, 4), (5, 6, 7, 8, 9)]))
-        assert fit.diagnostics["heuristic"]
-        assert len(stages) == 2 and stages[1] > 0
-        assert fit.diagnostics["row_iterations"] == sum(stages)
-        assert fit.diagnostics["iterations"] <= stages[0]
-
-    @pytest.mark.parametrize("kind", ["l1", "weighted", "bound"])
-    def test_sign_fits_make_one_engine_call(self, rng, kind, monkeypatch):
+    @pytest.mark.parametrize("kind", ["l1", "weighted", "bound", "group"])
+    def test_every_fit_makes_one_engine_call(self, rng, kind, monkeypatch):
         stages = _engine_calls(monkeypatch)
         problem = random_problem(rng, 30, 10)
         if kind == "bound":
             fit = solve_trex_constrained(problem)
+        elif kind == "group":
+            fit = solve_trex(problem, spec=group_spec([(0, 1, 2), (3, 4), (5, 6, 7, 8, 9)]))
+            assert fit.diagnostics["heuristic"]
         else:
             spec = weighted_l1_spec(rng.uniform(0.5, 2.0, 10)) if kind == "weighted" else None
             fit = solve_trex(problem, spec=spec)
@@ -874,7 +862,7 @@ class TestLadder:
                 return calls[-1]
 
             monkeypatch.setattr(trex, "_ladder", record)
-            res = trex._solve_subproblems(G, xty, yty, spec, rows.take(few), B[few].copy(),
+            res = trex._solve_subproblems(G, xty, yty, spec, _take(rows, few), B[few].copy(),
                                           feasible[few], delta, config)
             runs.append((res, calls, widths))
         (res, calls, widths), (ref, ref_calls, ref_widths) = runs
@@ -986,8 +974,8 @@ class TestConstrained:
     def test_u_hat_never_exceeds_the_bound(self, rng):
         # u_hat is the dual norm of the correlation vector the engine tested:
         # recomputed from x.T y - G beta it read one ulp above the default
-        # bound on the second replicate, and the first ended on a refine start
-        # whose q, recomputed in a batch of one, lay one ulp outside
+        # bound on the second replicate, and on the first a q recomputed in a
+        # batch of one lay one ulp outside
         seeds = [485960443572615856, 4987739927712999214, 7208988146898568358]
         for problem, spec in self._group_cases(rng, seeds):
             x, y = problem.x, problem.y
@@ -1285,9 +1273,8 @@ class TestCertifiedConvergence:
     @pytest.mark.parametrize("bound", [float("nan"), 0.0, -1.0])
     def test_bound_must_be_positive_or_inf(self, rng, bound):
         problem = random_problem(rng, 8, 3)
-        for solve in (solve_trex, solve_trex_constrained):
-            with pytest.raises(ConfigError, match="bound must be positive or inf"):
-                solve(problem, bound=bound)
+        with pytest.raises(ConfigError, match="bound must be positive or inf"):
+            solve_trex_constrained(problem, bound=bound)
 
     def test_cli_rejects_a_nan_bound(self, rng, tmp_path, capsys):
         path = tmp_path / "problem.csv"

@@ -1,11 +1,11 @@
-"""Sign fits of a base commit against this checkout, family by family.
+"""Sign and group fits of a base commit against this checkout, family by family.
 
     python3 tools/sign_fit_diff.py --base HEAD
     python3 tools/sign_fit_diff.py --base HEAD --family item1 --family wide --repeat 3
 
-Builds every problem once, in this checkout (the ``fit_l1`` and
-``fit_constrained`` items come from ``benchmarks/workloads.py``, which is only
-read), then solves them all in one process per side: the base commit,
+Builds every problem once, in this checkout (the ``fit_l1``,
+``fit_constrained`` and ``group`` items come from ``benchmarks/workloads.py``,
+which is only read), then solves them all in one process per side: the base commit,
 extracted as ``tools/bench_pairs.py`` extracts it (into the gitignored
 ``.bench_base/<sha>``), and this checkout, each on one BLAS thread. With
 ``--repeat N`` the sides run N times each, alternating which goes first. The
@@ -18,15 +18,19 @@ families:
 - ``noise``: ``solve_trex`` on n=6, p=9 pure noise, ``default_rng(k)`` for
   k < 200;
 - ``tiny``: 300 pure-noise problems, n 2-20, p 2-15, every third with a
-  weighted l1 penalty, constrained at 0.2-1 of dual(x.T y).
+  weighted l1 penalty, constrained at 0.2-1 of dual(x.T y);
+- ``group``: the ``fit_group`` items of seed 11, passes 0-1 (groups of 4),
+  each solved by ``solve_trex`` and by ``solve_trex_constrained`` with the
+  default bound.
 
 Per family it prints the fits, the identical ones (objective, winner and
-``certified_gap`` exactly equal on both sides), the uncertified fits
-(``certified_gap`` above 1e-9 (1 + |f|), or no fit), the falsely converged
-ones (``all_converged`` with such a gap), and the CPU seconds of each side
-(one number per run);
-among the fits both sides certify, the ones whose winners differ and the
-largest relative objective change; the fits whose objective rose by more
+``certified_gap`` exactly equal on both sides), the fits with
+``all_converged``, the heuristic fits (``certified_gap`` None: group fits
+carry no certificate), the uncertified fits (``certified_gap`` above
+1e-9 (1 + |f|), or no fit), the falsely converged ones (``all_converged``
+with such a gap), and the CPU seconds of each side (one number per run);
+among the fits both sides certify, and every pair of heuristic fits, the
+ones whose winners differ and the largest relative objective change; the fits whose objective rose by more
 than 1e-9 relative, with those of them the base certified and the largest
 relative rise; and the fits whose objective fell by more than 1e-9 relative.
 """
@@ -48,7 +52,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from bench_pairs import base_checkout  # noqa: E402
 
-FAMILIES = ("fit_l1", "fit_constrained", "item1", "wide", "noise", "tiny")
+FAMILIES = ("fit_l1", "fit_constrained", "item1", "wide", "noise", "tiny", "group")
 CERTIFIED = 1e-9
 SINGLE_THREAD = {k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                   "MKL_NUM_THREADS")}
@@ -58,12 +62,15 @@ SINGLE_THREAD = {k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 RUNNER = """
 import json, pickle, sys, time
 from trexlab.model import RegressionProblem
-from trexlab.norms import l1_spec, weighted_l1_spec
+from trexlab.norms import group_spec, l1_spec, weighted_l1_spec
 from trexlab.trex import solve_trex, solve_trex_constrained
 cases, out = pickle.load(open(sys.argv[1], "rb")), []
 for case in cases:
     problem = RegressionProblem(case["x"], case["y"], normalized=True)
-    spec = l1_spec() if case["w"] is None else weighted_l1_spec(case["w"])
+    if case["partition"] is not None:
+        spec = group_spec(case["partition"])
+    else:
+        spec = l1_spec() if case["w"] is None else weighted_l1_spec(case["w"])
     start = time.process_time()
     try:
         if case["constrained"]:
@@ -81,16 +88,16 @@ json.dump(out, open(sys.argv[2], "w"))
 """
 
 
-def _case(family, problem, constrained, w=None, bound=None):
+def _case(family, problem, constrained, w=None, bound=None, partition=None):
     return {"family": family, "x": problem.x, "y": problem.y, "w": w,
-            "constrained": constrained, "bound": bound}
+            "constrained": constrained, "bound": bound, "partition": partition}
 
 
 def build_cases(families) -> list:
     """Every problem of the named families, in a fixed order."""
     from trexlab.datagen import ScenarioSpec, generate
     from trexlab.model import make_problem
-    from workloads import FitConstrained, FitL1
+    from workloads import FitConstrained, FitGroup, FitL1
 
     cases = []
     with tempfile.TemporaryDirectory() as work:
@@ -99,6 +106,13 @@ def build_cases(families) -> list:
                 for pass_index in (0, 1):
                     for item in workload(11, False, work).make_pass(pass_index):
                         cases.append(_case(family, item.problem, family != "fit_l1"))
+        if "group" in families:
+            for pass_index in (0, 1):
+                for item in FitGroup(11, False, work).make_pass(pass_index):
+                    partition = [list(g) for g in item.spec.partition]
+                    for constrained in (False, True):
+                        cases.append(_case("group", item.problem, constrained,
+                                           partition=partition))
     if "item1" in families:
         for n, p, seed in ((40, 200, 3), (50, 400, 7), (50, 400, 8), (50, 400, 9)):
             cases.append(_case("item1", generate(ScenarioSpec(n=n, p=p, s=5, seed=seed))[0],
@@ -131,14 +145,22 @@ def solve_side(root, case_file, out_file) -> list:
         return json.load(fh)
 
 
+def _heuristic(rec) -> bool:
+    return "error" not in rec and rec["gap"] is None
+
+
 def _uncertified(rec) -> bool:
-    return "error" in rec or not (rec["gap"] <= CERTIFIED * (1.0 + abs(rec["objective"])))
+    """No fit, or a certificate open beyond ``CERTIFIED``; a heuristic fit
+    has none to be open."""
+    return "error" in rec or not (_heuristic(rec) or
+                                  rec["gap"] <= CERTIFIED * (1.0 + abs(rec["objective"])))
 
 
 def summarize(families, parent, change) -> dict:
-    """Per family: fits, bit-identical fits, uncertified and falsely
-    converged fits on each side, differing winners and the largest relative
-    objective change among the fits both sides certified, the fits whose
+    """Per family: fits, bit-identical fits, fits with ``all_converged``,
+    heuristic, uncertified and falsely converged fits on each side,
+    differing winners and the largest relative objective change among the
+    fits neither side left uncertified (every heuristic pair), the fits whose
     objective rose (and the largest relative rise) and those whose objective
     fell. ``families`` names the family of each record; ``parent`` and
     ``change`` are lists of runs, each a list of records."""
@@ -152,6 +174,8 @@ def summarize(families, parent, change) -> dict:
                                 for a, b in pairs)}
         for side, runs in (("parent", parent), ("change", change)):
             recs = [runs[0][i] for i in at]
+            row[f"converged_{side}"] = sum("error" not in r and r["converged"] for r in recs)
+            row[f"heuristic_{side}"] = sum(map(_heuristic, recs))
             row[f"uncertified_{side}"] = sum(map(_uncertified, recs))
             row[f"false_converged_{side}"] = sum(
                 "error" not in r and r["converged"] and _uncertified(r) for r in recs)
