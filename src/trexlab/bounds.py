@@ -308,7 +308,7 @@ def verify_trex_fast_via_lasso(problem: RegressionProblem, truth: GroundTruth,
     """
     a_small, u_gate = _fast_gates(problem, truth, fit, kappa1, kappa2)
     lam = reference_penalty(problem, truth, fit.u_hat, fit.config.c, kappa1, kappa2)
-    ref = fit_lasso(problem, lam, allow_unnormalized=True)
+    ref = fit_lasso(problem, lam)
     noise = float(np.max(np.abs(problem.x.T @ truth.epsilon)))
     n = problem.n
     loss_ref = prediction_loss(problem, truth, ref.beta_hat)
@@ -391,7 +391,7 @@ def verify_l1_ordering(problem: RegressionProblem, fit: TrexFit) -> BoundReport:
     """The fitted l1 norm dominates any l1 least-squares fit at penalty u_hat."""
     if fit.u_hat <= 0:
         raise DegenerateResidualError("u_hat must be positive")
-    ref = fit_lasso(problem, fit.u_hat, allow_unnormalized=True)
+    ref = fit_lasso(problem, fit.u_hat)
     lhs = float(np.sum(np.abs(ref.beta_hat)))
     rhs = float(np.sum(np.abs(fit.beta_hat)))
     gate = AssumptionCheck("reference_converged", ref.converged, 1.0, 1.0)

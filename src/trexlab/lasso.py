@@ -55,8 +55,7 @@ def kkt_residual(problem: RegressionProblem, beta, lam: float) -> float:
     return viol
 
 
-def fit_lasso(problem: RegressionProblem, lam: float,
-              allow_unnormalized: bool = False) -> LassoFit:
+def fit_lasso(problem: RegressionProblem, lam: float) -> LassoFit:
     """Solve the penalized least-squares problem by cyclic coordinate descent
     from beta = 0, for at most ``MAX_SWEEPS`` sweeps.
 
@@ -67,7 +66,7 @@ def fit_lasso(problem: RegressionProblem, lam: float,
     """
     if lam <= 0:
         raise ConfigError("lam must be positive")
-    if not problem.normalized and not allow_unnormalized:
+    if not problem.normalized:
         raise NotNormalizedError("fit_lasso expects sqrt(n)-normalized columns")
     x, y = problem.x, problem.y
     n, p = problem.n, problem.p

@@ -27,7 +27,8 @@ class RegressionProblem:
     """A dense design matrix and response pair.
 
     ``normalized`` records whether every column of ``x`` has norm sqrt(n);
-    solvers refuse unnormalized problems unless explicitly overridden.
+    the solvers and the reference lasso refuse unnormalized problems with
+    ``NotNormalizedError``.
     """
 
     x: np.ndarray

@@ -168,10 +168,16 @@ def omega_dual(spec: NormSpec, v):
     return _per_row(v, np.max(spec._group_norms(v) / spec._layout[2], axis=-1))
 
 
+def soft_threshold(v, th) -> np.ndarray:
+    """sign(v) max(|v| - th, 0): the prox of the th-weighted l1 norm, with
+    thresholds th that broadcast against v."""
+    return np.sign(v) * np.maximum(np.abs(v) - th, 0.0)
+
+
 def prox_omega(spec: NormSpec, v, t) -> np.ndarray:
     """Proximity operator argmin_z { 0.5 ||z - v||^2 + t * omega(z) }.
 
-    Coordinate soft-thresholding for (weighted) l1; block shrinkage by
+    Coordinate soft-thresholding (``soft_threshold``) for (weighted) l1; block shrinkage by
     max(0, 1 - t * w_G / ||v_G||) for groups, with the zero block returned at
     ||v_G|| = 0 (the continuous limit). A (k, p) batch takes a scalar t or one
     step per row, shaped (k, 1).
@@ -181,10 +187,9 @@ def prox_omega(spec: NormSpec, v, t) -> np.ndarray:
     if np.any(np.asarray(t) < 0):
         raise ConfigError("t must be nonnegative")
     if spec.kind == L1:
-        return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+        return soft_threshold(v, t)
     if spec.kind == WEIGHTED_L1:
-        th = t * np.asarray(spec.weights)
-        return np.sign(v) * np.maximum(np.abs(v) - th, 0.0)
+        return soft_threshold(v, t * np.asarray(spec.weights))
     _, gid, w = spec._layout
     nrm = spec._group_norms(v)
     # a zero block stays zero whatever the (finite) factor

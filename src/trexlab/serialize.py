@@ -66,14 +66,26 @@ def problem_from_csv(text: str) -> RegressionProblem:
     return RegressionProblem(x, y, normalized=columns_normalized(x))
 
 
+def _fields(d, keys, where: str) -> dict:
+    """``d`` itself, once it is a JSON object holding every key of ``keys``."""
+    if not isinstance(d, dict):
+        raise ParseError(f"{where} must be a JSON object, got {type(d).__name__}")
+    missing = [k for k in keys if k not in d]
+    if missing:
+        raise ParseError(f"{where} is missing {', '.join(map(repr, missing))}")
+    return d
+
+
 def problem_from_dict(d: dict):
-    pr = d["problem"]
+    """(problem, truth or None, seed or None) of a JSON problem container;
+    ``ParseError`` where it or a block of it lacks a field."""
+    pr = _fields(_fields(d, ("problem",), "problem file")["problem"], ("x", "y"), "problem")
     problem = RegressionProblem(np.asarray(pr["x"], dtype=float),
                                 np.asarray(pr["y"], dtype=float),
                                 normalized=bool(pr.get("normalized", False)))
     truth = None
     if "ground_truth" in d:
-        gt = d["ground_truth"]
+        gt = _fields(d["ground_truth"], ("beta_star", "epsilon", "sigma"), "ground_truth")
         truth = GroundTruth(np.asarray(gt["beta_star"], dtype=float),
                             np.asarray(gt["epsilon"], dtype=float),
                             float(gt["sigma"]))

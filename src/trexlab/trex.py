@@ -9,56 +9,53 @@ subproblems when the penalty is an (optionally weighted) l1 norm: one
 subproblem per coordinate j and sign s, with denominator s * x_j @ (y - x b).
 The subproblems are solved together by proximal gradient descent with
 backtracking, and the best optimum is the global one. Every subproblem
-starts at the exact minimizer of its own objective along its own coordinate,
-b = beta e_j, which is b = 0 when s x_j @ y lies between the two points where
-the slope of that objective vanishes (``_coordinate_starts``). Each
-subproblem also yields a dual lower bound from its rescaled gradient (Fercoq,
-Gramfort & Salmon, "Mind the duality gap", 2015). A subproblem stops once its
-objective is within the tolerance of its bound, or is stopped (pruned) when
-its bound already lies above the best objective found so far by more than a
-margin, since then it cannot win. A subproblem within that margin of the best
-is moved to the closed-form stationary point on its support
-(``_face_points``) once its signs settle, which makes its bound exact. A sign
-subproblem counts as converged only when its certificate closed: one stopped
-for any other reason (its objective stopped falling, or its line search
-stalled) is reported open. The fit reports ``certified_gap``, the objective
-minus the smallest bound over the feasible subproblems: the global optimum
-lies at most that far below the returned objective.
+starts at the exact minimizer of its own objective along its own coordinate
+(``_coordinate_starts``). Each also yields a dual lower bound from its
+rescaled gradient (Fercoq, Gramfort & Salmon, "Mind the duality gap", 2015):
+it stops once its objective is within the tolerance of its bound, or is
+pruned once its bound lies above the best objective so far by more than a
+margin, since then it cannot win. A subproblem near the best is moved to the
+closed-form stationary point on its support (``_face_points``) once its
+signs settle, which makes its bound exact. A sign subproblem counts as
+converged only when its certificate closed. The fit reports
+``certified_gap``, the objective minus the smallest bound over the feasible
+subproblems: the global optimum lies at most that far below the objective.
 
 Under the dual constraint dual(x.T (y - x b)) <= bound the subproblems stay
 convex, and their optima usually lie on a face |q_i| = bound w_i of the
 constraint set, where the line search, which only rejects steps that leave
-the set, cannot move. A start outside the set is first repaired into it;
-under the default bound dual(x.T y) most ray starts are, and on wide
-problems (p >> n) all of them, so the ray start matters mainly to
-unconstrained fits. Then every
-subproblem is solved to its KKT point by a batched active-set iteration on
-its support and its active faces (``_face_finish``, through the same
-``_face_points``), every support seeded from the signs of one lasso at
-lam = c bound / 2 so that few rounds remain, and its bound comes from weak
-duality for the faces, LB_k(m) with the face multipliers m
-(``_face_lower``). So constrained subproblems close on their certificate
-and are pruned like unconstrained ones, and ``certified_gap`` is a number
-under a bound too.
+the set, cannot move. Starts outside the set are first repaired into it.
+Then every subproblem is solved to its KKT point by a batched active-set
+iteration on its support and its active faces (``_face_finish``, through
+the same ``_face_points``), every support seeded from the signs of one
+lasso, and its bound comes from weak duality for the faces (``_face_lower``).
+So constrained subproblems close on their certificate and are pruned like
+unconstrained ones.
 
 Group penalties with a non-singleton group yield one subproblem per group,
 with denominator ||x_G.T (y - x b)|| / w_G; those are not provably convex, so
 each is solved from several seeded starts and the fit is flagged heuristic.
 Every start is one row of the same batched engine, with the group prox in
 place of soft thresholding; group rows are neither certified, pruned nor
-polished, and stop when their objective stops falling. So every fit, sign or
-group, is one engine call.
+polished. So every fit, sign or group, is one engine call.
+
+A row is defined once. Every stage reads the constants of the fit (G = x.T x,
+x.T y, y.y, c, the weights, delta, the bound, ||G||_2 and the copies) from
+one record (``_Constants``, built by ``_constants``); q = x.T (y - x b) and
+rss of any rows come from ``_residuals``, a sign row's gradient and the y.z
+of its dual bound from ``_sign_gradient``, and every penalty, dual norm and
+soft threshold from ``norms``.
 
 The engine's cost at the sizes of ``trexlab verify`` is its number of batched
 rounds, not arithmetic: each backtracking round (``_ladder``) holds at least
-``WIDE_ROUND`` / p^2 candidates, so the few group rows of a small problem try
-many steps at once, and the fit reports its rounds of the face finish and of
-the line search (``face_rounds``, ``trial_rounds``).
+``WIDE_ROUND`` / p^2 candidates, and the fit reports its rounds of the face
+finish and of the line search (``face_rounds``, ``trial_rounds``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -159,10 +156,6 @@ def trex_objective(problem: RegressionProblem, beta, c: float,
 # one batched proximal-gradient engine over the subproblem rows
 
 
-def _soft(v, th):
-    return np.sign(v) * np.maximum(np.abs(v) - th, 0.0)
-
-
 def _near_margin(f):
     """The pruning margin: a row whose dual bound lies this far above the best
     objective cannot win, and a row within it of the best is polished."""
@@ -185,7 +178,72 @@ def _copies(G, pen_w):
     return (first[:, None] == lead).astype(float) if lead.size else None
 
 
-def _face_points(G, xty, yty, c, j, s, pen_w, S, sig, face, copies):
+class _Constants(NamedTuple):
+    """What every stage of one fit reads, built once by ``_constants``: G = x.T x,
+    xty = x.T y, yty = y.y, c, the ``spec`` of every penalty and dual norm (a
+    group spec of singletons as its equal weighted-l1 spec), the weights w and
+    ``copies`` of a sign decomposition (None for a group penalty), dual0 =
+    dual(x.T y), delta = ``DELTA`` dual0, the ``bound`` (None for none), the
+    estimate Lg of ||G||_2 and the ``seed`` of the group starts."""
+
+    G: np.ndarray
+    xty: np.ndarray
+    yty: float
+    c: float
+    spec: NormSpec
+    w: np.ndarray
+    copies: np.ndarray
+    dual0: float
+    delta: float
+    bound: float
+    Lg: float
+    seed: int
+
+
+def _constants(problem: RegressionProblem, config: SolverConfig, spec: NormSpec,
+               bound=None) -> _Constants:
+    x, y = problem.x, problem.y
+    G = x.T @ x
+    xty = x.T @ y
+    w = copies = None
+    # a group penalty with a group of two or more has no sign decomposition
+    if spec.kind != norms.GROUP or all(len(g) == 1 for g in spec.partition):
+        w = penalty_weight_vector(spec, problem.p)
+        if spec.kind == norms.GROUP:
+            spec = norms.weighted_l1_spec(w)
+        copies = _copies(G, w)
+    dual0 = omega_dual(spec, xty)
+    if dual0 <= 0.0:
+        raise DomainError("dual norm of x.T y is zero; the objective is undefined at 0")
+    return _Constants(G, xty, float(y @ y), config.c, spec, w, copies, dual0,
+                      DELTA * dual0, bound, _spectral_norm_estimate(G), config.seed)
+
+
+def _residuals(C: _Constants, B):
+    """q = x.T (y - x b) and rss = ||y - x b||^2 of every row b of B, through G."""
+    bg = B @ C.G
+    rss = C.yty - 2.0 * (B @ C.xty) + np.einsum("kp,kp->k", B, bg)
+    return C.xty[None, :] - bg, np.maximum(rss, 0.0)
+
+
+def _sign_denominator(C: _Constants, j, s, q):
+    """D = s q_j / w_j of sign rows (j, s) with correlation vectors q."""
+    return s * q[np.arange(len(j)), j] / C.w[j]
+
+
+def _sign_gradient(C: _Constants, j, s, B, q, rss, D):
+    """The gradient of the smooth part rss / (c D) of sign rows (j, s) at B,
+    and y.z with z that gradient in residual space: z is the gradient of
+    g(r) = ||r||^2 / (c a.r), a = s x_j / w_j, so x.T z = -gradient, and
+    theta z is dual feasible for the row (Fercoq, Gramfort & Salmon 2015)."""
+    cD = C.c * D
+    grad = ((-2.0 / cD)[:, None] * q
+            + ((rss / (cD * D)) * s / C.w[j])[:, None] * C.G[:, j].T)
+    a_y = s * C.xty[j] / C.w[j]
+    return grad, (2.0 * (C.yty - B @ C.xty) - rss * a_y / D) / cD
+
+
+def _face_points(C: _Constants, j, s, S, sig, face):
     """Stationary points of R sign rows on their supports and faces, batched.
 
     Row r keeps b_i = 0 off S_r, the signs sig on S_r, and q = xty - G b at
@@ -207,6 +265,7 @@ def _face_points(G, xty, yty, c, j, s, pen_w, S, sig, face, copies):
     lowest objective on the restricted set wins, signs kept or not. Returns
     (b, m, ok): points and multipliers (R, p), and the rows with a valid root.
     """
+    G, xty, yty, c, pen_w = C.G, C.xty, C.yty, C.c, C.w
     R, p = S.shape
     A = face != 0.0
     nS, nA = S.sum(axis=1), A.sum(axis=1)
@@ -231,8 +290,8 @@ def _face_points(G, xty, yty, c, j, s, pen_w, S, sig, face, copies):
     rhs[:, :mS, 2] = pen_w[Sidx] * sig[rr, Sidx]
     rhs *= val[:, :, None]
     U, bad = np.zeros_like(rhs), np.zeros(R, dtype=bool)
-    if copies is not None:
-        bad = (S @ copies > 1.0).any(axis=1)
+    if C.copies is not None:
+        bad = (S @ C.copies > 1.0).any(axis=1)
     if n and not bad.all():
         go = ~bad if bad.any() else slice(None)
         try:
@@ -283,8 +342,8 @@ def _face_points(G, xty, yty, c, j, s, pen_w, S, sig, face, copies):
     return B[:, :p], M[:, :p], ok
 
 
-def _face_lower(xty, bound, pen_w, yz, r, M):
-    """LB_k(m) of sign rows under ``bound``, for any multipliers M.
+def _face_lower(C: _Constants, yz, r, M):
+    """LB_k(m) of sign rows under ``C.bound``, for any multipliers M.
 
     Weak duality for the Lagrangian of the faces |q_i| <= bound w_i: the
     row's smooth part is 1-homogeneous in the residual, so its conjugate is
@@ -299,19 +358,21 @@ def _face_lower(xty, bound, pen_w, yz, r, M):
     unconstrained bound, and at a KKT point with its face multipliers t = 1
     and LB_k equals the objective.
     """
-    t = 1.0 / np.maximum(1.0, (np.abs(r) / pen_w).max(axis=1))
-    return t * (yz + M @ xty - bound * (np.abs(M) @ pen_w))
+    t = 1.0 / np.maximum(1.0, omega_dual(C.spec, r))
+    return t * (yz + M @ C.xty - C.bound * (np.abs(M) @ C.w))
 
 
-def _lasso_signs(G, xty, lam, pen_w, Lg):
-    """Signs of the weighted lasso 1/2 b.G b - xty.b + lam sum_i w_i |b_i|
-    after ``LASSO_STEPS`` proximal-gradient steps of length 1 / Lg from 0;
-    all zero where G has fewer than p / 2 dimensions, or no more than the
-    signs that are nonzero."""
+def _lasso_signs(C: _Constants):
+    """Signs of the weighted lasso 1/2 b.G b - xty.b + lam sum_i w_i |b_i| at
+    lam = c bound / 2 after ``LASSO_STEPS`` proximal-gradient steps of length
+    1 / Lg from 0; all zero where G has fewer than p / 2 dimensions, or no
+    more than the signs that are nonzero."""
+    G, xty, Lg = C.G, C.xty, C.Lg
     p = G.shape[0]
     b = np.zeros(p)
+    th = 0.5 * C.c * C.bound * C.w / Lg
     for _ in range(LASSO_STEPS):
-        b = _soft(b + (xty - G @ b) / Lg, lam * pen_w / Lg)
+        b = norms.soft_threshold(b + (xty - G @ b) / Lg, th)
     sig = np.sign(b)
     # with p >> n the supports of the face finish outgrow the rank of G
     # anyway, and a lasso support near the rank only makes the rows' first
@@ -322,14 +383,14 @@ def _lasso_signs(G, xty, lam, pen_w, Lg):
     return sig
 
 
-def _face_finish(G, xty, yty, c, j, s, pen_w, bound, delta, B, incumbent, copies, Lg):
-    """Solve R sign rows under ``bound`` to their KKT points, batched.
+def _face_finish(C: _Constants, j, s, B, incumbent):
+    """Solve R sign rows under ``C.bound`` to their KKT points, batched.
 
     An active-set iteration on the support S with signs sig and the active
     faces, the nonzero entries of their sides tau. Every support starts from
     one shared seed, the signs of the weighted lasso at lam = c bound / 2 on
-    (G, xty) (``_lasso_signs``, which reuses the engine's ``Lg``), less the
-    later copies of each set of ``copies`` and the other copies of j; the
+    (G, xty) (``_lasso_signs``), less the later copies of each set of
+    ``copies`` and the other copies of j; the
     row's own coordinate j joins with the sign of B_j unless B_j = 0. The
     seed changes how many rounds a row takes, not the KKT point it reaches.
     The faces start as those B lies within a relative 1e-6 of. Each round
@@ -349,7 +410,8 @@ def _face_finish(G, xty, yty, c, j, s, pen_w, bound, delta, B, incumbent, copies
       face keeps its support and signs, since the face stops the move
       before a sign changes.
 
-    A point must keep D > delta, the engine's domain. A row whose sets did
+    A point must keep D > delta, the engine's domain, and is evaluated as the
+    engine evaluates its rows. A row whose sets did
     not change stops: it is at a KKT point of its convex subproblem when it
     is stationary on its support, (g - G m)_i = -w_i sig_i to 1e-9 there;
     where it is not, the system was singular and inconsistent (a support
@@ -368,17 +430,18 @@ def _face_finish(G, xty, yty, c, j, s, pen_w, bound, delta, B, incumbent, copies
     bound that pruned them; rows with status 0 reached none of these within
     ``MAX_FACE_ROUNDS``. ``rounds`` counts the rounds each row took part in.
     """
+    G, c, pen_w, bound, copies = C.G, C.c, C.w, C.bound, C.copies
     R, p = B.shape
     out_B, out_M = B.copy(), np.zeros((R, p))
     lower = np.full(R, -np.inf)
     status = np.zeros(R, dtype=int)
     rounds = np.zeros(R, dtype=int)
-    q = xty[None, :] - B @ G
+    q, _ = _residuals(C, B)
     # the support of a start repaired into the constraint set, or of an
     # iterate that crawled along a face, is a poor seed; one lasso is a
     # better one for every row
     rows = np.arange(R)
-    sig = np.tile(_lasso_signs(G, xty, 0.5 * c * bound, pen_w, Lg), (R, 1))
+    sig = np.tile(_lasso_signs(C), (R, 1))
     if copies is not None:
         # a support adds only the first of a set of copies, and none of a set it holds
         later = (np.cumsum(copies, axis=0) * copies).sum(axis=1) > 1.0
@@ -394,13 +457,12 @@ def _face_finish(G, xty, yty, c, j, s, pen_w, bound, delta, B, incumbent, copies
             break
         rounds[run] += 1
         jr, sr = j[run], s[run]
-        Bt, Mt, ok = _face_points(G, xty, yty, c, jr, sr, pen_w, S[run], sig[run],
-                                  bound * (1.0 - 1e-12) * tau[run], copies)
-        qt = xty[None, :] - Bt @ G
-        rss = np.maximum(yty - 2.0 * (Bt @ xty) + np.einsum("kp,kp->k", Bt, xty - qt), 0.0)
-        D = sr * qt[np.arange(run.size), jr] / pen_w[jr]
+        Bt, Mt, ok = _face_points(C, jr, sr, S[run], sig[run],
+                                  bound * (1.0 - 1e-12) * tau[run])
+        qt, rss = _residuals(C, Bt)
+        D = _sign_denominator(C, jr, sr, qt)
         # the point must lie in the engine's domain, where LB_k(m) holds too
-        ok &= D > delta
+        ok &= D > C.delta
         # a row without a stationary point tries again on its own face
         retry = ~ok & (tau[run, jr] == 0.0)
         tau[run[retry], jr[retry]] = sr[retry]
@@ -410,10 +472,9 @@ def _face_finish(G, xty, yty, c, j, s, pen_w, bound, delta, B, incumbent, copies
         if run.size == 0:
             continue
         # g - G m, with g the gradient of the smooth part
-        r = ((-2.0 / (c * D))[:, None] * qt
-             + ((rss / (c * D * D)) * sr / pen_w[jr])[:, None] * G[:, jr].T) - Mt @ G
+        g, yz = _sign_gradient(C, jr, sr, Bt, qt, rss, D)
+        r = g - Mt @ G
         resid = np.abs(r)
-        yz = (2.0 * (yty - Bt @ xty) - rss * sr * xty[jr] / (pen_w[jr] * D)) / (c * D)
         Sr, Ar = S[run], tau[run] != 0.0
         keep_S = Sr & (sig[run] * Bt > 0.0)
         # the coordinates off the support that violate stationarity by at
@@ -448,8 +509,8 @@ def _face_finish(G, xty, yty, c, j, s, pen_w, bound, delta, B, incumbent, copies
         out_B[done], out_M[done] = Bt[settled], Mt[settled]
         if settled.any():
             incumbent = min(incumbent, float(np.min(
-                rss[settled] / (c * D[settled]) + np.abs(Bt[settled]) @ pen_w)))
-        lb = _face_lower(xty, bound, pen_w, yz, r, Mt)
+                rss[settled] / (c * D[settled]) + omega(C.spec, Bt[settled]))))
+        lb = _face_lower(C, yz, r, Mt)
         hopeless = ~settled & (lb > incumbent + _near_margin(incumbent))
         status[run[hopeless]] = 2
         lower[run[hopeless]] = lb[hopeless]
@@ -488,11 +549,11 @@ def _spectral_norm_estimate(G: np.ndarray, iters: int = 30) -> float:
     return max(lam, 1e-12)
 
 
-def _coordinate_starts(G, xty, yty, c, j_arr, s_arr, pen_w, delta, tau):
+def _coordinate_starts(C: _Constants, j_arr, s_arr, tau):
     """Start points (K, p) of the sign subproblems and their feasibility.
 
     Every row starts at the exact minimizer of its own objective along its
-    own coordinate, b = beta * e_j. The weight w = pen_w_j both weighs the
+    own coordinate, b = beta * e_j. The weight w = C.w_j both weighs the
     penalty and divides the denominator. With g = G_jj, m = x_j @ y, mu = s m
     and v = s * x_j @ (y - beta x_j) = w * D, the objective along that ray is
     the convex (w / c) (R0 / v + v / g) + (w / g) |v - mu|, with
@@ -503,17 +564,18 @@ def _coordinate_starts(G, xty, yty, c, j_arr, s_arr, pen_w, delta, tau):
     A row with G_jj ~ 0 starts at 0 and is feasible only if mu / w exceeds
     delta.
     """
-    B = np.zeros((len(j_arr), G.shape[0]))
-    w = pen_w[j_arr]
-    m = xty[j_arr]
+    c = C.c
+    B = np.zeros((len(j_arr), C.G.shape[0]))
+    w = C.w[j_arr]
+    m = C.xty[j_arr]
     mu = s_arr * m
-    diagG = np.diag(G)
+    diagG = np.diag(C.G)
     g = diagG[j_arr]
     dead = g <= 1e-12 * float(np.max(diagG, initial=1.0))
-    feasible = ~dead | (mu / w > delta)
+    feasible = ~dead | (mu / w > C.delta)
     live = np.flatnonzero(~dead)
     j, s, w, m, mu, g = j_arr[live], s_arr[live], w[live], m[live], mu[live], g[live]
-    r0g = np.maximum(yty - m * m / g, 0.0) * g
+    r0g = np.maximum(C.yty - m * m / g, 0.0) * g
     v_b = np.sqrt(r0g / (1.0 + c))
     v_a = np.sqrt(r0g / (1.0 - c)) if c < 1.0 else np.inf
     v = np.maximum(np.minimum(np.maximum(mu, v_b), v_a), tau * w)
@@ -530,59 +592,53 @@ class _Rows(NamedTuple):
     dw: np.ndarray
 
 
-def _is_heuristic(spec: NormSpec) -> bool:
-    """Group penalties with a non-singleton group have no sign decomposition."""
-    return spec.kind == norms.GROUP and any(len(g) > 1 for g in spec.partition)
-
-
-def _sign_rows(G, xty, yty, c, j_arr, s_arr, pen_w, dual_ref, delta, bound=None):
+def _sign_rows(C: _Constants, j_arr, s_arr):
     """Rows (j, s) of the sign decomposition with their starts and feasibility.
 
     Every row starts at the exact minimizer of its objective along its own
     coordinate (``_coordinate_starts``): b = 0 only when that is the minimizer,
     since a row started at 0 with a small correlation s x_j @ y sits far above
-    its optimum and steps to a dense iterate. Under ``bound`` a start that
+    its optimum and steps to a dense iterate. Under ``C.bound`` a start that
     violates the constraint is then repaired: under the default bound
     dual(x.T y), most ray starts, and all of them where p >> n.
     """
-    dw = pen_w[j_arr]
-    tau = max(1e-3 * dual_ref, 10.0 * delta)
-    B, feasible = _coordinate_starts(G, xty, yty, c, j_arr, s_arr, pen_w, delta, tau)
-    if bound is not None:
+    tau = max(1e-3 * C.dual0, 10.0 * C.delta)
+    B, feasible = _coordinate_starts(C, j_arr, s_arr, tau)
+    if C.bound is not None:
         # repair starts that violate the dual constraint: aim the correlation
-        # vector at a point strictly inside the constraint set; the stacked
-        # products take one matrix-vector product per start, all in one call
-        qS = xty[None, :] - B @ G
-        dualS = np.max(np.abs(qS) / pen_w[None, :], axis=1)
-        viol = np.flatnonzero(feasible & (dualS > bound * (1.0 + 1e-12)))
+        # vector at a point strictly inside the constraint set, with one
+        # stacked pseudo-inverse product per start, all in one call
+        viol = np.flatnonzero(feasible & (omega_dual(C.spec, _residuals(C, B)[0])
+                                          > C.bound * (1.0 + 1e-12)))
         if viol.size:
-            jv = j_arr[viol]
-            target = np.zeros((viol.size, G.shape[0]))
-            target[np.arange(viol.size), jv] = s_arr[viol] * 0.5 * bound * pen_w[jv]
-            Bv = (np.linalg.pinv(G) @ (xty[None, :] - target)[:, :, None])[:, :, 0]
-            qv = xty[None, :] - (G @ Bv[:, :, None])[:, :, 0]
-            ok = ((s_arr[viol] * qv[np.arange(viol.size), jv] / dw[viol] > delta)
-                  & (np.max(np.abs(qv) / pen_w[None, :], axis=1) <= bound))
+            jv, sv = j_arr[viol], s_arr[viol]
+            target = np.zeros((viol.size, C.G.shape[0]))
+            target[np.arange(viol.size), jv] = sv * 0.5 * C.bound * C.w[jv]
+            Bv = (np.linalg.pinv(C.G) @ (C.xty[None, :] - target)[:, :, None])[:, :, 0]
+            qv, _ = _residuals(C, Bv)
+            ok = ((_sign_denominator(C, jv, sv, qv) > C.delta)
+                  & (omega_dual(C.spec, qv) <= C.bound))
             B[viol[ok]] = Bv[ok]
             feasible[viol[~ok]] = False
-    return _Rows(j_arr[:, None], s_arr, dw), B, feasible
+    return _Rows(j_arr[:, None], s_arr, C.w[j_arr]), B, feasible
 
 
-def _group_rows(G, xty, spec, config, bound=None):
+def _group_rows(C: _Constants):
     """Rows of the group subproblems, each group from ``MULTISTARTS`` starts:
-    zeros, the ridge fit and perturbed ridge fits drawn from ``config.seed``,
+    zeros, the ridge fit and perturbed ridge fits drawn from ``C.seed``,
     group-major.
 
-    Under ``bound`` a start with omega_dual(x.T (y - x b)) > bound is repaired
+    Under ``C.bound`` a start with omega_dual(x.T (y - x b)) > bound is repaired
     as ``_sign_rows`` repairs its starts: it moves to the point whose
     correlation vector is half the bound (in the group's dual norm) along
     x_G.T y on its own group and zero elsewhere, and stays infeasible if that
     point violates the bound too (a rank-deficient x.T x need not reach it).
     """
+    G, xty, spec, bound = C.G, C.xty, C.spec, C.bound
     p = G.shape[0]
     n_groups = len(spec.partition)
     n_starts = MULTISTARTS
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(C.seed)
     ridge = np.linalg.solve(G + np.eye(p), xty)
     # drawn group by group, start by start: the multiplicative draw first
     z = rng.standard_normal((n_groups, n_starts - 2, 2, p))
@@ -595,7 +651,7 @@ def _group_rows(G, xty, spec, config, bound=None):
     B = B.reshape(-1, p)
     feasible = np.ones(len(B), dtype=bool)
     if bound is not None:
-        viol = np.flatnonzero(omega_dual(spec, xty[None, :] - B @ G) > bound)
+        viol = np.flatnonzero(omega_dual(spec, _residuals(C, B)[0]) > bound)
         if viol.size:
             # the group's block of x.T y as a unit vector (its first
             # coordinate when the block is zero), padded with a zero column
@@ -608,7 +664,7 @@ def _group_rows(G, xty, spec, config, bound=None):
             target[np.arange(viol.size)[:, None], on] = (
                 (0.5 * bound) * rows.dw[viol, None] * u / nrm[:, None])
             B[viol] = (xty[None, :] - target[:, :p]) @ np.linalg.pinv(G)
-            feasible = omega_dual(spec, xty[None, :] - B @ G) <= bound
+            feasible = omega_dual(spec, _residuals(C, B)[0]) <= bound
     return rows, B, feasible
 
 
@@ -676,71 +732,66 @@ def _ladder(t, t_floor, cap, trial, out, dest):
     return accepted, t, dead
 
 
-def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
-                       bound=None):
+def _solve_subproblems(C: _Constants, rows, B, feasible):
     """Monotone proximal gradient with backtracking over K subproblem rows.
 
     Row k minimizes rss(b) / (c * D_k(b)) + omega(b) over the open domain
-    D_k(b) > delta, from its start B[k], with q(b) = x.T (y - x b) = xty - G b:
+    D_k(b) > delta, from its start B[k]. The constants come from the record
+    ``C``; q = xty - G b and rss of any rows from ``_residuals``, and omega
+    and the dual norm of q from ``norms.omega`` and ``norms.omega_dual`` of
+    ``C.spec``:
 
-    - a sign row has D_k(b) = s_k * q_j(b) / dw_k and a (weighted) l1
-      penalty, so its objective is convex;
+    - a sign row has D_k(b) = s_k * q_j(b) / dw_k (``_sign_denominator``),
+      a (weighted) l1 penalty with prox ``norms.soft_threshold``, and a
+      convex objective; its gradient and the y.z of its dual bound come from
+      ``_sign_gradient``;
     - a group row has D_k(b) = ||q_idx(b)|| / dw_k and the group penalty,
       whose prox is ``norms.prox_omega``; its objective need not be convex.
 
     Each iteration backtracks every active row at once (``_ladder``): round r
     tries the next 2^r steps t, t/2, t/4, ... of every pending row, or more
-    where few cheap candidates are pending (small p, as for group rows), in
-    one batch of at most max(K, 2p, ``WIDE_ROUND`` // p^2) candidates, and
-    each row keeps its largest step that stays in the domain, passes
-    ``bound`` and gives sufficient decrease; these are the decisions of
-    trying one step at a time. A row
+    where few cheap candidates are pending, in one batch of at most
+    max(K, 2p, ``WIDE_ROUND`` // p^2) candidates, and each row keeps its
+    largest step that stays in the domain, passes ``bound`` and gives
+    sufficient decrease: the decisions of trying one step at a time. A row
     tries at most ``MAX_TRIALS`` steps per iteration and stalls once its step
-    would fall below 1e-18 times its first.
+    would fall below 1e-18 times its first. An accepted sign row doubles its
+    step, a group row grows it by 1.3.
 
-    When ``bound`` is given, candidate steps with dual(q) > bound are rejected
-    (line-search feasibility, no projection); the callers repair starts with
-    dual(q) > bound and mark those they cannot repair infeasible, and a start
-    whose q, as computed here, still fails the bound is infeasible. So the q
-    returned for every feasible row satisfies the bound exactly.
+    Under ``C.bound``, candidates with dual(q) > bound are rejected (no
+    projection); the callers repair starts outside the set and mark those
+    they cannot repair infeasible, and a start whose q, as computed here,
+    fails the bound is infeasible too. So the q returned for every feasible
+    row satisfies the bound exactly.
 
-    Sign rows finish on their certificate. Every iteration evaluates a dual
-    lower bound LB_k on each active row's optimum; a row converges once
-    F_k - LB_k <= ``TOLERANCE`` (1 + |F_k|), and is otherwise stopped (pruned)
+    Sign rows finish on their certificate: every iteration, a row converges
+    once F_k - LB_k <= ``TOLERANCE`` (1 + |F_k|), and is otherwise pruned
     when LB_k lies above the incumbent min_k F_k by more than
-    ``_near_margin``, since it cannot win. A row within that margin of the
-    incumbent whose sign pattern has held for 3 iterations is moved, once per
-    pattern, to the closed-form stationary point on its support (the rows
-    due in one iteration in one ``_face_points`` call with no faces) when
-    that point keeps every sign, the domain and ``bound`` and does not raise
-    F_k; its bound then becomes exact. An accepted sign row doubles its
-    step, a group row grows it by 1.3. Any row whose objective fell by at
-    most ``TOLERANCE`` (1 + |F_k|) over ``WINDOW`` iterations stops too: the
-    only stop of group rows, which then count as converged, and the
-    fallback that stops sign rows the certificate does not close. A sign
-    row counts as converged only if its certificate closed at its final
-    point, whether it stopped there on it, by the window or by a stall. A
-    call takes at most ``MAX_ITERATIONS`` iterations.
+    ``_near_margin``. A row within that margin whose sign pattern has held
+    for 3 iterations is moved, once per pattern, to the stationary point on
+    its support (one ``_face_points`` call with no faces for the rows due)
+    when that point keeps every sign, the domain and ``bound`` and does not
+    raise F_k. Any row whose objective fell by at most ``TOLERANCE``
+    (1 + |F_k|) over ``WINDOW`` iterations stops too: the only stop of group
+    rows, which then count as converged. A sign row counts as converged only
+    if its certificate closed at its final point, however it stopped. A call
+    takes at most ``MAX_ITERATIONS`` iterations.
 
-    Under ``bound`` every feasible sign row is first handed to the face
-    finish (``_face_finish``), which solves it to its KKT point on its
-    support and active faces or prunes it; a KKT point is adopted when it
-    passes the engine's own domain and ``bound`` checks with the q stored
-    for it and does not raise F_k. The row's bound is then the larger of the
-    unconstrained one, LB_k(m) with the face multipliers m the finish found
-    (``_face_lower``, equal to F_k at a KKT point) and the bound that pruned
-    it, so the certificate closes the adopted rows at the first iteration.
-    The rows the finish leaves open are stepped and polished as above, and
-    its rounds count as iterations. ``lower`` holds LB_k at the final iterate
-    of every feasible sign row, inf for infeasible rows and -inf for group
-    rows, which have no certificate.
+    Under ``bound`` every sign row is first handed to the face finish
+    (``_face_finish``); a KKT point it finds is adopted when it passes the
+    engine's own domain and ``bound`` checks and does not raise F_k. The
+    row's bound is then the largest of the unconstrained one, LB_k(m) with
+    the face multipliers m (``_face_lower``, F_k at a KKT point) and the
+    bound that pruned it, so the adopted rows close at the first iteration;
+    the finish's rounds count as iterations. ``lower`` holds LB_k at the
+    final iterate of every feasible sign row, inf for infeasible rows and
+    -inf for group rows, which have no certificate.
     """
+    G, c, bound, spec = C.G, C.c, C.bound, C.spec
     p = G.shape[0]
     K = len(rows.s)
-    c = config.c
     s_arr, dw = rows.s, rows.dw
-    Lg = _spectral_norm_estimate(G)
-    group = _is_heuristic(spec)
+    group = C.w is None
     # sign rows under a bound: face multipliers M and pruning bounds
     faces = bound is not None and not group
     if faces:
@@ -753,55 +804,38 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
                 np.arange(sub.size)[:, None], rows.idx[sub]]
             return qg, np.sqrt(np.einsum("km,km->k", qg, qg))
 
-        def denominator(q, sub):
-            return block(q, sub)[1] / dw[sub]
+        def eval_rows(Bm, sub):
+            q, rss = _residuals(C, Bm)
+            return q, rss, block(q, sub)[1] / dw[sub]
 
-        def slope(sub, coef):
-            # coef times the gradient of -D_k: G[:, idx] u / dw with the unit
-            # vector u = q_idx / ||q_idx||; pads land in a spare last column
+        def gradient(sub):
+            # the slope of -D_k is G[:, idx] u / dw with the unit vector
+            # u = q_idx / ||q_idx||; pads land in a spare last column. Group
+            # rows have no dual bound: no y.z
             qg, nrm = block(q[sub], sub)
             U = np.zeros((sub.size, p + 1))
             U[np.arange(sub.size)[:, None], rows.idx[sub]] = qg / nrm[:, None]
-            return (coef / dw[sub])[:, None] * (U[:, :p] @ G)
-
-        def prox(V, step):
-            return norms.prox_omega(spec, V, step)
-
-        def penalty(Bm):
-            return norms.omega(spec, Bm)
-
-        def dual(Q):
-            return norms.omega_dual(spec, Q)
+            Dr = D[sub]
+            coef = rss[sub] / (c * Dr * Dr)
+            return ((-2.0 / (c * Dr))[:, None] * q[sub]
+                    + (coef / dw[sub])[:, None] * (U[:, :p] @ G)), None
     else:
         j_arr = rows.idx[:, 0]
-        pen_w = penalty_weight_vector(spec, p)
+        inv_w = 1.0 / C.w
 
-        def denominator(q, sub):
-            return s_arr[sub] * q[np.arange(sub.size), j_arr[sub]] / dw[sub]
+        def eval_rows(Bm, sub):
+            q, rss = _residuals(C, Bm)
+            return q, rss, _sign_denominator(C, j_arr[sub], s_arr[sub], q)
 
-        def slope(sub, coef):
-            return (coef * s_arr[sub] / dw[sub])[:, None] * G[:, j_arr[sub]].T
+        def gradient(sub):
+            return _sign_gradient(C, j_arr[sub], s_arr[sub], B[sub], q[sub], rss[sub],
+                                  D[sub])
 
-        def prox(V, step):
-            return _soft(V, step if spec.kind == norms.L1 else step * pen_w[None, :])
-
-        def penalty(Bm):
-            return np.abs(Bm) @ pen_w
-
-        def dual(Q):
-            return np.max(np.abs(Q) / pen_w[None, :], axis=1)
-
-        inv_pen_w = 1.0 / pen_w
-        a_y = s_arr * xty[j_arr] / dw
-        copies = _copies(G, pen_w)
-
-        def lower_bound(sub, grad):
-            # The gradient z of g(r) = ||r||^2 / (c a.r) satisfies x.T z = -grad,
-            # and theta * z is dual feasible (Fercoq, Gramfort & Salmon 2015),
-            # so the dual objective theta * y.z bounds the row's optimum below.
-            Dr = D[sub]
-            theta = 1.0 / np.maximum(1.0, (np.abs(grad) * inv_pen_w).max(axis=1))
-            yz = (2.0 * (yty - B[sub] @ xty) - rss[sub] * a_y[sub] / Dr) / (c * Dr)
+        def lower_bound(sub, grad, yz):
+            # theta z is dual feasible for the row, so theta y.z bounds its
+            # optimum below (``_sign_gradient``); its dual norm divides by
+            # the weights through their inverses, taken once
+            theta = 1.0 / np.maximum(1.0, (np.abs(grad) * inv_w).max(axis=1))
             if not faces:
                 return theta * yz
             # under bound: the larger of LB(0), LB(m) with the row's stored
@@ -810,27 +844,15 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
             has = np.flatnonzero(M[sub].any(axis=1))
             if has.size:
                 Mk = M[sub[has]]
-                lb[has] = np.maximum(lb[has], _face_lower(
-                    xty, bound, pen_w, yz[has], grad[has] - Mk @ G, Mk))
+                lb[has] = np.maximum(lb[has], _face_lower(C, yz[has], grad[has] - Mk @ G, Mk))
             return lb
-
-    def eval_rows(Bm, sub):
-        bg = Bm @ G
-        q = xty[None, :] - bg
-        rss = yty - 2.0 * (Bm @ xty) + np.einsum("kp,kp->k", Bm, bg)
-        np.maximum(rss, 0.0, out=rss)
-        return q, rss, denominator(q, sub)
-
-    def gradient(sub):
-        Dr = D[sub]
-        return (-2.0 / (c * Dr))[:, None] * q[sub] + slope(sub, rss[sub] / (c * Dr * Dr))
 
     def admitted(Q, rssQ, DQ):
         """Which rows stay in the domain and within ``bound``, and their
         rss / (c D), inf for the others."""
-        ok = DQ > delta
+        ok = DQ > C.delta
         if bound is not None:
-            ok &= dual(Q) <= bound
+            ok &= omega_dual(spec, Q) <= bound
         with np.errstate(divide="ignore", invalid="ignore"):
             return ok, np.where(ok, rssQ / (c * np.where(ok, DQ, 1.0)), np.inf)
 
@@ -839,7 +861,7 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
         not raise F; returns the rows moved."""
         qC, rssC, DC = eval_rows(Cand, ks)
         ok, gC = admitted(qC, rssC, DC)
-        FC = gC + penalty(Cand)
+        FC = gC + omega(spec, Cand)
         ok &= FC <= F[ks]
         take = ks[ok]
         B[take], q[take], rss[take], D[take], F[take] = (
@@ -851,12 +873,10 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
     # its last bits from the q its caller computed for the same start
     ok, g = admitted(q, rss, D)
     feasible = feasible & ok
-    F = np.where(feasible, g, np.inf) + penalty(B)
+    F = np.where(feasible, g, np.inf) + omega(spec, B)
 
-    t = np.empty(K)
     with np.errstate(invalid="ignore"):
-        t[:] = c * np.where(D > 0, D, 1.0) / (2.0 * Lg)
-    t = np.maximum(t, 1e-300)
+        t = np.maximum(c * np.where(D > 0, D, 1.0) / (2.0 * C.Lg), 1e-300)
     t_floor = 1e-18 * t
     cap = max(K, 2 * p, WIDE_ROUND // p ** 2)
     active = feasible.copy()
@@ -876,25 +896,23 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
         # pass the engine's own checks and do not raise F, keep every
         # multiplier, prune the feasible rows the finish pruned; the loop
         # then closes the adopted rows on their certificate and steps the rest
-        Bk, M, lbk, st, iterations = _face_finish(
-            G, xty, yty, c, j_arr, s_arr, pen_w, bound, delta, B, float(F.min()), copies,
-            Lg)
+        Bk, M, lbk, st, iterations = _face_finish(C, j_arr, s_arr, B, float(F.min()))
         face_rounds = int(iterations.max(initial=0))
         gone = np.flatnonzero((st == 2) & feasible)
         pruned[gone], known[gone], active[gone] = True, lbk[gone], False
         settled = np.flatnonzero((st == 1) | (st == 3))
         take = adopt(settled, Bk[settled])
         feasible[take] = active[take] = True
-    hist = [F.copy()]
+    hist = deque([F.copy()], maxlen=WINDOW + 1)
 
     for it in range(MAX_ITERATIONS):
         act = np.flatnonzero(active)
         if act.size == 0:
             break
-        grad = gradient(act)
+        grad, yz = gradient(act)
         if not group:
             incumbent = float(F.min())
-            lb = lower_bound(act, grad)
+            lb = lower_bound(act, grad, yz)
             closed = F[act] - lb <= TOLERANCE * (1.0 + np.abs(F[act]))
             hopeless = ~closed & (lb > incumbent + _near_margin(incumbent))
             pruned[act[hopeless]] = True
@@ -912,15 +930,14 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
             nonlocal trial_rounds
             trial_rounds += 1
             b, g = Br[ix], grad[ix]
-            Cand = prox(b - steps[:, None] * g, steps[:, None])
+            V = b - steps[:, None] * g
+            Cand = (norms.prox_omega(spec, V, steps[:, None]) if group
+                    else norms.soft_threshold(V, steps[:, None] * C.w))
             qC, rssC, DC = eval_rows(Cand, act[ix])
             ok, gC = admitted(qC, rssC, DC)
             diff = Cand - b
-            quad = (
-                gr[ix]
-                + np.einsum("kp,kp->k", g, diff)
-                + np.einsum("kp,kp->k", diff, diff) / (2.0 * steps)
-            )
+            quad = (gr[ix] + np.einsum("kp,kp->k", g, diff)
+                    + np.einsum("kp,kp->k", diff, diff) / (2.0 * steps))
             ok &= gC <= quad + 1e-12 * (1.0 + np.abs(gC))
             return ok, (Cand, qC, rssC, DC)
 
@@ -935,8 +952,7 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
             stalled[gone] = True
             active[gone] = False
 
-        gF = rss[act] / (c * D[act])
-        F[act] = gF + penalty(B[act])
+        F[act] = rss[act] / (c * D[act]) + omega(spec, B[act])
         if not group:
             kept = (np.sign(B[act]) == np.sign(Br)).all(axis=1)
             steady[act] = np.where(kept, steady[act] + 1, 0)
@@ -947,14 +963,12 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
             polished[due] = True
             if due.size:
                 sig = np.sign(B[due])
-                Cand, _, ok = _face_points(G, xty, yty, c, j_arr[due], s_arr[due], pen_w,
-                                           sig != 0.0, sig, np.zeros_like(sig), copies)
+                Cand, _, ok = _face_points(C, j_arr[due], s_arr[due], sig != 0.0, sig,
+                                           np.zeros_like(sig))
                 # the point must keep every sign of the row
                 ok &= (np.sign(Cand) == sig).all(axis=1)
                 adopt(due[ok], Cand[ok])
         hist.append(F.copy())
-        if len(hist) > WINDOW + 1:
-            hist.pop(0)
         if len(hist) == WINDOW + 1:
             old = hist[0][act]
             done = (old - F[act]) <= TOLERANCE * (1.0 + np.abs(F[act]))
@@ -964,7 +978,7 @@ def _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
     F = np.where(feasible, F, np.inf)
     lower = np.full(K, np.inf)
     live = np.flatnonzero(feasible)
-    lower[live] = -np.inf if group else lower_bound(live, gradient(live))
+    lower[live] = -np.inf if group else lower_bound(live, *gradient(live))
     if not group:
         # a sign row converged only if its certificate closed at its final
         # point, however it stopped: the window and a stall prove nothing
@@ -1029,31 +1043,19 @@ def solve_trex(problem: RegressionProblem, config: SolverConfig = None,
 def _solve(problem: RegressionProblem, config: SolverConfig, spec: NormSpec,
            bound=None) -> TrexFit:
     """The fit of ``solve_trex``, under ``bound`` (None, or positive and
-    finite) when given; the caller checks the problem."""
-    x, y = problem.x, problem.y
-    p = problem.p
-    c = config.c
-    G = x.T @ x
-    xty = x.T @ y
-    yty = float(y @ y)
-    dual0 = omega_dual(spec, xty)
-    if dual0 <= 0.0:
-        raise DomainError("dual norm of x.T y is zero; the objective is undefined at 0")
-    delta = DELTA * dual0
-
-    heuristic = _is_heuristic(spec)
+    finite) when given; the caller checks the problem. Every stage reads the
+    constants of the fit from one record (``_constants``)."""
+    C = _constants(problem, config, spec, bound)
+    heuristic = C.w is None
     if heuristic:
-        rows, B, feasible = _group_rows(G, xty, spec, config, bound)
+        rows, B, feasible = _group_rows(C)
         identities = [(gi,) for gi in range(len(spec.partition))]
     else:
-        j_arr = np.repeat(np.arange(p), 2)
-        s_arr = np.tile([-1.0, 1.0], p)
-        rows, B, feasible = _sign_rows(G, xty, yty, c, j_arr, s_arr,
-                                       penalty_weight_vector(spec, p), dual0,
-                                       delta, bound)
+        j_arr = np.repeat(np.arange(problem.p), 2)
+        s_arr = np.tile([-1.0, 1.0], problem.p)
+        rows, B, feasible = _sign_rows(C, j_arr, s_arr)
         identities = [(int(j), int(s)) for j, s in zip(j_arr, s_arr)]
-    res = _solve_subproblems(G, xty, yty, spec, rows, B, feasible, delta, config,
-                             bound=bound)
+    res = _solve_subproblems(C, rows, B, feasible)
 
     if not np.isfinite(np.min(res.objective)):
         if bound is not None:
@@ -1069,50 +1071,37 @@ def _solve(problem: RegressionProblem, config: SolverConfig, spec: NormSpec,
     objs = res.objective[top]
     converged, pruned = res.converged[top], res.pruned[top]
     feasible = res.feasible.reshape(n_sub, per_sub).any(axis=1)
-    records = tuple(
-        SubproblemRecord(identity=identities[k], objective=float(objs[k]),
-                         converged=bool(converged[k]), feasible=bool(feasible[k]),
-                         pruned=bool(pruned[k]))
-        for k in range(n_sub)
-    )
+    records = tuple(SubproblemRecord(identities[k], float(objs[k]), bool(converged[k]),
+                                     bool(feasible[k]), bool(pruned[k])) for k in range(n_sub))
 
     win = int(np.flatnonzero(objs <= np.min(objs) + TIE_TOL)[0])
     beta = res.beta[top[win]]
-    u_hat = omega_dual(spec, res.q[top[win]])
-    if u_hat <= 1e-12 * dual0:
-        raise DegenerateResidualError(
-            "dual residual norm vanished at the optimum; use the constrained "
-            "variant or check the problem scaling"
-        )
+    u_hat = omega_dual(C.spec, res.q[top[win]])
+    if u_hat <= 1e-12 * C.dual0:
+        raise DegenerateResidualError("dual residual norm vanished at the optimum; use the "
+                                      "constrained variant or check the problem scaling")
     # the residual itself: near an exact fit of y, y.y - 2 b.x.T y + b.G b
     # loses the small rss to cancellation
-    r = y - x @ beta
-    objective = float(r @ r) / (c * u_hat) + omega(spec, beta)
+    r = problem.y - problem.x @ beta
+    objective = float(r @ r) / (C.c * u_hat) + omega(C.spec, beta)
     winner = identities[win]
     if spec.kind == norms.GROUP and not heuristic:
         winner = (next(gi for gi, g in enumerate(spec.partition) if g[0] == winner[0]),)
-    return TrexFit(
-        beta_hat=beta,
-        u_hat=float(u_hat),
-        objective=float(objective),
-        winner=winner,
-        per_subproblem=records,
-        spec=spec,
-        config=config,
-        diagnostics={
-            "heuristic": heuristic,
-            "iterations": int(np.max(res.iterations)),
-            "row_iterations": int(np.sum(res.iterations)),
-            "face_rounds": res.face_rounds,
-            "trial_rounds": res.trial_rounds,
-            "bound": bound,
-            "all_converged": bool(np.all((converged | pruned)[feasible])),
-            "pruned": int(np.sum(res.pruned)),
-            "stalled": int(np.sum(res.stalled)),
-            "certified_gap": (None if heuristic
-                              else float(objective - np.min(res.lower))),
-        },
-    )
+    return TrexFit(beta_hat=beta, u_hat=float(u_hat), objective=float(objective),
+                   winner=winner, per_subproblem=records, spec=spec, config=config,
+                   diagnostics={
+                       "heuristic": heuristic,
+                       "iterations": int(np.max(res.iterations)),
+                       "row_iterations": int(np.sum(res.iterations)),
+                       "face_rounds": res.face_rounds,
+                       "trial_rounds": res.trial_rounds,
+                       "bound": bound,
+                       "all_converged": bool(np.all((converged | pruned)[feasible])),
+                       "pruned": int(np.sum(res.pruned)),
+                       "stalled": int(np.sum(res.stalled)),
+                       "certified_gap": (None if heuristic
+                                         else float(objective - np.min(res.lower))),
+                   })
 
 
 def solve_trex_constrained(problem: RegressionProblem, config: SolverConfig = None,
@@ -1211,22 +1200,11 @@ def solve_trex_unpenalized(problem: RegressionProblem, config: SolverConfig = No
     resid_p = y - x[:, p_idx] @ sub_fit.beta_hat
     beta[u_idx] = np.linalg.pinv(x_u.T @ x_u) @ (x_u.T @ resid_p)
 
+    # a sign winner names a coordinate of the penalized block
     winner = sub_fit.winner
-    if winner is not None and len(winner) == 2:
+    if len(winner) == 2:
         winner = (int(p_idx[winner[0]]), winner[1])
-    elif winner is not None:
-        winner = (int(winner[0]),)
     constraint_residual = float(np.max(np.abs(x_u.T @ (y - x @ beta))))
-    diag = dict(sub_fit.diagnostics)
-    diag.update({"mode": "unpenalized", "constraint_residual": constraint_residual,
-                 "unpenalized": u_idx.tolist()})
-    return TrexFit(
-        beta_hat=beta,
-        u_hat=sub_fit.u_hat,
-        objective=sub_fit.objective,
-        winner=winner,
-        per_subproblem=sub_fit.per_subproblem,
-        spec=spec,
-        config=config,
-        diagnostics=diag,
-    )
+    diag = dict(sub_fit.diagnostics, mode="unpenalized",
+                constraint_residual=constraint_residual, unpenalized=u_idx.tolist())
+    return replace(sub_fit, beta_hat=beta, winner=winner, spec=spec, diagnostics=diag)

@@ -226,5 +226,5 @@ def face_finish_from_own_coordinate(*args):
     seed is j alone. The seeding changes the rounds a row takes, never the
     KKT point it reaches.
     """
-    with mock.patch.object(trex, "_lasso_signs", lambda G, *_: np.zeros(G.shape[0])):
+    with mock.patch.object(trex, "_lasso_signs", lambda C: np.zeros(C.G.shape[0])):
         return _face_finish(*args)

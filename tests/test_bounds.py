@@ -19,7 +19,7 @@ from trexlab.bounds import (
     verify_trex_slow,
 )
 from trexlab.datagen import DesignSpec, ScenarioSpec, generate
-from trexlab.errors import ConfigError
+from trexlab.errors import ConfigError, NotNormalizedError
 from trexlab.lasso import LassoFit, fit_lasso
 from trexlab.model import GroundTruth, RegressionProblem, normalize_columns
 from trexlab.norms import l1_spec, singleton_groups
@@ -401,3 +401,10 @@ class TestL1Ordering:
         fake = _fake_fit(np.zeros(problem.p), u_hat=0.0)
         with pytest.raises(ValueError):
             verify_l1_ordering(problem, fake)
+
+    def test_rejects_unnormalized_problem(self, rng):
+        # the reference lasso takes only sqrt(n)-normalized designs
+        problem, _ = _instance(rng)
+        scaled = RegressionProblem(3.0 * problem.x, problem.y)
+        with pytest.raises(NotNormalizedError):
+            verify_l1_ordering(scaled, _fake_fit(np.zeros(problem.p), u_hat=1.0))

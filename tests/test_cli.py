@@ -197,6 +197,20 @@ class TestFit:
         code = main(["fit", str(bad)])
         assert code == 1
 
+    @pytest.mark.parametrize("payload", [
+        {},
+        {"problem": {"x": [[1, 2], [3, 4]]}},
+        {"problem": {"x": [[1.0, 0.0], [0.0, 1.0]], "y": [1.0, 2.0]},
+         "ground_truth": {"beta_star": [1.0, 0.0], "sigma": 1.0}},
+        [1, 2, 3],
+    ], ids=["empty", "no_y", "truth_without_epsilon", "array"])
+    def test_malformed_json_problem_is_one_error_line(self, tmp_path, capsys, payload):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["fit", str(bad)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
 
 class TestVerify:
     def test_runs_and_writes_reports(self, verify_config, tmp_path, capsys):

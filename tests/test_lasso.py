@@ -77,8 +77,6 @@ class TestFitLasso:
         problem = RegressionProblem(x, rng.standard_normal(6))
         with pytest.raises(NotNormalizedError):
             fit_lasso(problem, 1.0)
-        fit = fit_lasso(problem, 1.0, allow_unnormalized=True)
-        assert fit.converged
 
     def test_rejects_nonpositive_lam(self, rng):
         problem = random_problem(rng, 6, 2)

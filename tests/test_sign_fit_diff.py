@@ -95,3 +95,41 @@ class TestSummarize:
         assert a["converged_parent"] == 1 and a["converged_change"] == 2
         assert a["identical"] == 1 and a["winners_differ"] == 1
         assert a["max_rel_objective_change"] == pytest.approx(1e-13)
+
+
+class TestRegressions:
+    @staticmethod
+    def _row(**changed):
+        row = {"uncertified_parent": 2, "uncertified_change": 2,
+               "false_converged_parent": 1, "false_converged_change": 1,
+               "winners_differ": 0, "rose_where_parent_certified": 0}
+        row.update(changed)
+        return row
+
+    def test_a_change_no_worse_than_its_base_passes(self):
+        # fewer open or falsely converged fits are not faults
+        table = {"a": self._row(), "b": self._row(uncertified_change=0,
+                                                  false_converged_change=0)}
+        assert sign_fit_diff.regressions(table) == []
+
+    @pytest.mark.parametrize("changed", [
+        {"uncertified_change": 3},
+        {"false_converged_change": 2},
+        {"winners_differ": 1},
+        {"rose_where_parent_certified": 1},
+    ], ids=["uncertified", "false_converged", "winner", "rise"])
+    def test_each_fault_is_named(self, changed):
+        table = {"a": self._row(), "b": self._row(**changed)}
+        faults = sign_fit_diff.regressions(table)
+        assert len(faults) == 1 and faults[0].startswith("b: ")
+
+    def test_main_exits_1_on_a_fault(self, monkeypatch, capsys):
+        # the comparison itself is stubbed: main turns the table into its exit code
+        for rows, code in (({"a": self._row()}, 0),
+                           ({"a": self._row(winners_differ=2)}, 1)):
+            monkeypatch.setattr(sign_fit_diff, "build_cases", lambda families: [])
+            monkeypatch.setattr(sign_fit_diff, "base_checkout", lambda rev: (rev, "."))
+            monkeypatch.setattr(sign_fit_diff, "solve_side", lambda *a: [])
+            monkeypatch.setattr(sign_fit_diff, "summarize", lambda *a, rows=rows: rows)
+            assert sign_fit_diff.main(["--base", "HEAD"]) == code
+            assert ("worse: a: 2 winners differ" in capsys.readouterr().out) == bool(code)

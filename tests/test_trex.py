@@ -46,7 +46,7 @@ from oracles import (
 )
 
 
-def _settles_nothing(G, xty, yty, c, j, s, pen_w, bound, delta, B, incumbent, copies, Lg):
+def _settles_nothing(C, j, s, B, incumbent):
     """A face finish that leaves every row as it was, one round each: the
     constrained engine then steps its rows as it did before the finish."""
     R, p = B.shape
@@ -93,16 +93,9 @@ def solve_subproblem(problem, c, j, s, bound=None):
     """The l1 sign subproblem (j, s) solved alone, as the one row of an engine
     call; returns (beta, objective, converged), or (None, inf, False) when the
     row is infeasible."""
-    config = SolverConfig(c=c)
-    x, y = problem.x, problem.y
-    G, xty, yty = x.T @ x, x.T @ y, float(y @ y)
-    dual_ref = omega_dual(l1_spec(), xty)
-    delta = trex.DELTA * max(dual_ref, 1e-300)
-    rows, B, feasible = trex._sign_rows(G, xty, yty, c, np.array([j]),
-                                        np.array([float(s)]), np.ones(problem.p),
-                                        dual_ref, delta, bound)
-    res = trex._solve_subproblems(G, xty, yty, l1_spec(), rows, B, feasible, delta,
-                                  config, bound=bound)
+    C = trex._constants(problem, SolverConfig(c=c), l1_spec(), bound)
+    rows, B, feasible = trex._sign_rows(C, np.array([j]), np.array([float(s)]))
+    res = trex._solve_subproblems(C, rows, B, feasible)
     if not res.feasible[0]:
         return None, float("inf"), False
     return res.beta[0], float(res.objective[0]), bool(res.converged[0])
@@ -263,6 +256,70 @@ class TestSolveTrex:
         assert a.objective == pytest.approx(b.objective, rel=1e-8)
         assert b.diagnostics["heuristic"] is False
 
+    @pytest.mark.parametrize("solve", [solve_trex, solve_trex_constrained])
+    def test_weighted_singleton_groups_match_weighted_l1_to_the_bit(self, rng, solve):
+        # a group spec of singletons enters the engine as its weighted-l1 spec
+        problem = random_problem(rng, 14, 6)
+        w = rng.uniform(0.5, 2.0, 6)
+        a = solve(problem, spec=weighted_l1_spec(w))
+        b = solve(problem, spec=singleton_groups(6, w))
+        np.testing.assert_array_equal(b.beta_hat, a.beta_hat)
+        assert b.objective == a.objective and b.u_hat == a.u_hat
+        assert b.diagnostics["certified_gap"] == a.diagnostics["certified_gap"]
+        assert a.winner[0] == b.winner[0] and b.winner == (a.winner[0],)
+        assert [r.identity for r in b.per_subproblem] == [r.identity for r in a.per_subproblem]
+        assert [r.objective for r in b.per_subproblem] == [r.objective for r in a.per_subproblem]
+        assert len(set(w)) == 6 and not b.diagnostics["heuristic"]
+
+
+class TestSharedEvaluation:
+    """The one evaluation of a row that every stage of a fit calls."""
+
+    @pytest.mark.parametrize("n, p", [(12, 5), (6, 15)])
+    def test_residuals_match_the_residual_vector(self, rng, n, p):
+        problem = random_problem(rng, n, p)
+        x, y = problem.x, problem.y
+        C = trex._constants(problem, SolverConfig(), l1_spec())
+        B = rng.standard_normal((9, p)) * rng.uniform(0.01, 2.0, (9, 1))
+        q, rss = trex._residuals(C, B)
+        R = y[None, :] - B @ x.T
+        np.testing.assert_allclose(q, R @ x, rtol=1e-12, atol=1e-12 * np.abs(R @ x).max())
+        np.testing.assert_allclose(rss, np.einsum("kn,kn->k", R, R), rtol=1e-12)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_sign_gradient_matches_central_differences(self, rng, weighted):
+        problem = random_problem(rng, 15, 5)
+        c, p = 0.5, 5
+        w = rng.uniform(0.5, 2.0, p) if weighted else np.ones(p)
+        C = trex._constants(problem, SolverConfig(c=c), weighted_l1_spec(w))
+        x, y = problem.x, problem.y
+
+        def smooth(b, j, s):
+            r = y - x @ b
+            return (r @ r) / (c * s * (x[:, j] @ r) / w[j])
+
+        checked = 0
+        for j in range(p):
+            for s in (-1.0, 1.0):
+                b = 0.1 * rng.standard_normal(p)
+                D = s * (x[:, j] @ (y - x @ b)) / w[j]
+                if D <= 0.1:
+                    continue
+                q, rss = trex._residuals(C, b[None, :])
+                grad, yz = trex._sign_gradient(C, np.array([j]), np.array([s]), b[None, :],
+                                               q, rss, np.array([D]))
+                # z, the gradient in residual space, has x.T z = -grad
+                r, a = y - x @ b, s * x[:, j] / w[j]
+                z = 2.0 * r / (c * D) - (r @ r) / (c * D * D) * a
+                np.testing.assert_allclose(x.T @ z, -grad[0], rtol=1e-9, atol=1e-12)
+                assert yz[0] == pytest.approx(y @ z, rel=1e-10)
+                h = 1e-6
+                fd = [(smooth(b + h * e, j, s) - smooth(b - h * e, j, s)) / (2.0 * h)
+                      for e in np.eye(p)]
+                np.testing.assert_allclose(grad[0], fd, rtol=1e-6, atol=1e-6 * np.abs(fd).max())
+                checked += 1
+        assert checked >= p
+
 
 def _drawn_problem(seed, p, extra, noise):
     return random_problem(np.random.default_rng(seed), p + extra, p, noise=noise)
@@ -344,16 +401,13 @@ class TestGroupPenalty:
         spec = group_spec([(j, j + 1) for j in range(0, 8, 2)])
         config = SolverConfig()
         fit = solve_trex(problem, config, spec)
-        x, y = problem.x, problem.y
-        G, xty, yty = x.T @ x, x.T @ y, float(y @ y)
-        delta = trex.DELTA * omega_dual(spec, xty)
-        rows, B, feasible = trex._group_rows(G, xty, spec, config)
+        C = trex._constants(problem, config, spec)
+        rows, B, feasible = trex._group_rows(C)
         m = trex.MULTISTARTS
         assert len(B) == 4 * m
         alone = np.full(len(B), np.inf)
         for k in range(len(B)):
-            res = trex._solve_subproblems(G, xty, yty, spec, _take(rows, [k]), B[[k]],
-                                          feasible[[k]], delta, config)
+            res = trex._solve_subproblems(C, _take(rows, [k]), B[[k]], feasible[[k]])
             alone[k] = res.objective[0]
         assert np.isfinite(alone).any()
         assert fit.objective == pytest.approx(alone.min(), rel=1e-12)
@@ -482,16 +536,16 @@ def _restricted_optimum(problem, c, j, s, b):
     return out, res.fun
 
 
-def _polish(G, xty, yty, j, s, starts):
+def _polish(problem, j, s, starts):
     """Row (j, s) polished from each start as the engine polishes it: one
     batched ``_face_points`` call with no faces on the supports and signs of
     the starts. Returns the points and which of them the engine would try:
     those with a valid root that keep every sign."""
-    R, p = starts.shape
+    R = len(starts)
     sig = np.sign(starts)
-    B, _, ok = trex._face_points(G, xty, yty, 0.5, np.full(R, j), np.full(R, float(s)),
-                                 np.ones(p), sig != 0.0, sig, np.zeros_like(sig),
-                                 trex._copies(G, np.ones(p)))
+    C = trex._constants(problem, SolverConfig(c=0.5), l1_spec())
+    B, _, ok = trex._face_points(C, np.full(R, j), np.full(R, float(s)), sig != 0.0, sig,
+                                 np.zeros_like(sig))
     return B, ok & (np.sign(B) == sig).all(axis=1)
 
 
@@ -499,18 +553,17 @@ class TestCertificateFinish:
     def _row(self):
         # the winning row of an instance whose solution has 6 coordinates
         problem, _ = generate(ScenarioSpec(n=40, p=20, s=3, seed=2))
-        x, y = problem.x, problem.y
         fit = solve_trex(problem)
         j, s = fit.winner
-        return problem, (x.T @ x, x.T @ y, float(y @ y)), j, s, fit.beta_hat.copy()
+        return problem, j, s, fit.beta_hat.copy()
 
     def test_polish_matches_the_restricted_optimum(self, rng):
-        problem, (G, xty, yty), j, s, b = self._row()
+        problem, j, s, b = self._row()
         assert np.count_nonzero(b) == 6
         # the polish sees only the support and the signs of its input
         start = b * rng.uniform(0.5, 1.5, b.size)
         ref, ref_f = _restricted_optimum(problem, 0.5, j, s, start)
-        polished, ok = _polish(G, xty, yty, j, s, start[None, :])
+        polished, ok = _polish(problem, j, s, start[None, :])
         assert ok[0]
         np.testing.assert_allclose(polished[0], ref, rtol=1e-6, atol=1e-8)
         assert subproblem_objective(problem, polished[0], 0.5, j, s) <= ref_f + 1e-12 * ref_f
@@ -522,7 +575,7 @@ class TestCertificateFinish:
             xk = np.column_stack([x, -x[:, k]])
             split = np.append(start, -0.5 * start[k])
             split[k] *= 0.5
-            polished, ok = _polish(xk.T @ xk, xk.T @ problem.y, yty, j, s, split[None, :])
+            polished, ok = _polish(RegressionProblem(xk, problem.y), j, s, split[None, :])
             want = np.append(ref, -0.5 * ref[k])
             want[k] *= 0.5
             assert ok[0]
@@ -533,12 +586,12 @@ class TestCertificateFinish:
         # |d f / d b_i| < 1, so the stationary point on the support plus i
         # with either sign moves b_i to the other sign, and the polish keeps
         # no point
-        problem, (G, xty, yty), j, s, b = self._row()
+        problem, j, s, b = self._row()
         off = np.flatnonzero(b == 0)
         assert off.size
         starts = np.repeat(b[None, :], 6, axis=0)
         starts[np.arange(6), np.repeat(off[:3], 2)] = np.tile([-1e-3, 1e-3], 3)
-        _, ok = _polish(G, xty, yty, j, s, starts)
+        _, ok = _polish(problem, j, s, starts)
         assert not ok.any()
 
     def test_duplicated_columns_certified(self):
@@ -567,17 +620,15 @@ class TestCertificateFinish:
         assert 0.0 <= fit.diagnostics["certified_gap"] <= 1e-12 * (1.0 + abs(fit.objective))
 
 
-def _starts(problem, c, w):
-    """Coordinate starts of all 2p rows with the solver's delta and tau."""
-    x, y = problem.x, problem.y
-    G, xty, yty = x.T @ x, x.T @ y, float(y @ y)
+def _starts(problem, c, w, bound=None):
+    """Coordinate starts of all 2p rows with the solver's delta and tau, and
+    the constants of the fit under ``bound``."""
+    C = trex._constants(problem, SolverConfig(c=c), weighted_l1_spec(w), bound)
     j_arr = np.repeat(np.arange(problem.p), 2)
     s_arr = np.tile([-1.0, 1.0], problem.p)
-    dual_ref = float(np.max(np.abs(xty) / w))
-    delta = trex.DELTA * dual_ref
-    tau = max(1e-3 * dual_ref, 10.0 * delta)
-    B, feasible = trex._coordinate_starts(G, xty, yty, c, j_arr, s_arr, w, delta, tau)
-    return G, xty, yty, j_arr, s_arr, delta, tau, B, feasible
+    tau = max(1e-3 * C.dual0, 10.0 * C.delta)
+    B, feasible = trex._coordinate_starts(C, j_arr, s_arr, tau)
+    return C, j_arr, s_arr, tau, B, feasible
 
 
 class TestCoordinateStarts:
@@ -590,7 +641,8 @@ class TestCoordinateStarts:
         # y with noise only in the columns' span, and y close to 3 x_0
         for beta in (None, 3.0 * np.eye(8)[0]):
             problem = random_problem(rng, 24, 8, beta=beta)
-            G, xty, yty, j_arr, s_arr, delta, tau, B, feasible = _starts(problem, c, w)
+            C, j_arr, s_arr, tau, B, feasible = _starts(problem, c, w)
+            G, xty, yty, delta = C.G, C.xty, C.yty, C.delta
             assert feasible.all()
             for k in range(len(B)):
                 j, s = j_arr[k], s_arr[k]
@@ -638,7 +690,8 @@ class TestCoordinateStarts:
         x, _ = normalize_columns(rng.standard_normal((20, 5)))
         problem = RegressionProblem(x, -2.0 * x[:, 0], normalized=True)
         w = np.ones(5)
-        G, xty, yty, j_arr, s_arr, delta, tau, B, feasible = _starts(problem, c, w)
+        C, j_arr, s_arr, tau, B, feasible = _starts(problem, c, w)
+        G, xty, delta = C.G, C.xty, C.delta
         k = 1  # j = 0, s = +1: s * x_0 @ y = -2 n < 0
         assert s_arr[k] * xty[0] < 0
         D = s_arr[k] * (xty[0] - G[0, 0] * B[k, 0])
@@ -655,8 +708,10 @@ class TestCoordinateStarts:
                    random_problem(rng, 20, 8))
         w = rng.uniform(0.5, 2.0, problem.p) if shape == "weighted" else np.ones(problem.p)
         c = 0.5
-        G, xty, yty, j_arr, s_arr, delta, _, B, feasible = _starts(problem, c, w)
+        xty = problem.x.T @ problem.y
         bound = scale * float(np.max(np.abs(xty) / w))
+        C, j_arr, s_arr, _, B, feasible = _starts(problem, c, w, bound)
+        G, delta = C.G, C.delta
         Gpinv = np.linalg.pinv(G)
         viol = np.flatnonzero(feasible & (np.max(np.abs(xty - B @ G) / w, axis=1)
                                           > bound * (1.0 + 1e-12)))
@@ -671,9 +726,7 @@ class TestCoordinateStarts:
                 B[k] = bk
             else:
                 feasible[k] = False
-        _, got_B, got_feasible = trex._sign_rows(G, xty, yty, c, j_arr, s_arr, w,
-                                                 float(np.max(np.abs(xty) / w)), delta,
-                                                 bound)
+        _, got_B, got_feasible = trex._sign_rows(C, j_arr, s_arr)
         # the same matrix-vector products, so the same bits
         np.testing.assert_array_equal(got_feasible, feasible)
         np.testing.assert_array_equal(got_B, B)
@@ -780,33 +833,27 @@ def _engine_case(kind, rng, monkeypatch):
         problem = _stalling_instance()
     else:
         problem = random_problem(rng, 20, 8)
-    x, y = problem.x, problem.y
-    G, xty, yty = x.T @ x, x.T @ y, float(y @ y)
     p = problem.p
     if kind == "group":
-        spec = group_spec([(0, 1, 2), (3,), (4, 5, 6, 7)])
         bound = None
-        rows, B, feasible = trex._group_rows(G, xty, spec, config)
+        C = trex._constants(problem, config, group_spec([(0, 1, 2), (3,), (4, 5, 6, 7)]))
+        rows, B, feasible = trex._group_rows(C)
     else:
-        spec = l1_spec()
-        bound = float(np.max(np.abs(xty))) if kind == "bound" else None
-        rows, B, feasible = trex._sign_rows(
-            G, xty, yty, config.c, np.repeat(np.arange(p), 2), np.tile([-1.0, 1.0], p),
-            np.ones(p), float(np.max(np.abs(xty))), trex.DELTA * omega_dual(spec, xty),
-            bound)
-    delta = trex.DELTA * omega_dual(spec, xty)
+        bound = float(np.max(np.abs(problem.x.T @ problem.y))) if kind == "bound" else None
+        C = trex._constants(problem, config, l1_spec(), bound)
+        rows, B, feasible = trex._sign_rows(C, np.repeat(np.arange(p), 2),
+                                            np.tile([-1.0, 1.0], p))
     if kind == "bound":
         # no row stalls at its first step from its start, but row 17 (j = 8,
         # s = +1) stalls at its eighth step without the face finish: it
         # starts from the iterate before that step, the others from their starts
         with mock.patch.object(trex, "_face_finish", _settles_nothing), \
                 mock.patch.object(trex, "MAX_ITERATIONS", 7):
-            res = trex._solve_subproblems(G, xty, yty, spec, rows, B.copy(), feasible,
-                                          delta, config, bound=bound)
+            res = trex._solve_subproblems(C, rows, B.copy(), feasible)
         B[17] = res.beta[17]
     # the engine calls of the case take one iteration
     monkeypatch.setattr(trex, "MAX_ITERATIONS", 1)
-    return (G, xty, yty, spec, rows, B, feasible, delta, config), bound
+    return (C, rows, B, feasible), bound
 
 
 class TestLadder:
@@ -825,10 +872,9 @@ class TestLadder:
                 return calls[-1]
 
             monkeypatch.setattr(trex, "_ladder", record)
-            G, xty, yty, spec, rows, B, feasible, delta, config = args
+            C, rows, B, feasible = args
             # the engine updates its start array in place
-            res = trex._solve_subproblems(G, xty, yty, spec, rows, B.copy(), feasible,
-                                          delta, config, bound=bound)
+            res = trex._solve_subproblems(C, rows, B.copy(), feasible)
             runs.append((res, calls))
         (res, calls), (ref, ref_calls) = runs
         assert len(calls) == len(ref_calls) == 1
@@ -848,7 +894,7 @@ class TestLadder:
         # (all 80 at once), where the doubling would try 1, 2, 4, ...
         args, _ = _engine_case("group", rng, monkeypatch)
         monkeypatch.setattr(trex, "MAX_ITERATIONS", 40)
-        G, xty, yty, spec, rows, B, feasible, delta, config = args
+        C, rows, B, feasible = args
         few = np.arange(0, len(B), 8)
         runs = []
         for ladder in (trex._ladder, _plain_ladder):
@@ -862,8 +908,7 @@ class TestLadder:
                 return calls[-1]
 
             monkeypatch.setattr(trex, "_ladder", record)
-            res = trex._solve_subproblems(G, xty, yty, spec, _take(rows, few), B[few].copy(),
-                                          feasible[few], delta, config)
+            res = trex._solve_subproblems(C, _take(rows, few), B[few].copy(), feasible[few])
             runs.append((res, calls, widths))
         (res, calls, widths), (ref, ref_calls, ref_widths) = runs
         assert len(calls) == len(ref_calls) == 40
@@ -1022,9 +1067,9 @@ class TestConstrained:
         spec = group_spec([(0, 1, 2), (3,), (4, 5, 6, 7)])
         bound = 0.01 * omega_dual(spec, xty)
         config = SolverConfig()
-        _, B0, _ = trex._group_rows(G, xty, spec, config)
+        _, B0, _ = trex._group_rows(trex._constants(problem, config, spec))
         assert (omega_dual(spec, xty[None, :] - B0 @ G) > bound).all()
-        rows, B, feasible = trex._group_rows(G, xty, spec, config, bound)
+        rows, B, feasible = trex._group_rows(trex._constants(problem, config, spec, bound))
         assert feasible.all()
         q = xty[None, :] - B @ G
         np.testing.assert_allclose(omega_dual(spec, q), 0.5 * bound, rtol=1e-9)
@@ -1077,6 +1122,7 @@ class TestFaceFinish:
         G, xty, yty = x.T @ x, x.T @ y, float(y @ y)
         bound = scale * float(np.max(np.abs(xty)))
         c, w = 0.5, np.ones(p)
+        C = trex._constants(problem, SolverConfig(c=c), l1_spec(), bound)
         fit = solve_trex_constrained(problem, bound=bound)
         f = fit.objective
         assert fit.diagnostics["certified_gap"] >= -1e-12 * (1.0 + abs(f))
@@ -1099,7 +1145,7 @@ class TestFaceFinish:
                 r, d, B, M = r[keep], d[keep], B[keep], M[keep]
                 rss = np.einsum("kn,kn->k", r, r)
                 z = 2.0 * r / (c * d[:, None]) - (rss / (c * d * d))[:, None] * a
-                lb = trex._face_lower(xty, bound, w, z @ y, -(z @ x) - M @ G, M)
+                lb = trex._face_lower(C, z @ y, -(z @ x) - M @ G, M)
                 assert np.all(lb <= oracle + 1e-9 * (1.0 + abs(oracle)))
         assert f <= best * (1.0 + 1e-7) + 1e-9
 
@@ -1129,11 +1175,11 @@ class TestFaceFinish:
         x, y = problem.x, problem.y
         G, xty, yty = x.T @ x, x.T @ y, float(y @ y)
         dual0 = float(np.max(np.abs(xty) / w))
-        bound, delta, c = scale * dual0, 1e-10 * dual0, 0.5
+        bound, c = scale * dual0, 0.5
+        C = trex._constants(problem, SolverConfig(c=c), spec, bound)
         j, s = np.repeat(np.arange(p), 2), np.tile([-1.0, 1.0], p)
-        _, B, _ = trex._sign_rows(G, xty, yty, c, j, s, w, dual0, delta, bound)
-        args = (G, xty, yty, c, j, s, w, bound, delta, B, np.inf, trex._copies(G, w),
-                trex._spectral_norm_estimate(G))
+        _, B, _ = trex._sign_rows(C, j, s)
+        args = (C, j, s, B, np.inf)
         objectives = []
         for finish in (trex._face_finish, face_finish_from_own_coordinate):
             Bk, _, _, status, _ = finish(*args)

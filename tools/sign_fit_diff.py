@@ -33,6 +33,11 @@ among the fits both sides certify, and every pair of heuristic fits, the
 ones whose winners differ and the largest relative objective change; the fits whose objective rose by more
 than 1e-9 relative, with those of them the base certified and the largest
 relative rise; and the fits whose objective fell by more than 1e-9 relative.
+
+It exits 1, naming each fault, when a family has more uncertified or more
+falsely converged fits on this checkout than on the base, when a winner
+differs where both sides certify, or when an objective the base certified
+rose by more than 1e-9 relative (``regressions``); otherwise 0.
 """
 
 import argparse
@@ -196,6 +201,26 @@ def summarize(families, parent, change) -> dict:
     return out
 
 
+def regressions(table) -> list:
+    """One line per family and fault of a ``summarize`` table: more
+    uncertified or falsely converged fits on the change side, winners that
+    differ where both sides certify (``winners_differ``, which counts every
+    heuristic pair too), and objectives the parent certified that rose by
+    more than ``CERTIFIED`` relative."""
+    out = []
+    for family, row in table.items():
+        for key in ("uncertified", "false_converged"):
+            before, after = row[f"{key}_parent"], row[f"{key}_change"]
+            if after > before:
+                out.append(f"{family}: {key} fits {before} -> {after}")
+        if row["winners_differ"]:
+            out.append(f"{family}: {row['winners_differ']} winners differ")
+        if row["rose_where_parent_certified"]:
+            out.append(f"{family}: {row['rose_where_parent_certified']} objectives the "
+                       f"parent certified rose by more than {CERTIFIED:g} relative")
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True, help="git revision to compare against")
@@ -218,7 +243,10 @@ def main(argv=None) -> int:
     table = summarize([c["family"] for c in cases], runs["parent"], runs["change"])
     for family, row in table.items():
         print(family, json.dumps(row))
-    return 0
+    faults = regressions(table)
+    for line in faults:
+        print("worse:", line)
+    return 1 if faults else 0
 
 
 if __name__ == "__main__":
