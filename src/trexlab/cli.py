@@ -13,14 +13,13 @@ import functools
 import json
 import sys
 
-import numpy as np
-
-from .errors import TrexlabError
+from .errors import ConfigError, TrexlabError
 from . import harness
 from .lasso import fit_lasso
 from .norms import NormSpec, l1_spec
 from .serialize import (
     ExperimentConfig,
+    ParseError,
     lasso_fit_to_dict,
     load_problem,
     trex_fit_to_dict,
@@ -66,16 +65,24 @@ def _one_blas_thread() -> None:
             set_(1)
 
 
+# the fit flags that some estimators ignore, each with the estimators that read it
+_FIT_FLAGS = {"bound": ("trex-constrained",), "unpenalized": ("trex-unpenalized",),
+              "penalty": ("lasso",), "groups": ("trex", "trex-constrained", "trex-unpenalized")}
+
+
 def cmd_fit(args) -> int:
-    problem, _ = load_problem(args.problem)
-    config = SolverConfig(c=args.c, seed=args.seed or 0)
+    for flag, estimators in _FIT_FLAGS.items():
+        if getattr(args, flag) is not None and args.estimator not in estimators:
+            raise ConfigError(f"--{flag} does not apply to the {args.estimator} estimator")
+    problem = load_problem(args.problem)
+    config = SolverConfig(c=args.c, seed=args.seed)
     spec = l1_spec()
     if args.groups:
         with open(args.groups) as fh:
             spec = NormSpec.from_dict(json.load(fh))
     if args.estimator == "lasso":
         if args.penalty is None:
-            raise TrexlabError("--penalty is required for the lasso estimator")
+            raise ConfigError("--penalty is required for the lasso estimator")
         fit = fit_lasso(problem, args.penalty)
         payload = lasso_fit_to_dict(fit)
         converged = fit.converged
@@ -84,56 +91,19 @@ def cmd_fit(args) -> int:
             fit = solve_trex(problem, config, spec)
         elif args.estimator == "trex-constrained":
             fit = solve_trex_constrained(problem, config, spec, bound=args.bound)
-        elif args.estimator == "trex-unpenalized":
+        else:
             idx = [int(v) - 1 for v in args.unpenalized.split(",")] if args.unpenalized else []
             fit = solve_trex_unpenalized(problem, config, spec, idx)
-        else:
-            raise TrexlabError(f"unknown estimator {args.estimator!r}")
         payload = trex_fit_to_dict(fit)
         converged = fit.diagnostics["all_converged"]
-    out = args.out or "fit.json"
-    with open(out, "w") as fh:
+    with open(args.out, "w") as fh:
         json.dump(payload, fh, indent=1)
-    print(f"wrote {out}")
+    print(f"wrote {args.out}")
     return 0 if converged else 2
 
 
-def cmd_verify(args) -> int:
-    config = ExperimentConfig.from_file(args.config)
-    if args.seed is not None:
-        from dataclasses import replace
-        config = replace(config, scenarios=tuple(
-            replace(s, seed=args.seed + i) for i, s in enumerate(config.scenarios)))
-    rows = harness.run_verification(config, jobs=args.jobs)
-    out_dir = args.out or "."
-    summary = harness.write_reports(rows, out_dir, timestamp=not args.no_timestamp)
-    for theorem in sorted(k for k in summary if not k.startswith("_")):
-        t = summary[theorem]
-        print(f"{theorem}: holds={t['holds']} violated={t['violated']} "
-              f"not_applicable={t['not_applicable']}")
-    violated = summary["_total"]["violated"]
-    print(f"total rows: {summary['_total']['rows']}, violated: {violated}")
-    return 2 if violated else 0
-
-
-def cmd_report(args) -> int:
-    path = args.report
-    if path.endswith(".json"):
-        with open(path) as fh:
-            rows = json.load(fh)["rows"]
-    else:
-        rows = []
-        with open(path) as fh:
-            lines = [ln for ln in fh.read().splitlines()
-                     if ln and not ln.startswith("#")]
-        header = lines[0].split(",")
-        for ln in lines[1:]:
-            parts = ln.split(",")
-            row = dict(zip(header, parts))
-            row["lhs"] = float(row["lhs"]) if row["lhs"] else None
-            row["rhs"] = float(row["rhs"]) if row["rhs"] else None
-            rows.append(row)
-    summary = harness.summarize(rows)
+def _print_summary(summary: dict) -> None:
+    """One line per theorem of a ``harness.summarize`` result, then the total."""
     for theorem in sorted(k for k in summary if not k.startswith("_")):
         t = summary[theorem]
         line = (f"{theorem}: holds={t['holds']} violated={t['violated']} "
@@ -144,7 +114,44 @@ def cmd_report(args) -> int:
             qs = ", ".join(f"{q:.3g}" for q in t["slack_quantiles"])
             line += f" slack[min,q25,med,q75,max]=[{qs}]"
         print(line)
-    print(f"total rows: {summary['_total']['rows']}")
+    print(f"total rows: {summary['_total']['rows']}, "
+          f"violated: {summary['_total']['violated']}")
+
+
+def cmd_verify(args) -> int:
+    config = ExperimentConfig.from_file(args.config)
+    rows = harness.run_verification(config, jobs=args.jobs)
+    summary = harness.write_reports(rows, args.out, timestamp=not args.no_timestamp)
+    _print_summary(summary)
+    return 2 if summary["_total"]["violated"] else 0
+
+
+def _report_rows(path: str) -> list:
+    """The rows of a report.json (its ``rows`` list) or report.csv (a header,
+    then a line per row; ``#`` lines are comments); ``ParseError`` where a row
+    lacks a column ``summarize`` reads or has an unknown verdict."""
+    with open(path) as fh:
+        text = fh.read()
+    is_json = path.endswith(".json")
+    if is_json:
+        rows = json.loads(text)
+        rows = rows.get("rows") if isinstance(rows, dict) else None
+    else:
+        lines = [ln.split(",") for ln in text.splitlines() if ln and not ln.startswith("#")]
+        rows = [dict(zip(lines[0], ln)) for ln in lines[1:]] if lines else None
+    if not isinstance(rows, list):
+        raise ParseError("a report needs a header line (csv) or a list of rows (json)")
+    for i, row in enumerate(rows, 1):
+        known = isinstance(row, dict) and row.get("verdict") in harness.VERDICTS
+        if not known or any(k not in row for k in ("theorem", "lhs", "rhs")):
+            raise ParseError(f"report row {i} lacks a theorem, lhs, rhs or known verdict")
+        if not is_json:
+            row["lhs"], row["rhs"] = (float(row[k]) if row[k] else None for k in ("lhs", "rhs"))
+    return rows
+
+
+def cmd_report(args) -> int:
+    _print_summary(harness.summarize(_report_rows(args.report)))
     return 0
 
 
@@ -161,19 +168,18 @@ def build_parser() -> argparse.ArgumentParser:
                      help="penalty level for the lasso estimator")
     fit.add_argument("--bound", type=float, default=None,
                      help="dual bound for the constrained variant")
-    fit.add_argument("--unpenalized", default="",
+    fit.add_argument("--unpenalized", default=None,
                      help="comma-separated 1-based unpenalized indices")
     fit.add_argument("--groups", default=None,
                      help="norm spec JSON file; the penalty is l1 without it")
-    fit.add_argument("--seed", type=int, default=None)
-    fit.add_argument("--out", default=None)
+    fit.add_argument("--seed", type=int, default=0)
+    fit.add_argument("--out", default="fit.json")
     fit.set_defaults(func=cmd_fit)
 
     ver = sub.add_parser("verify", help="run a verification suite")
     ver.add_argument("--config", required=True)
-    ver.add_argument("--out", default=None)
+    ver.add_argument("--out", default=".")
     ver.add_argument("--jobs", type=int, default=1)
-    ver.add_argument("--seed", type=int, default=None)
     ver.add_argument("--no-timestamp", action="store_true")
     ver.set_defaults(func=cmd_verify)
 

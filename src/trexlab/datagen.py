@@ -70,9 +70,6 @@ class ScenarioSpec:
     noise: NoiseSpec = field(default_factory=NoiseSpec)
     signal: SignalSpec = field(default_factory=SignalSpec)
     seed: int = 0
-    # fixed-design resampling: when set, the design is drawn from this seed
-    # while signal and noise still follow ``seed``
-    design_seed: int = None
 
     def __post_init__(self):
         if self.n < 1 or self.p < 1 or not (0 <= self.s <= self.p):
@@ -118,7 +115,6 @@ class ScenarioSpec:
             noise=NoiseSpec(**noise),
             signal=SignalSpec(**sig),
             seed=int(d.get("seed", 0)),
-            design_seed=d.get("design_seed"),
         )
 
 
@@ -179,11 +175,7 @@ def _signal_direction(spec: ScenarioSpec, rng: np.random.Generator) -> np.ndarra
 def generate(spec: ScenarioSpec) -> tuple[RegressionProblem, GroundTruth]:
     """Draw one synthetic instance: normalized design, scaled signal, noise."""
     rng = np.random.default_rng(spec.seed)
-    if spec.design_seed is not None:
-        x_raw = _draw_design(spec, np.random.default_rng(spec.design_seed))
-    else:
-        x_raw = _draw_design(spec, rng)
-    x, _ = normalize_columns(x_raw)
+    x, _ = normalize_columns(_draw_design(spec, rng))
     beta = _signal_direction(spec, rng)
     eps = _draw_noise(spec, rng)
 

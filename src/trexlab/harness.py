@@ -33,6 +33,7 @@ CSV_COLUMNS = (
     "scenario", "replicate", "theorem", "verdict", "lhs", "rhs",
     "u_hat", "lambda", "nu", "c", "seed", "gates",
 )
+VERDICTS = ("holds", "violated", "not_applicable")
 
 _TREX_THEOREMS = {
     "trex_fast_via_lasso", "trex_fast_compat", "trex_slow", "general_slow",
@@ -209,8 +210,7 @@ def summarize(rows: list[dict]) -> dict:
     summary = {}
     for row in rows:
         t = summary.setdefault(row["theorem"], {
-            "holds": 0, "violated": 0, "not_applicable": 0,
-            "worst_ratio": None, "slacks": []})
+            **dict.fromkeys(VERDICTS, 0), "worst_ratio": None, "slacks": []})
         t[row["verdict"]] += 1
         if row["verdict"] == "holds" and row["rhs"]:
             ratio = row["lhs"] / row["rhs"]

@@ -65,13 +65,14 @@ class RegressionProblem:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Synthetic-only knowledge: true coefficients, noise and support."""
+    """Synthetic-only knowledge: true coefficients and noise, with the support
+    and sparsity of ``beta_star`` derived from it."""
 
     beta_star: np.ndarray
     epsilon: np.ndarray
     sigma: float
-    support: np.ndarray = field(default=None)
-    sparsity: int = field(default=None)
+    support: np.ndarray = field(init=False)
+    sparsity: int = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "beta_star", _frozen(self.beta_star))
@@ -79,10 +80,6 @@ class GroundTruth:
         if self.sigma <= 0:
             raise ConfigError("sigma must be positive")
         support = np.flatnonzero(self.beta_star)
-        if self.support is not None:
-            given = np.asarray(self.support, dtype=int)
-            if not np.array_equal(np.sort(given), support):
-                raise ConfigError("support does not match nonzeros of beta_star")
         object.__setattr__(self, "support", _frozen(support, dtype=int))
         object.__setattr__(self, "sparsity", int(support.size))
 
@@ -111,17 +108,13 @@ def columns_normalized(x) -> bool:
     return bool(np.max(np.abs(norms - np.sqrt(x.shape[0]))) <= NORMALIZATION_ATOL)
 
 
-def make_problem(x, y, normalize: bool = True):
-    """Build a :class:`RegressionProblem`, normalizing columns by default.
+def make_problem(x, y):
+    """Build a :class:`RegressionProblem` with sqrt(n)-normalized columns.
 
-    Returns ``(problem, scale)``; ``scale`` is all ones when ``normalize`` is
-    false.
+    Returns ``(problem, scale)``, ``scale`` as in :func:`normalize_columns`.
     """
-    x = np.asarray(x, dtype=float)
-    if normalize:
-        xn, scale = normalize_columns(x)
-        return RegressionProblem(xn, y, normalized=True), scale
-    return RegressionProblem(x, y, normalized=columns_normalized(x)), np.ones(x.shape[1])
+    xn, scale = normalize_columns(x)
+    return RegressionProblem(xn, y, normalized=True), scale
 
 
 def prediction_loss(problem: RegressionProblem, truth: GroundTruth, beta) -> float:

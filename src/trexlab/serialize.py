@@ -2,7 +2,8 @@
 
 CSV problem format: a header row "n,p", then n rows of p + 1 comma-separated
 values, the response first followed by the design row. The JSON container
-carries the problem plus optional ground truth and an RNG seed.
+holds one "problem" object with the arrays "x" and "y" and an optional
+"normalized" flag; other keys are ignored.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, TrexlabError, config_block
-from .model import GroundTruth, RegressionProblem, columns_normalized
+from .model import RegressionProblem, columns_normalized
 from .norms import NormSpec
 from .datagen import ScenarioSpec
 from .trex import SolverConfig, TrexFit
@@ -76,30 +77,36 @@ def _fields(d, keys, where: str) -> dict:
     return d
 
 
-def problem_from_dict(d: dict):
-    """(problem, truth or None, seed or None) of a JSON problem container;
-    ``ParseError`` where it or a block of it lacks a field."""
+def _array(value, where: str) -> np.ndarray:
+    """``value`` as a float array; ``ParseError`` unless JSON gave numbers."""
+    try:
+        a = np.asarray(value)
+    except ValueError:  # a ragged array
+        a = np.asarray(None)
+    if a.dtype.kind not in "iuf":
+        raise ParseError(f"{where} must be an array of numbers")
+    return a.astype(float)
+
+
+def problem_from_dict(d: dict) -> RegressionProblem:
+    """The problem of a JSON problem file, which reads only ``problem.x``,
+    ``y`` and ``normalized``; ``ParseError`` where a block is not an object,
+    lacks a field or holds a value of the wrong type."""
     pr = _fields(_fields(d, ("problem",), "problem file")["problem"], ("x", "y"), "problem")
-    problem = RegressionProblem(np.asarray(pr["x"], dtype=float),
-                                np.asarray(pr["y"], dtype=float),
-                                normalized=bool(pr.get("normalized", False)))
-    truth = None
-    if "ground_truth" in d:
-        gt = _fields(d["ground_truth"], ("beta_star", "epsilon", "sigma"), "ground_truth")
-        truth = GroundTruth(np.asarray(gt["beta_star"], dtype=float),
-                            np.asarray(gt["epsilon"], dtype=float),
-                            float(gt["sigma"]))
-    return problem, truth, d.get("seed")
+    normalized = pr.get("normalized", False)
+    if not isinstance(normalized, bool):
+        raise ParseError(f"problem normalized must be true or false, got {normalized!r}")
+    return RegressionProblem(_array(pr["x"], "problem x"), _array(pr["y"], "problem y"),
+                             normalized=normalized)
 
 
-def load_problem(path: str):
-    """Load a problem file by extension; returns (problem, truth_or_None)."""
+def load_problem(path: str) -> RegressionProblem:
+    """Load a problem file by extension: JSON for ``.json``, CSV otherwise."""
     with open(path) as fh:
         text = fh.read()
     if path.endswith(".json"):
-        problem, truth, _ = problem_from_dict(json.loads(text))
-        return problem, truth
-    return problem_from_csv(text), None
+        return problem_from_dict(json.loads(text))
+    return problem_from_csv(text)
 
 
 def trex_fit_to_dict(fit: TrexFit) -> dict:
@@ -166,19 +173,18 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        config_block(d, cls, "config",
-                     items={"scenarios": dict, "estimators": str, "theorems": str})
-        solver = SolverConfig(**config_block(d.get("solver", {}), SolverConfig, "solver"))
-        norm = NormSpec.from_dict(d["norm"]) if d.get("norm") else None
-        return cls(
-            scenarios=tuple(ScenarioSpec.from_dict(s) for s in d.get("scenarios", [])),
-            estimators=tuple(d.get("estimators", ["trex_constrained"])),
-            theorems=tuple(d.get("theorems", ["trex_slow", "l1_ordering"])),
-            replicates=int(d.get("replicates", 1)),
-            solver=solver,
-            norm=norm,
-            compat_samples=int(d.get("compat_samples", 500)),
-        )
+        """The config of a JSON object; a key it omits takes the field's default."""
+        kw = dict(config_block(d, cls, "config", required=("scenarios",),
+                               items={"scenarios": dict, "estimators": str, "theorems": str}))
+        for key, convert in (
+                ("scenarios", lambda v: tuple(map(ScenarioSpec.from_dict, v))),
+                ("estimators", tuple), ("theorems", tuple), ("replicates", int),
+                ("compat_samples", int),
+                ("solver", lambda v: SolverConfig(**config_block(v, SolverConfig, "solver"))),
+                ("norm", lambda v: NormSpec.from_dict(v) if v else None)):
+            if key in kw:
+                kw[key] = convert(kw[key])
+        return cls(**kw)
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":

@@ -584,7 +584,7 @@ def _coordinate_starts(C: _Constants, j_arr, s_arr, tau):
 
 
 class _Rows(NamedTuple):
-    """Subproblem rows: the coordinates of each denominator (padded with -1),
+    """Subproblem rows: the coordinates of each denominator (padded with p),
     the sign (0 for a group row) and the dual weight dividing it."""
 
     idx: np.ndarray

@@ -1,13 +1,17 @@
+import argparse
+import inspect
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import trexlab
+from trexlab import cli
 from trexlab.bounds import estimate_compatibility, verify_l1_ordering
+from trexlab.datagen import ScenarioSpec
 from trexlab.errors import TrexlabError
 from trexlab.lasso import fit_lasso
-from trexlab.model import GroundTruth, RegressionProblem
+from trexlab.model import GroundTruth, RegressionProblem, make_problem
 from trexlab.norms import l1_spec, prox_omega
 from trexlab.serialize import ExperimentConfig, problem_from_csv
 from trexlab.trex import SolverConfig, TrexFit
@@ -33,6 +37,14 @@ PUBLIC = [
 SOLVER_FIELDS = ["c", "seed"]
 EXPERIMENT_FIELDS = ["scenarios", "estimators", "theorems", "replicates", "solver", "norm",
                      "compat_samples"]
+SCENARIO_FIELDS = ["n", "p", "s", "design", "noise", "signal", "seed"]
+# the arguments and flags of each subcommand, positional ones by name
+CLI_ARGUMENTS = {
+    "fit": ["problem", "--estimator", "--c", "--penalty", "--bound", "--unpenalized",
+            "--groups", "--seed", "--out"],
+    "verify": ["--config", "--out", "--jobs", "--no-timestamp"],
+    "report": ["report"],
+}
 
 
 def test_public_names_are_pinned():
@@ -43,6 +55,24 @@ def test_public_names_are_pinned():
 def test_config_fields_are_pinned():
     assert [f.name for f in fields(SolverConfig)] == SOLVER_FIELDS
     assert [f.name for f in fields(ExperimentConfig)] == EXPERIMENT_FIELDS
+    assert [f.name for f in fields(ScenarioSpec)] == SCENARIO_FIELDS
+
+
+def test_cli_arguments_are_pinned():
+    sub, = (a for a in cli.build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    found = {name: [a.option_strings[0] if a.option_strings else a.dest
+                    for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+             for name, parser in sub.choices.items()}
+    assert found == CLI_ARGUMENTS
+
+
+def test_constructor_arguments_are_pinned():
+    # support and sparsity are derived from beta_star, and make_problem
+    # always normalizes
+    assert [f.name for f in fields(GroundTruth) if f.init] == ["beta_star", "epsilon",
+                                                              "sigma"]
+    assert list(inspect.signature(make_problem).parameters) == ["x", "y"]
 
 
 def _problem():
@@ -62,8 +92,6 @@ BAD_INPUTS = {
     "lasso_zero_penalty": lambda: fit_lasso(_problem(), 0.0),
     "problem_not_finite": lambda: RegressionProblem(np.array([[np.nan]]), np.ones(1)),
     "truth_zero_sigma": lambda: GroundTruth(np.ones(2), np.zeros(2), 0.0),
-    "truth_wrong_support": lambda: GroundTruth(np.array([1.0, 0.0]), np.zeros(2), 1.0,
-                                               support=[1]),
     "prox_negative_step": lambda: prox_omega(l1_spec(), np.ones(2), -1.0),
 }
 

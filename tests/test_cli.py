@@ -200,16 +200,33 @@ class TestFit:
     @pytest.mark.parametrize("payload", [
         {},
         {"problem": {"x": [[1, 2], [3, 4]]}},
-        {"problem": {"x": [[1.0, 0.0], [0.0, 1.0]], "y": [1.0, 2.0]},
-         "ground_truth": {"beta_star": [1.0, 0.0], "sigma": 1.0}},
         [1, 2, 3],
-    ], ids=["empty", "no_y", "truth_without_epsilon", "array"])
+        {"problem": {"x": {"a": 1}, "y": [1.0, 2.0]}},
+        {"problem": {"x": [[1.0, 0.0], [0.0, 1.0]], "y": {"a": 1}}},
+    ], ids=["empty", "no_y", "array", "x_object", "y_object"])
     def test_malformed_json_problem_is_one_error_line(self, tmp_path, capsys, payload):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))
         assert main(["fit", str(bad)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize("flags", [
+        ["--bound", "1.0"],
+        ["--estimator", "trex-constrained", "--unpenalized", "1"],
+        ["--penalty", "2.0"],
+        ["--estimator", "lasso", "--penalty", "2.0", "--groups", "spec.json"],
+    ], ids=["bound_without_constrained", "unpenalized_without_unpenalized",
+            "penalty_without_lasso", "groups_with_lasso"])
+    def test_flag_the_estimator_ignores_is_error(self, problem_csv, tmp_path, capsys,
+                                                 flags):
+        path, _ = problem_csv
+        out = tmp_path / "fit.json"
+        assert main(["fit", str(path), "--out", str(out)] + flags) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --")
+        assert "does not apply" in err[0]
+        assert not out.exists()
 
 
 class TestVerify:
@@ -295,12 +312,13 @@ class TestVerify:
         {"norm": {"kind": "group", "partition": [1, 2]}},
         {"theorems": "trex_slow"},
         {"compat_samples": -5},
+        {"scenarios": [{"n": 25, "p": 8, "s": 2, "design_seed": 4}]},
     ], ids=["top_level_key", "compat_refine", "solver_key", "solver_not_object",
             "solver_allow_unnormalized",
             "scenario_without_n", "scenario_not_object", "scenario_key", "design_key",
             "noise_key", "signal_key", "norm_without_kind", "norm_key",
             "scenario_n_null", "design_rho_string", "partition_not_nested",
-            "theorems_string", "compat_samples_negative"])
+            "theorems_string", "compat_samples_negative", "scenario_design_seed"])
     def test_bad_config_fails_with_one_error_line(self, verify_config, tmp_path,
                                                   capsys, change):
         config = json.loads(verify_config.read_text())
@@ -345,3 +363,28 @@ class TestReport:
         code = main(["report", str(out / "report.json")])
         assert code == 0
         assert "l1_ordering" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name,text", [
+        ("report.csv", ""),
+        ("report.csv", "# generated 2026-01-01\n"),
+        ("report.csv", "scenario,replicate,theorem\n0,0,trex_slow\n"),
+        ("report.csv", "theorem,verdict,lhs,rhs\ntrex_slow,maybe,1.0,2.0\n"),
+        ("report.json", "{}"),
+        ("report.json", '{"rows": [{"theorem": "trex_slow"}]}'),
+        ("report.json", "[]"),
+    ], ids=["csv_empty", "csv_comment_only", "csv_without_columns", "csv_bad_verdict",
+            "json_without_rows", "json_row_without_columns", "json_array"])
+    def test_bad_report_is_one_error_line(self, tmp_path, capsys, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["report", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_header_only_csv_is_zero_rows(self, tmp_path, capsys):
+        path = tmp_path / "report.csv"
+        path.write_text("theorem,verdict,lhs,rhs\n")
+        assert main(["report", str(path)]) == 0
+        assert "total rows: 0" in capsys.readouterr().out

@@ -41,10 +41,9 @@ class TestValidation:
     def test_from_dict_reads_every_block(self):
         spec = _base(design=DesignSpec(kind="toeplitz", rho=0.6),
                      noise=NoiseSpec(kind="ar1", sigma=0.5, rho=0.3),
-                     signal=SignalSpec(kind="fixed_beta", values=tuple(range(12))),
-                     design_seed=99)
+                     signal=SignalSpec(kind="fixed_beta", values=tuple(range(12))))
         again = ScenarioSpec.from_dict({
-            "n": 30, "p": 12, "s": 3, "seed": 7, "design_seed": 99,
+            "n": 30, "p": 12, "s": 3, "seed": 7,
             "design": {"kind": "toeplitz", "rho": 0.6},
             "noise": {"kind": "ar1", "sigma": 0.5, "rho": 0.3},
             "signal": {"kind": "fixed_beta", "values": list(range(12))}})
@@ -78,12 +77,6 @@ class TestGenerate:
     def test_different_seeds_differ(self):
         a, _ = generate(_base(seed=1))
         b, _ = generate(_base(seed=2))
-        assert not np.array_equal(a.y, b.y)
-
-    def test_design_seed_pins_design_only(self):
-        a, _ = generate(_base(seed=1, design_seed=42))
-        b, _ = generate(_base(seed=2, design_seed=42))
-        np.testing.assert_array_equal(a.x, b.x)
         assert not np.array_equal(a.y, b.y)
 
     def test_duplicated_columns_identical(self):

@@ -116,7 +116,3 @@ class TestGroundTruth:
         gt = GroundTruth(np.array([0.0, 1.0, 0.0, -2.0]), np.zeros(3), 1.0)
         assert gt.support.tolist() == [1, 3]
         assert gt.sparsity == 2
-
-    def test_support_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            GroundTruth(np.array([1.0, 0.0]), np.zeros(2), 1.0, support=[1])

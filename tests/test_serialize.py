@@ -60,42 +60,46 @@ class TestCsv:
             problem_from_csv("3,1\n1.0,1.0\n")
 
 
-def _problem_dict(problem, truth=None, seed=None) -> dict:
-    """The JSON container of a problem, with optional ground truth and seed."""
-    d = {"problem": {"n": problem.n, "p": problem.p, "y": problem.y.tolist(),
-                     "x": problem.x.tolist(), "normalized": problem.normalized}}
-    if truth is not None:
-        d["ground_truth"] = {"beta_star": truth.beta_star.tolist(),
-                             "epsilon": truth.epsilon.tolist(), "sigma": truth.sigma}
-    if seed is not None:
-        d["seed"] = seed
-    return d
+def _problem_dict(problem) -> dict:
+    """The JSON container of a problem."""
+    return {"problem": {"n": problem.n, "p": problem.p, "y": problem.y.tolist(),
+                        "x": problem.x.tolist(), "normalized": problem.normalized}}
 
 
 class TestJson:
     def test_roundtrip_with_truth(self):
+        # a ground_truth block, a seed or any other top-level key is ignored
         problem, truth = generate(ScenarioSpec(n=12, p=5, s=2, seed=3))
-        blob = json.dumps(_problem_dict(problem, truth, seed=3))
-        p2, t2, seed = problem_from_dict(json.loads(blob))
+        d = _problem_dict(problem)
+        d["ground_truth"] = {"beta_star": truth.beta_star.tolist(), "sigma": None}
+        d["seed"] = 3
+        p2 = problem_from_dict(json.loads(json.dumps(d)))
         np.testing.assert_array_equal(p2.x, problem.x)
         np.testing.assert_array_equal(p2.y, problem.y)
         assert p2.normalized
-        np.testing.assert_array_equal(t2.beta_star, truth.beta_star)
-        np.testing.assert_array_equal(t2.epsilon, truth.epsilon)
-        assert seed == 3
 
     def test_load_problem_by_extension(self, tmp_path, rng):
         problem = random_problem(rng, 8, 3)
         csv_path = tmp_path / "prob.csv"
         csv_path.write_text(problem_to_csv(problem))
-        loaded, truth = load_problem(str(csv_path))
-        assert truth is None
+        loaded = load_problem(str(csv_path))
         np.testing.assert_array_equal(loaded.x, problem.x)
 
         json_path = tmp_path / "prob.json"
         json_path.write_text(json.dumps(_problem_dict(problem)))
-        loaded2, _ = load_problem(str(json_path))
+        loaded2 = load_problem(str(json_path))
         np.testing.assert_array_equal(loaded2.y, problem.y)
+
+    @pytest.mark.parametrize("change", [
+        {"x": {"a": 1}}, {"y": {"a": 1}}, {"x": "abc"}, {"y": [1.0, None]},
+        {"x": [[1.0, 0.0], [0.0]]}, {"y": [True, False]}, {"normalized": "yes"},
+    ], ids=["x_object", "y_object", "x_string", "y_null_entry", "x_ragged", "y_bools",
+            "normalized_string"])
+    def test_wrong_types_raise_parse_error(self, change):
+        d = {"problem": {"x": [[1.0, 0.0], [0.0, 1.0]], "y": [1.0, 2.0]}}
+        d["problem"].update(change)
+        with pytest.raises(ParseError):
+            problem_from_dict(d)
 
 
 class TestFitSerialization:
@@ -134,6 +138,11 @@ class TestExperimentConfig:
         cfg = ExperimentConfig.from_dict(self._dict())
         assert cfg.replicates == 2
         assert cfg.scenarios[0].n == 20
+
+    def test_omitted_keys_take_the_field_defaults(self):
+        scenario = {"n": 20, "p": 8, "s": 2}
+        cfg = ExperimentConfig.from_dict({"scenarios": [scenario]})
+        assert cfg == ExperimentConfig(scenarios=(ScenarioSpec.from_dict(scenario),))
 
     def test_unknown_theorem_rejected(self):
         with pytest.raises(ConfigError):

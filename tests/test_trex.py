@@ -1149,6 +1149,23 @@ class TestFaceFinish:
                 assert np.all(lb <= oracle + 1e-9 * (1.0 + abs(oracle)))
         assert f <= best * (1.0 + 1e-7) + 1e-9
 
+    @pytest.mark.parametrize("seed, n, p", [
+        pytest.param(39916800, 8, 3, marks=pytest.mark.xfail(
+            strict=True, reason="9.69665 against F(0) = 9.64589: row (2, -1) has its optimum "
+            "at b = 0, but the face finish cycles over the signs of the support {0, 2} "
+            "because its flip rule never empties a support")),
+        pytest.param(565, 6, 3, marks=pytest.mark.xfail(
+            strict=True, reason="3.77703 against F(0) = 3.56950, the same cycle")),
+    ])
+    def test_default_bound_fit_is_no_worse_than_zero(self, seed, n, p):
+        # beta = 0 is feasible under the default bound max|x.T y|, so the
+        # constrained optimum is at most F(0) = y.y / (c max|x.T y|)
+        problem = random_problem(np.random.default_rng(seed), n, p)
+        x, y = problem.x, problem.y
+        f0 = float(y @ y) / (0.5 * float(np.max(np.abs(x.T @ y))))
+        fit = solve_trex_constrained(problem)
+        assert fit.objective <= f0 * (1.0 + 1e-9)
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 24), p=st.integers(2, 30),
            copies=st.sampled_from([None, 1.0, -1.0]), weighted=st.booleans(),
