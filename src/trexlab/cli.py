@@ -65,17 +65,26 @@ def _one_blas_thread() -> None:
             set_(1)
 
 
-# the fit flags that some estimators ignore, each with the estimators that read it
-_FIT_FLAGS = {"bound": ("trex-constrained",), "unpenalized": ("trex-unpenalized",),
-              "penalty": ("lasso",), "groups": ("trex", "trex-constrained", "trex-unpenalized")}
+_TREX = ("trex", "trex-constrained", "trex-unpenalized")
+# the fit flags that some fits ignore, each with the estimators that read it
+# and the flag it needs beside it: the seed draws only a group penalty's starts
+_FIT_FLAGS = {"bound": (("trex-constrained",), None),
+              "unpenalized": (("trex-unpenalized",), None),
+              "penalty": (("lasso",), None), "groups": (_TREX, None),
+              "c": (_TREX, None), "seed": (_TREX, "groups")}
 
 
 def cmd_fit(args) -> int:
-    for flag, estimators in _FIT_FLAGS.items():
-        if getattr(args, flag) is not None and args.estimator not in estimators:
+    for flag, (estimators, needs) in _FIT_FLAGS.items():
+        if getattr(args, flag) is None:
+            continue
+        if args.estimator not in estimators:
             raise ConfigError(f"--{flag} does not apply to the {args.estimator} estimator")
+        if needs and getattr(args, needs) is None:
+            raise ConfigError(f"--{flag} does not apply without --{needs}")
     problem = load_problem(args.problem)
-    config = SolverConfig(c=args.c, seed=args.seed)
+    config = SolverConfig(**{k: getattr(args, k) for k in ("c", "seed")
+                             if getattr(args, k) is not None})
     spec = l1_spec()
     if args.groups:
         with open(args.groups) as fh:
@@ -163,7 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("problem", help="problem file (.csv or .json)")
     fit.add_argument("--estimator", default="trex",
                      choices=["trex", "trex-constrained", "trex-unpenalized", "lasso"])
-    fit.add_argument("--c", type=float, default=0.5)
+    fit.add_argument("--c", type=float, default=None,
+                     help="ratio constant of the trex estimators (default 0.5)")
     fit.add_argument("--penalty", type=float, default=None,
                      help="penalty level for the lasso estimator")
     fit.add_argument("--bound", type=float, default=None,
@@ -172,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated 1-based unpenalized indices")
     fit.add_argument("--groups", default=None,
                      help="norm spec JSON file; the penalty is l1 without it")
-    fit.add_argument("--seed", type=int, default=0)
+    fit.add_argument("--seed", type=int, default=None,
+                     help="seed of a group penalty's starts (default 0); needs --groups")
     fit.add_argument("--out", default="fit.json")
     fit.set_defaults(func=cmd_fit)
 

@@ -102,6 +102,7 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioSpec":
+        """The scenario of a JSON object; a key it omits takes the field's default."""
         config_block(d, cls, "scenario", required=("n", "p"))
         design = config_block(d.get("design", {}), DesignSpec, "design")
         noise = config_block(d.get("noise", {}), NoiseSpec, "noise")
@@ -109,13 +110,9 @@ class ScenarioSpec:
                                 items={"values": (int, float)}))
         if "values" in sig and sig["values"] is not None:
             sig["values"] = tuple(sig["values"])
-        return cls(
-            n=int(d["n"]), p=int(d["p"]), s=int(d.get("s", 0)),
-            design=DesignSpec(**design),
-            noise=NoiseSpec(**noise),
-            signal=SignalSpec(**sig),
-            seed=int(d.get("seed", 0)),
-        )
+        return cls(design=DesignSpec(**design), noise=NoiseSpec(**noise),
+                   signal=SignalSpec(**sig),
+                   **{k: int(d[k]) for k in ("n", "p", "s", "seed") if k in d})
 
 
 def _draw_design(spec: ScenarioSpec, rng: np.random.Generator) -> np.ndarray:

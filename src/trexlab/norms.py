@@ -64,7 +64,7 @@ class NormSpec:
         elif self.partition is not None:
             raise ConfigError("partition is only valid for the group kind")
 
-    @property
+    @cached_property
     def p(self):
         """Coordinate count pinned by the spec, or None when length-agnostic."""
         if self.kind == WEIGHTED_L1:
@@ -169,9 +169,10 @@ def omega_dual(spec: NormSpec, v):
 
 
 def soft_threshold(v, th) -> np.ndarray:
-    """sign(v) max(|v| - th, 0): the prox of the th-weighted l1 norm, with
-    thresholds th that broadcast against v."""
-    return np.sign(v) * np.maximum(np.abs(v) - th, 0.0)
+    """The prox of the th-weighted l1 norm, sign(v) max(|v| - th, 0), as
+    v - clip(v, -th, th), with thresholds th >= 0 that broadcast against v.
+    The two forms agree in value; an entry thresholded to zero is +0.0."""
+    return v - np.minimum(np.maximum(v, -th), th)
 
 
 def prox_omega(spec: NormSpec, v, t) -> np.ndarray:

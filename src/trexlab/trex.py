@@ -755,8 +755,9 @@ def _solve_subproblems(C: _Constants, rows, B, feasible):
     largest step that stays in the domain, passes ``bound`` and gives
     sufficient decrease: the decisions of trying one step at a time. A row
     tries at most ``MAX_TRIALS`` steps per iteration and stalls once its step
-    would fall below 1e-18 times its first. An accepted sign row doubles its
-    step, a group row grows it by 1.3.
+    would fall below 1e-18 times its first. A sign row grows its step by 1.5
+    when the first step it tried in the iteration passed, and keeps the step
+    it backtracked to otherwise; an accepted group row grows its step by 1.3.
 
     Under ``C.bound``, candidates with dual(q) > bound are rejected (no
     projection); the callers repair starts outside the set and mark those
@@ -886,7 +887,7 @@ def _solve_subproblems(C: _Constants, rows, B, feasible):
     # iterations each row's sign pattern has held, and whether it was polished
     steady = np.zeros(K, dtype=int)
     polished = np.zeros(K, dtype=bool)
-    growth = 1.3 if group else 2.0
+    growth = 1.3 if group else 1.5
     iterations = np.zeros(K, dtype=int)
     # rounds of the face finish, and batched ``trial`` calls of the ladder
     face_rounds = trial_rounds = 0
@@ -941,9 +942,13 @@ def _solve_subproblems(C: _Constants, rows, B, feasible):
             ok &= gC <= quad + 1e-12 * (1.0 + np.abs(gC))
             return ok, (Cand, qC, rssC, DC)
 
-        accepted, t[act], dead = _ladder(t[act], t_floor[act], cap, trial,
+        t_first = t[act]
+        accepted, t[act], dead = _ladder(t_first, t_floor[act], cap, trial,
                                          (B, q, rss, D), act)
-        sel = act[accepted]
+        # a group row grows its step after every acceptance, a sign row only
+        # when its first try passed: grown after a backtrack too, about half
+        # of its next first tries would fail
+        sel = act[accepted if group else accepted & (t[act] == t_first)]
         t[sel] = np.minimum(t[sel] * growth, 1e12)
         if dead.any():
             # cannot decrease further: stalled, converged only if the
@@ -952,9 +957,10 @@ def _solve_subproblems(C: _Constants, rows, B, feasible):
             stalled[gone] = True
             active[gone] = False
 
-        F[act] = rss[act] / (c * D[act]) + omega(spec, B[act])
+        Ba = B[act]
+        F[act] = rss[act] / (c * D[act]) + omega(spec, Ba)
         if not group:
-            kept = (np.sign(B[act]) == np.sign(Br)).all(axis=1)
+            kept = (((Ba > 0.0) == (Br > 0.0)) & ((Ba < 0.0) == (Br < 0.0))).all(axis=1)
             steady[act] = np.where(kept, steady[act] + 1, 0)
             polished[act[~kept]] = False
             incumbent = float(F.min())

@@ -100,6 +100,11 @@ def norm_batch(kind, weights, partition, pts):
     return total
 
 
+def soft_threshold_by_sign(v, th):
+    """sign(v) max(|v| - th, 0): the textbook form of the th-weighted l1 prox."""
+    return np.sign(v) * np.maximum(np.abs(v) - th, 0.0)
+
+
 def prox_objective_min(kind, weights, partition, v, t, points=61, rounds=10):
     """Numerical minimum of the prox objective 0.5||z - v||^2 + t * omega(z)."""
     v = np.asarray(v, dtype=float)

@@ -114,9 +114,11 @@ class TestFit:
         groups.write_text(json.dumps({"kind": "group",
                                       "partition": [[1, 2], [3, 4, 5], [6]]}))
         out = tmp_path / "fit.json"
-        assert main(["fit", str(path), "--groups", str(groups), "--out", str(out)]) == 0
+        assert main(["fit", str(path), "--groups", str(groups), "--seed", "3", "--c", "0.7",
+                     "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["spec"]["kind"] == "group"
+        assert payload["config"] == {"c": 0.7, "seed": 3}
         diagnostics = payload["diagnostics"]
         assert diagnostics["heuristic"] is True
         assert diagnostics["row_iterations"] > 0
@@ -216,8 +218,12 @@ class TestFit:
         ["--estimator", "trex-constrained", "--unpenalized", "1"],
         ["--penalty", "2.0"],
         ["--estimator", "lasso", "--penalty", "2.0", "--groups", "spec.json"],
+        ["--estimator", "lasso", "--penalty", "2.0", "--c", "1.7"],
+        ["--estimator", "lasso", "--penalty", "2.0", "--seed", "9"],
+        ["--seed", "9"],
     ], ids=["bound_without_constrained", "unpenalized_without_unpenalized",
-            "penalty_without_lasso", "groups_with_lasso"])
+            "penalty_without_lasso", "groups_with_lasso", "c_with_lasso", "seed_with_lasso",
+            "seed_without_groups"])
     def test_flag_the_estimator_ignores_is_error(self, problem_csv, tmp_path, capsys,
                                                  flags):
         path, _ = problem_csv

@@ -49,6 +49,11 @@ class TestValidation:
             "signal": {"kind": "fixed_beta", "values": list(range(12))}})
         assert again == spec
 
+    def test_from_dict_leaves_omitted_keys_to_the_field_defaults(self):
+        # an omitted s is the dataclass's 5, not pure noise
+        assert ScenarioSpec.from_dict({"n": 50, "p": 100}) == ScenarioSpec(n=50, p=100)
+        assert ScenarioSpec.from_dict({"n": 50, "p": 100}).s == 5
+
 
 class TestGenerate:
     def test_reconstruction_identity(self):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from trexlab.errors import ConfigError
 from trexlab.norms import (
@@ -10,10 +12,11 @@ from trexlab.norms import (
     omega_dual,
     prox_omega,
     singleton_groups,
+    soft_threshold,
     weighted_l1_spec,
 )
 
-from oracles import norm_batch, prox_objective_min
+from oracles import norm_batch, prox_objective_min, soft_threshold_by_sign
 
 
 def _random_specs(p):
@@ -112,6 +115,31 @@ class TestProx:
         v = rng.standard_normal(4)
         for spec in _random_specs(4):
             np.testing.assert_allclose(prox_omega(spec, v, 0.0), v)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_l1_prox_equals_the_sign_form(self, data):
+        # random batches with signed zeros, subnormals and ties |v| = th,
+        # under th = 0, one threshold per row and one per entry; equal in
+        # value (-0.0 == +0.0)
+        k, p = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
+        V = data.draw(arrays(float, (k, p), elements=st.floats(-1e6, 1e6)))
+        kind = data.draw(st.sampled_from(["zero", "row", "entry"]))
+        thresholds = st.floats(0.0, 1e6)
+        if kind == "zero":
+            th = np.zeros((k, 1))
+        elif kind == "row":
+            th = data.draw(arrays(float, (k, 1), elements=thresholds))
+        else:
+            th = np.where(data.draw(arrays(bool, (k, p))), np.abs(V),
+                          data.draw(arrays(float, (k, p), elements=thresholds)))
+        np.testing.assert_array_equal(soft_threshold(V, th), soft_threshold_by_sign(V, th))
+        w = data.draw(arrays(float, p, elements=st.floats(0.5, 2.0)))
+        t = th if kind == "row" else np.zeros((k, 1))
+        np.testing.assert_array_equal(prox_omega(l1_spec(), V, t),
+                                      soft_threshold_by_sign(V, t))
+        np.testing.assert_array_equal(prox_omega(weighted_l1_spec(w), V, t),
+                                      soft_threshold_by_sign(V, t * w))
 
     def test_group_shrinkage_value(self):
         # factor 1 - 2.5/5 = 0.5; frozen after checking the numerical oracle

@@ -97,6 +97,23 @@ class TestSummarize:
         assert a["max_rel_objective_change"] == pytest.approx(1e-13)
 
 
+    def test_engine_counters_are_summed_per_side(self):
+        # the first run's counters of the fits without an error; None where a
+        # side lacks a counter (a base older than the counter)
+        def counted(iterations, row_iterations, trial_rounds, **kw):
+            return dict(fit(1.0, [0, 1], 0.0, True, **kw), iterations=iterations,
+                        row_iterations=row_iterations, trial_rounds=trial_rounds)
+        parent = [[counted(10, 200, 20), counted(4, 50, 8), {"error": "DomainError", "cpu": 0.1}],
+                  [counted(99, 999, 99), counted(99, 999, 99), counted(99, 999, 99)]]
+        change = [[counted(9, 230, 13), dict(counted(3, 60, 5), trial_rounds=None),
+                   counted(2, 20, 2)]]
+        a = sign_fit_diff.summarize(["a"] * 3, parent, change)["a"]
+        assert (a["iterations_parent"], a["row_iterations_parent"],
+                a["trial_rounds_parent"]) == (14, 250, 28)
+        assert (a["iterations_change"], a["row_iterations_change"],
+                a["trial_rounds_change"]) == (14, 310, None)
+
+
 class TestRegressions:
     @staticmethod
     def _row(**changed):

@@ -605,19 +605,30 @@ class TestCertificateFinish:
         assert np.linalg.matrix_rank(G_SS) < S.size
         assert 0.0 <= fit.diagnostics["certified_gap"] <= 1e-12 * (1.0 + abs(fit.objective))
 
-    @pytest.mark.parametrize("k", range(9))
-    def test_criterion_03_shapes_finish_fast(self, k):
-        # one instance of each design x noise shape of criterion 03
+    @staticmethod
+    def _criterion_03_instance(k):
+        # instance k of criterion 03, one of its design x noise shapes
         design = [DesignSpec(), DesignSpec(kind="toeplitz", rho=0.5),
                   DesignSpec(kind="duplicated_columns", duplicates=2)][k // 3]
         noise = [NoiseSpec(), NoiseSpec(kind="student_t", df=5.0),
                  NoiseSpec(kind="ar1", rho=0.5)][k % 3]
-        problem, _ = generate(ScenarioSpec(n=50, p=100, s=5, design=design, noise=noise,
-                                           seed=derive_seed(303, f"instance={k}")))
-        fit = solve_trex(problem)
+        return generate(ScenarioSpec(n=50, p=100, s=5, design=design, noise=noise,
+                                     seed=derive_seed(303, f"instance={k}")))[0]
+
+    @pytest.mark.parametrize("k", range(9))
+    def test_criterion_03_shapes_finish_fast(self, k):
+        fit = solve_trex(self._criterion_03_instance(k))
         assert fit.diagnostics["iterations"] <= 80
         assert fit.diagnostics["all_converged"]
         assert 0.0 <= fit.diagnostics["certified_gap"] <= 1e-12 * (1.0 + abs(fit.objective))
+
+    @pytest.mark.parametrize("k, iterations, trial_rounds", [(0, 19, 27), (4, 18, 28)])
+    def test_step_control_counts_are_pinned(self, k, iterations, trial_rounds):
+        # the engine's work on two criterion-03 instances: a change to the
+        # step control or the line search moves these numbers
+        diagnostics = solve_trex(self._criterion_03_instance(k)).diagnostics
+        assert (diagnostics["iterations"], diagnostics["trial_rounds"]) == (
+            iterations, trial_rounds)
 
 
 def _starts(problem, c, w, bound=None):

@@ -28,7 +28,9 @@ Per family it prints the fits, the identical ones (objective, winner and
 ``all_converged``, the heuristic fits (``certified_gap`` None: group fits
 carry no certificate), the uncertified fits (``certified_gap`` above
 1e-9 (1 + |f|), or no fit), the falsely converged ones (``all_converged``
-with such a gap), and the CPU seconds of each side (one number per run);
+with such a gap), the CPU seconds of each side (one number per run) and, over the fits
+without an error, the summed ``iterations``, ``row_iterations`` and
+``trial_rounds`` of each side's first run (None where a side lacks one);
 among the fits both sides certify, and every pair of heuristic fits, the
 ones whose winners differ and the largest relative objective change; the fits whose objective rose by more
 than 1e-9 relative, with those of them the base certified and the largest
@@ -59,6 +61,8 @@ from bench_pairs import base_checkout  # noqa: E402
 
 FAMILIES = ("fit_l1", "fit_constrained", "item1", "wide", "noise", "tiny", "group")
 CERTIFIED = 1e-9
+# the engine's work counters of a fit's diagnostics, summed per family and side
+COUNTS = ("iterations", "row_iterations", "trial_rounds")
 SINGLE_THREAD = {k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                   "MKL_NUM_THREADS")}
 
@@ -69,6 +73,7 @@ import json, pickle, sys, time
 from trexlab.model import RegressionProblem
 from trexlab.norms import group_spec, l1_spec, weighted_l1_spec
 from trexlab.trex import solve_trex, solve_trex_constrained
+COUNTS = %r
 cases, out = pickle.load(open(sys.argv[1], "rb")), []
 for case in cases:
     problem = RegressionProblem(case["x"], case["y"], normalized=True)
@@ -85,12 +90,13 @@ for case in cases:
         rec = {"objective": fit.objective, "winner": list(fit.winner),
                "gap": fit.diagnostics["certified_gap"],
                "converged": fit.diagnostics["all_converged"]}
+        rec.update((k, fit.diagnostics.get(k)) for k in COUNTS)
     except Exception as exc:
         rec = {"error": type(exc).__name__}
     rec["cpu"] = time.process_time() - start
     out.append(rec)
 json.dump(out, open(sys.argv[2], "w"))
-"""
+""" % (COUNTS,)
 
 
 def _case(family, problem, constrained, w=None, bound=None, partition=None):
@@ -163,7 +169,8 @@ def _uncertified(rec) -> bool:
 
 def summarize(families, parent, change) -> dict:
     """Per family: fits, bit-identical fits, fits with ``all_converged``,
-    heuristic, uncertified and falsely converged fits on each side,
+    heuristic, uncertified and falsely converged fits on each side, the
+    summed engine counters (``COUNTS``) of each side's first run,
     differing winners and the largest relative objective change among the
     fits neither side left uncertified (every heuristic pair), the fits whose
     objective rose (and the largest relative rise) and those whose objective
@@ -185,6 +192,10 @@ def summarize(families, parent, change) -> dict:
             row[f"false_converged_{side}"] = sum(
                 "error" not in r and r["converged"] and _uncertified(r) for r in recs)
             row[f"cpu_{side}"] = [round(sum(run[i]["cpu"] for i in at), 3) for run in runs]
+            for key in COUNTS:
+                # None where a side's fits lack the counter
+                vals = [r.get(key) for r in recs if "error" not in r]
+                row[f"{key}_{side}"] = None if None in vals else sum(vals)
         both = [(a, b) for a, b in pairs if not (_uncertified(a) or _uncertified(b))]
         row["winners_differ"] = sum(a["winner"] != b["winner"] for a, b in both)
         row["max_rel_objective_change"] = max(
