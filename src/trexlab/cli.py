@@ -16,7 +16,7 @@ import sys
 from .errors import ConfigError, TrexlabError
 from . import harness
 from .lasso import fit_lasso
-from .norms import NormSpec, l1_spec
+from .norms import GROUP, NormSpec, l1_spec
 from .serialize import (
     ExperimentConfig,
     ParseError,
@@ -67,28 +67,26 @@ def _one_blas_thread() -> None:
 
 _TREX = ("trex", "trex-constrained", "trex-unpenalized")
 # the fit flags that some fits ignore, each with the estimators that read it
-# and the flag it needs beside it: the seed draws only a group penalty's starts
-_FIT_FLAGS = {"bound": (("trex-constrained",), None),
-              "unpenalized": (("trex-unpenalized",), None),
-              "penalty": (("lasso",), None), "groups": (_TREX, None),
-              "c": (_TREX, None), "seed": (_TREX, "groups")}
+_FIT_FLAGS = {"bound": ("trex-constrained",), "unpenalized": ("trex-unpenalized",),
+              "penalty": ("lasso",), "groups": _TREX, "c": _TREX, "seed": _TREX}
 
 
 def cmd_fit(args) -> int:
-    for flag, (estimators, needs) in _FIT_FLAGS.items():
-        if getattr(args, flag) is None:
-            continue
-        if args.estimator not in estimators:
+    for flag, estimators in _FIT_FLAGS.items():
+        if getattr(args, flag) is not None and args.estimator not in estimators:
             raise ConfigError(f"--{flag} does not apply to the {args.estimator} estimator")
-        if needs and getattr(args, needs) is None:
-            raise ConfigError(f"--{flag} does not apply without --{needs}")
-    problem = load_problem(args.problem)
-    config = SolverConfig(**{k: getattr(args, k) for k in ("c", "seed")
-                             if getattr(args, k) is not None})
     spec = l1_spec()
     if args.groups:
         with open(args.groups) as fh:
             spec = NormSpec.from_dict(json.load(fh))
+    # the seed draws only the starts of a group of two or more
+    if args.seed is not None and not (spec.kind == GROUP
+                                      and any(len(g) > 1 for g in spec.partition)):
+        raise ConfigError("--seed does not apply without a --groups spec that has "
+                          "a group of two or more")
+    problem = load_problem(args.problem)
+    config = SolverConfig(**{k: getattr(args, k) for k in ("c", "seed")
+                             if getattr(args, k) is not None})
     if args.estimator == "lasso":
         if args.penalty is None:
             raise ConfigError("--penalty is required for the lasso estimator")
@@ -164,7 +162,9 @@ def cmd_report(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process."""
     ap = argparse.ArgumentParser(prog="trexlab")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -183,7 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--groups", default=None,
                      help="norm spec JSON file; the penalty is l1 without it")
     fit.add_argument("--seed", type=int, default=None,
-                     help="seed of a group penalty's starts (default 0); needs --groups")
+                     help="seed of a group penalty's starts (default 0); needs a "
+                          "--groups spec with a group of two or more")
     fit.add_argument("--out", default="fit.json")
     fit.set_defaults(func=cmd_fit)
 

@@ -9,8 +9,10 @@ subproblems when the penalty is an (optionally weighted) l1 norm: one
 subproblem per coordinate j and sign s, with denominator s * x_j @ (y - x b).
 The subproblems are solved together by proximal gradient descent with
 backtracking, and the best optimum is the global one. Every subproblem
-starts at the exact minimizer of its own objective along its own coordinate
-(``_coordinate_starts``). Each also yields a dual lower bound from its
+starts at the exact minimizer of its own objective along its own coordinate,
+from 0 or, without a bound, from one lasso pilot shared by all of them,
+whichever minimum is lower (``_coordinate_starts``); each choice is closed
+form. Each also yields a dual lower bound from its
 rescaled gradient (Fercoq, Gramfort & Salmon, "Mind the duality gap", 2015):
 it stops once its objective is within the tolerance of its bound, or is
 pruned once its bound lies above the best objective so far by more than a
@@ -78,8 +80,11 @@ MAX_TRIALS = 80
 WIDE_ROUND = 2 ** 14
 # active-set rounds of one face finish (``_face_finish``)
 MAX_FACE_ROUNDS = 40
-# proximal-gradient steps of the lasso that seeds the face finish's supports
+# proximal-gradient steps of every lasso (``_lasso``): the pilot of the
+# unconstrained sign rows' starts and the seed of the face finish's supports
 LASSO_STEPS = 20
+# the pilot lasso of the unconstrained starts is at lam = PILOT c dual(x.T y)
+PILOT = 0.8
 # the certificate tolerance: a sign row converges once its objective minus
 # its dual lower bound is at most TOLERANCE (1 + |F|)
 TOLERANCE = 1e-11
@@ -362,22 +367,27 @@ def _face_lower(C: _Constants, yz, r, M):
     return t * (yz + M @ C.xty - C.bound * (np.abs(M) @ C.w))
 
 
-def _lasso_signs(C: _Constants):
-    """Signs of the weighted lasso 1/2 b.G b - xty.b + lam sum_i w_i |b_i| at
-    lam = c bound / 2 after ``LASSO_STEPS`` proximal-gradient steps of length
-    1 / Lg from 0; all zero where G has fewer than p / 2 dimensions, or no
-    more than the signs that are nonzero."""
+def _lasso(C: _Constants, lam):
+    """The weighted lasso 1/2 b.G b - xty.b + lam sum_i w_i |b_i| after
+    ``LASSO_STEPS`` proximal-gradient steps of length 1 / Lg from 0."""
     G, xty, Lg = C.G, C.xty, C.Lg
-    p = G.shape[0]
-    b = np.zeros(p)
-    th = 0.5 * C.c * C.bound * C.w / Lg
+    b = np.zeros(G.shape[0])
+    th = lam * C.w / Lg
     for _ in range(LASSO_STEPS):
         b = norms.soft_threshold(b + (xty - G @ b) / Lg, th)
-    sig = np.sign(b)
+    return b
+
+
+def _lasso_signs(C: _Constants):
+    """Signs of the weighted lasso (``_lasso``) at lam = c bound / 2; all zero
+    where G has fewer than p / 2 dimensions, or no more than the signs that
+    are nonzero."""
+    sig = np.sign(_lasso(C, 0.5 * C.c * C.bound))
+    p = sig.size
     # with p >> n the supports of the face finish outgrow the rank of G
     # anyway, and a lasso support near the rank only makes the rows' first
     # systems larger, or singular once the row's own coordinate joins
-    rank = np.linalg.matrix_rank(G, hermitian=True)
+    rank = np.linalg.matrix_rank(C.G, hermitian=True)
     if p > 2 * rank or np.count_nonzero(sig) >= rank:
         sig[:] = 0.0
     return sig
@@ -549,37 +559,63 @@ def _spectral_norm_estimate(G: np.ndarray, iters: int = 30) -> float:
     return max(lam, 1e-12)
 
 
-def _coordinate_starts(C: _Constants, j_arr, s_arr, tau):
-    """Start points (K, p) of the sign subproblems and their feasibility.
+def _ray_minima(C: _Constants, j, s, tau, base=None):
+    """The exact minimum of sign rows (j, s) along their own coordinate from
+    ``base`` (0 for None): row k's point is the base with its entry j_k set to
+    beta_k. Returns (beta, F), F the row's objective there.
 
-    Every row starts at the exact minimizer of its own objective along its
-    own coordinate, b = beta * e_j. The weight w = C.w_j both weighs the
-    penalty and divides the denominator. With g = G_jj, m = x_j @ y, mu = s m
-    and v = s * x_j @ (y - beta x_j) = w * D, the objective along that ray is
-    the convex (w / c) (R0 / v + v / g) + (w / g) |v - mu|, with
-    R0 = y @ y - m^2 / g. Its slope vanishes at v_b = sqrt(R0 g / (1 + c))
+    The weight w = C.w_j both weighs the penalty and divides the denominator.
+    With r the residual y - x b0 + b0_j x_j of the base with entry j cleared,
+    g = G_jj, m = x_j @ r, mu = s m and v = s * x_j @ (r - beta x_j) = w * D,
+    the objective along the ray is the convex
+    (w / c) (R0 / v + v / g) + (w / g) |v - mu| + ||b0||_w - w |b0_j|, with
+    R0 = r @ r - m^2 / g. Its slope vanishes at v_b = sqrt(R0 g / (1 + c))
     where v > mu and at v_a = sqrt(R0 g / (1 - c)) (inf when c >= 1) where
     v < mu, so v* = clip(mu, v_b, v_a), floored at tau * w, and
     beta = (m - s v*) / g: exactly 0 when mu lies in [max(v_b, tau w), v_a].
-    A row with G_jj ~ 0 starts at 0 and is feasible only if mu / w exceeds
-    delta.
+    From a base, m and r @ r come from the base's one residual, so a row
+    costs O(1). Every G_jj must be positive.
     """
-    c = C.c
-    B = np.zeros((len(j_arr), C.G.shape[0]))
-    w = C.w[j_arr]
-    m = C.xty[j_arr]
-    mu = s_arr * m
-    diagG = np.diag(C.G)
-    g = diagG[j_arr]
-    dead = g <= 1e-12 * float(np.max(diagG, initial=1.0))
-    feasible = ~dead | (mu / w > C.delta)
-    live = np.flatnonzero(~dead)
-    j, s, w, m, mu, g = j_arr[live], s_arr[live], w[live], m[live], mu[live], g[live]
-    r0g = np.maximum(C.yty - m * m / g, 0.0) * g
+    c, w = C.c, C.w[j]
+    g = np.diag(C.G)[j]
+    if base is None:
+        m, rr, rest = C.xty[j], C.yty, 0.0
+    else:
+        q0, rss0 = _residuals(C, base[None, :])
+        bj, qj = base[j], q0[0, j]
+        m = qj + g * bj
+        rr = rss0[0] + bj * (2.0 * qj + g * bj)
+        rest = np.abs(base) @ C.w - w * np.abs(bj)
+    mu = s * m
+    r0 = np.maximum(rr - m * m / g, 0.0)
+    r0g = r0 * g
     v_b = np.sqrt(r0g / (1.0 + c))
     v_a = np.sqrt(r0g / (1.0 - c)) if c < 1.0 else np.inf
     v = np.maximum(np.minimum(np.maximum(mu, v_b), v_a), tau * w)
-    B[live, j] = (m - s * v) / g
+    return (m - s * v) / g, (w / c) * (r0 / v + v / g) + (w / g) * np.abs(v - mu) + rest
+
+
+def _coordinate_starts(C: _Constants, j_arr, s_arr, tau, base=None):
+    """Start points (K, p) of the sign subproblems and their feasibility.
+
+    Every row starts at the exact minimizer of its own objective along its
+    own coordinate (``_ray_minima``) from 0, b = beta * e_j, or, given a
+    ``base``, from the base when that minimum is lower. A row with G_jj ~ 0
+    starts at 0 and is feasible only if s x_j @ y / w_j exceeds delta.
+    """
+    B = np.zeros((len(j_arr), C.G.shape[0]))
+    diagG = np.diag(C.G)
+    dead = diagG[j_arr] <= 1e-12 * float(np.max(diagG, initial=1.0))
+    feasible = ~dead | (s_arr * C.xty[j_arr] / C.w[j_arr] > C.delta)
+    live = np.flatnonzero(~dead)
+    j, s = j_arr[live], s_arr[live]
+    beta, F = _ray_minima(C, j, s, tau)
+    if base is not None:
+        beta_b, F_b = _ray_minima(C, j, s, tau, base)
+        on = F_b < F
+        B[live[on]] = base
+        beta = np.where(on, beta_b, beta)
+    B[live, j] = beta
     return B, feasible
 
 
@@ -598,12 +634,23 @@ def _sign_rows(C: _Constants, j_arr, s_arr):
     Every row starts at the exact minimizer of its objective along its own
     coordinate (``_coordinate_starts``): b = 0 only when that is the minimizer,
     since a row started at 0 with a small correlation s x_j @ y sits far above
-    its optimum and steps to a dense iterate. Under ``C.bound`` a start that
-    violates the constraint is then repaired: under the default bound
-    dual(x.T y), most ray starts, and all of them where p >> n.
+    its optimum and steps to a dense iterate. Without a bound the ray may also
+    start from one shared pilot, the weighted lasso (``_lasso``) at
+    lam = ``PILOT`` c dual(x.T y): the winning row's KKT point is a weighted
+    lasso at lam = c u / 2, so the pilot already holds much of the signal
+    every row would otherwise find by itself, and a row starts from whichever
+    of 0 and the pilot gives the lower minimum. Under ``C.bound`` the starts
+    come from 0 alone, and a start that violates the constraint is repaired:
+    under the default bound dual(x.T y), most ray starts, and all of them
+    where p >> n.
     """
     tau = max(1e-3 * C.dual0, 10.0 * C.delta)
-    B, feasible = _coordinate_starts(C, j_arr, s_arr, tau)
+    base = None
+    if C.bound is None:
+        base = _lasso(C, PILOT * C.c * C.dual0)
+        # at PILOT c >= 1 the pilot is 0, and so is every start from it
+        base = base if base.any() else None
+    B, feasible = _coordinate_starts(C, j_arr, s_arr, tau, base)
     if C.bound is not None:
         # repair starts that violate the dual constraint: aim the correlation
         # vector at a point strictly inside the constraint set, with one

@@ -21,7 +21,7 @@ from trexlab.datagen import DesignSpec, NoiseSpec, ScenarioSpec, SignalSpec, der
 from trexlab.harness import rows_to_csv, run_verification
 from trexlab.lasso import fit_lasso
 from trexlab.model import RegressionProblem, make_problem
-from trexlab.norms import l1_spec, singleton_groups
+from trexlab.norms import group_spec, l1_spec, singleton_groups
 from trexlab.serialize import ExperimentConfig
 from trexlab.trex import (
     SolverConfig,
@@ -269,3 +269,25 @@ def test_criterion_10_determinism():
     first = rows_to_csv(run_verification(config), timestamp=False)
     second = rows_to_csv(run_verification(config), timestamp=False)
     assert first.encode() == second.encode()
+
+
+def test_criterion_11_general_slow_decided_under_a_group_norm():
+    # 40 seeded instances, n = 40, p = 12, groups of 4, a signal scaled to
+    # margins 1.05 and 2.0 above the signal-strength threshold: the
+    # constrained fit under the group norm decides the general-norm slow-rate
+    # bound, with no violated row and at least 36 of 40 holding
+    spec = group_spec([range(j, j + 4) for j in range(0, 12, 4)])
+    verdicts = []
+    for margin in (1.05, 2.0):
+        for k in range(20):
+            scenario = ScenarioSpec(
+                n=40, p=12, s=4,
+                signal=SignalSpec(kind="scaled_to_signal_strength", margin=margin),
+                seed=derive_seed(1111, f"margin={margin}/instance={k}"))
+            problem, truth = generate(scenario)
+            fit = solve_trex_constrained(problem, spec=spec)
+            rep = verify_trex_slow(problem, truth, fit)
+            assert rep.theorem_id == "general_slow"
+            verdicts.append(rep.verdict)
+    assert "violated" not in verdicts
+    assert verdicts.count("holds") >= 36

@@ -89,6 +89,18 @@ class TestFit:
                                    rtol=1e-9, atol=1e-12)
         assert payload["u_hat"] == pytest.approx(fit.u_hat, rel=1e-9)
 
+    def test_two_calls_in_one_process_parse_their_own_flags(self, problem_csv, tmp_path):
+        # the parser is built once per process; a flag of the first call does
+        # not carry over to the second
+        path, _ = problem_csv
+        cli.build_parser.cache_clear()
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert main(["fit", str(path), "--c", "0.7", "--out", str(first)]) == 0
+        assert main(["fit", str(path), "--out", str(second)]) == 0
+        assert json.loads(first.read_text())["config"]["c"] == 0.7
+        assert json.loads(second.read_text())["config"]["c"] == 0.5
+        assert cli.build_parser.cache_info().misses == 1
+
     def test_pruned_rows_exit_zero(self, tmp_path):
         problem, _ = generate(ScenarioSpec(n=40, p=20, s=2, seed=3))
         path = tmp_path / "problem.csv"
@@ -221,13 +233,19 @@ class TestFit:
         ["--estimator", "lasso", "--penalty", "2.0", "--c", "1.7"],
         ["--estimator", "lasso", "--penalty", "2.0", "--seed", "9"],
         ["--seed", "9"],
+        ["--groups", "singletons.json", "--seed", "9"],
     ], ids=["bound_without_constrained", "unpenalized_without_unpenalized",
             "penalty_without_lasso", "groups_with_lasso", "c_with_lasso", "seed_with_lasso",
-            "seed_without_groups"])
+            "seed_without_groups", "seed_with_singleton_groups"])
     def test_flag_the_estimator_ignores_is_error(self, problem_csv, tmp_path, capsys,
                                                  flags):
         path, _ = problem_csv
         out = tmp_path / "fit.json"
+        # a group spec of singletons only is a weighted l1 penalty: no starts to draw
+        singletons = tmp_path / "singletons.json"
+        singletons.write_text(json.dumps({"kind": "group",
+                                          "partition": [[i] for i in range(1, 7)]}))
+        flags = [str(singletons) if f == "singletons.json" else f for f in flags]
         assert main(["fit", str(path), "--out", str(out)] + flags) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: --")

@@ -1,8 +1,13 @@
 import importlib.util
+import pickle
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from trexlab.model import RegressionProblem
+from trexlab.trex import SolverConfig, solve_trex
 
 _ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(_ROOT / "tools"))
@@ -150,3 +155,29 @@ class TestRegressions:
             monkeypatch.setattr(sign_fit_diff, "summarize", lambda *a, rows=rows: rows)
             assert sign_fit_diff.main(["--base", "HEAD"]) == code
             assert ("worse: a: 2 winners differ" in capsys.readouterr().out) == bool(code)
+
+
+class TestCases:
+    def test_fit_l1_c1_is_fit_l1_at_c_1(self):
+        cases = sign_fit_diff.build_cases(["fit_l1", "fit_l1_c1"])
+        half = [c for c in cases if c["family"] == "fit_l1"]
+        one = [c for c in cases if c["family"] == "fit_l1_c1"]
+        assert len(half) == len(one) == 36
+        assert {c["c"] for c in half} == {0.5} and {c["c"] for c in one} == {1.0}
+        for a, b in zip(half, one):
+            assert not a["constrained"] and not b["constrained"]
+            assert (a["x"] == b["x"]).all() and (a["y"] == b["y"]).all()
+
+    def test_a_side_fits_at_the_case_constant(self, tmp_path):
+        # the runner passes each case's c to the solver
+        case = sign_fit_diff.build_cases(["fit_l1_c1"])[0]
+        case_file = tmp_path / "cases.pkl"
+        case_file.write_bytes(pickle.dumps([case]))
+        rec, = sign_fit_diff.solve_side(str(_ROOT), str(case_file),
+                                        str(tmp_path / "out.json"))
+        fit = solve_trex(RegressionProblem(case["x"], case["y"], normalized=True),
+                         SolverConfig(c=1.0))
+        # the side computes on one BLAS thread, which may move the last bits
+        assert rec["objective"] == pytest.approx(fit.objective, rel=1e-12)
+        assert rec["winner"] == list(fit.winner)
+        assert np.isfinite(rec["cpu"])

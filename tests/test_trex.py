@@ -622,7 +622,7 @@ class TestCertificateFinish:
         assert fit.diagnostics["all_converged"]
         assert 0.0 <= fit.diagnostics["certified_gap"] <= 1e-12 * (1.0 + abs(fit.objective))
 
-    @pytest.mark.parametrize("k, iterations, trial_rounds", [(0, 19, 27), (4, 18, 28)])
+    @pytest.mark.parametrize("k, iterations, trial_rounds", [(0, 20, 30), (4, 18, 29)])
     def test_step_control_counts_are_pinned(self, k, iterations, trial_rounds):
         # the engine's work on two criterion-03 instances: a change to the
         # step control or the line search moves these numbers
@@ -708,6 +708,40 @@ class TestCoordinateStarts:
         D = s_arr[k] * (xty[0] - G[0, 0] * B[k, 0])
         assert D == pytest.approx(tau, rel=1e-9)
         assert D > delta
+
+    @pytest.mark.parametrize("shape", ["tall", "wide"])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("c", [0.5, 1.0])
+    def test_unconstrained_rows_start_at_the_lower_of_two_ray_minima(self, rng, shape,
+                                                                      weighted, c):
+        # without a bound every row keeps the lower of its ray minima from 0
+        # and from the shared lasso pilot, and its closed-form objective there
+        # is the objective computed from its residual
+        n, p = (30, 12) if shape == "tall" else (20, 40)
+        beta = np.zeros(p)
+        beta[:3] = [2.0, -1.5, 1.0]
+        problem = random_problem(rng, n, p, beta=beta)
+        x, y = problem.x, problem.y
+        w = rng.uniform(0.5, 2.0, p) if weighted else np.ones(p)
+        C = trex._constants(problem, SolverConfig(c=c), weighted_l1_spec(w))
+        j_arr, s_arr = np.repeat(np.arange(p), 2), np.tile([-1.0, 1.0], p)
+        tau = max(1e-3 * C.dual0, 10.0 * C.delta)
+        pilot = trex._lasso(C, trex.PILOT * c * C.dual0)
+        assert pilot.any()
+        beta0, F0 = trex._ray_minima(C, j_arr, s_arr, tau)
+        beta1, F1 = trex._ray_minima(C, j_arr, s_arr, tau, pilot)
+        _, B, feasible = trex._sign_rows(C, j_arr, s_arr)
+        assert feasible.all()
+        on = F1 < F0
+        assert on.any()
+        want = np.where(on[:, None], pilot, 0.0)
+        want[np.arange(2 * p), j_arr] = np.where(on, beta1, beta0)
+        np.testing.assert_array_equal(B, want)
+        r = y[None, :] - B @ x.T
+        D = s_arr * np.einsum("kn,nk->k", r, x[:, j_arr]) / w[j_arr]
+        assert (D > C.delta).all()
+        F = np.einsum("kn,kn->k", r, r) / (c * D) + np.abs(B) @ w
+        np.testing.assert_allclose(np.minimum(F0, F1), F, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("shape", ["tall", "wide", "copies", "weighted"])
     @pytest.mark.parametrize("scale", [0.5, 1.0])

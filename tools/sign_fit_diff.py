@@ -3,15 +3,18 @@
     python3 tools/sign_fit_diff.py --base HEAD
     python3 tools/sign_fit_diff.py --base HEAD --family item1 --family wide --repeat 3
 
-Builds every problem once, in this checkout (the ``fit_l1``,
+Builds every problem once, in this checkout (the ``fit_l1``, ``fit_l1_c1``,
 ``fit_constrained`` and ``group`` items come from ``benchmarks/workloads.py``,
 which is only read), then solves them all in one process per side: the base commit,
 extracted as ``tools/bench_pairs.py`` extracts it (into the gitignored
 ``.bench_base/<sha>``), and this checkout, each on one BLAS thread. With
 ``--repeat N`` the sides run N times each, alternating which goes first. The
-families:
+families, every fit at c = 1/2 unless stated:
 
 - ``fit_l1``, ``fit_constrained``: the benchmark items of seed 11, passes 0-1;
+- ``fit_l1_c1``: the ``fit_l1`` items at c = 1, where most rows are pruned
+  within a few iterations, so that the fixed cost of choosing the starts
+  shows in the CPU time;
 - ``item1``: ``solve_trex_constrained`` with the default bound on
   ``ScenarioSpec(n, p, s=5, seed)`` for (40, 200, 3) and (50, 400, 7-9);
 - ``wide``: ``solve_trex`` on (40, 200, 3) and (50, 400, 7);
@@ -59,7 +62,8 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from bench_pairs import base_checkout  # noqa: E402
 
-FAMILIES = ("fit_l1", "fit_constrained", "item1", "wide", "noise", "tiny", "group")
+FAMILIES = ("fit_l1", "fit_l1_c1", "fit_constrained", "item1", "wide", "noise", "tiny",
+            "group")
 CERTIFIED = 1e-9
 # the engine's work counters of a fit's diagnostics, summed per family and side
 COUNTS = ("iterations", "row_iterations", "trial_rounds")
@@ -72,7 +76,7 @@ RUNNER = """
 import json, pickle, sys, time
 from trexlab.model import RegressionProblem
 from trexlab.norms import group_spec, l1_spec, weighted_l1_spec
-from trexlab.trex import solve_trex, solve_trex_constrained
+from trexlab.trex import SolverConfig, solve_trex, solve_trex_constrained
 COUNTS = %r
 cases, out = pickle.load(open(sys.argv[1], "rb")), []
 for case in cases:
@@ -81,12 +85,13 @@ for case in cases:
         spec = group_spec(case["partition"])
     else:
         spec = l1_spec() if case["w"] is None else weighted_l1_spec(case["w"])
+    config = SolverConfig(c=case["c"])
     start = time.process_time()
     try:
         if case["constrained"]:
-            fit = solve_trex_constrained(problem, spec=spec, bound=case["bound"])
+            fit = solve_trex_constrained(problem, config, spec, bound=case["bound"])
         else:
-            fit = solve_trex(problem, spec=spec)
+            fit = solve_trex(problem, config, spec)
         rec = {"objective": fit.objective, "winner": list(fit.winner),
                "gap": fit.diagnostics["certified_gap"],
                "converged": fit.diagnostics["all_converged"]}
@@ -99,9 +104,9 @@ json.dump(out, open(sys.argv[2], "w"))
 """ % (COUNTS,)
 
 
-def _case(family, problem, constrained, w=None, bound=None, partition=None):
+def _case(family, problem, constrained, w=None, bound=None, partition=None, c=0.5):
     return {"family": family, "x": problem.x, "y": problem.y, "w": w,
-            "constrained": constrained, "bound": bound, "partition": partition}
+            "constrained": constrained, "bound": bound, "partition": partition, "c": c}
 
 
 def build_cases(families) -> list:
@@ -112,11 +117,13 @@ def build_cases(families) -> list:
 
     cases = []
     with tempfile.TemporaryDirectory() as work:
-        for family, workload in (("fit_l1", FitL1), ("fit_constrained", FitConstrained)):
+        for family, workload, c in (("fit_l1", FitL1, 0.5), ("fit_l1_c1", FitL1, 1.0),
+                                    ("fit_constrained", FitConstrained, 0.5)):
             if family in families:
                 for pass_index in (0, 1):
                     for item in workload(11, False, work).make_pass(pass_index):
-                        cases.append(_case(family, item.problem, family != "fit_l1"))
+                        cases.append(_case(family, item.problem,
+                                           family == "fit_constrained", c=c))
         if "group" in families:
             for pass_index in (0, 1):
                 for item in FitGroup(11, False, work).make_pass(pass_index):
