@@ -93,9 +93,10 @@ class CompatibilityEstimate:
     exact: bool
 
 
-def _noise_dual(problem: RegressionProblem, truth: GroundTruth,
-                spec: NormSpec) -> float:
-    return omega_dual(spec, problem.x.T @ truth.epsilon)
+def noise_dual(problem: RegressionProblem, truth: GroundTruth,
+               spec: NormSpec = None) -> float:
+    """dual(x.T epsilon) in the dual norm of ``spec`` (l1 for None: max |x.T epsilon|)."""
+    return omega_dual(spec or l1_spec(), problem.x.T @ truth.epsilon)
 
 
 def _validate_kappas(kappa1: float, kappa2: float):
@@ -109,7 +110,7 @@ def small_signal_threshold(truth: GroundTruth, problem: RegressionProblem,
                            kappa1: float = 2.0, kappa2: float = 8.0) -> float:
     """Largest l1 signal size compatible with the fast-rate analysis."""
     _validate_kappas(kappa1, kappa2)
-    noise = float(np.max(np.abs(problem.x.T @ truth.epsilon)))
+    noise = noise_dual(problem, truth)
     energy = float(truth.epsilon @ truth.epsilon)
     factor = 0.25 * (1.0 - 1.0 / kappa1 - 2.0 / kappa2)
     if noise == 0.0:
@@ -139,7 +140,7 @@ def check_assumption_signal_strength(truth: GroundTruth, problem: RegressionProb
     """
     spec = spec or l1_spec()
     lhs = omega_dual(spec, problem.x.T @ (problem.x @ truth.beta_star))
-    noise = _noise_dual(problem, truth, spec)
+    noise = noise_dual(problem, truth, spec)
     rhs = (1.0 + 2.0 / c) * noise
     main = AssumptionCheck("signal_strength", lhs >= rhs, lhs, rhs)
     data_lhs = omega_dual(spec, problem.x.T @ problem.y)
@@ -258,7 +259,7 @@ def verify_lasso_fast(problem: RegressionProblem, truth: GroundTruth,
                       fit: LassoFit, nu: float) -> BoundReport:
     """Fast-rate bound 16 s lam^2 / (nu^2 n^2), gated on lam >= 2 * noise dual
     and nu > 0."""
-    noise = float(np.max(np.abs(problem.x.T @ truth.epsilon)))
+    noise = noise_dual(problem, truth)
     gate = AssumptionCheck("penalty_ge_2_noise", fit.lam >= 2.0 * noise,
                            fit.lam, 2.0 * noise)
     s = truth.sparsity
@@ -273,7 +274,7 @@ def verify_lasso_fast(problem: RegressionProblem, truth: GroundTruth,
 def verify_lasso_slow(problem: RegressionProblem, truth: GroundTruth,
                       fit: LassoFit) -> BoundReport:
     """Slow-rate bound 4 lam ||beta_star||_1 / n, gated on lam >= noise dual."""
-    noise = float(np.max(np.abs(problem.x.T @ truth.epsilon)))
+    noise = noise_dual(problem, truth)
     gate = AssumptionCheck("penalty_ge_noise", fit.lam >= noise, fit.lam, noise)
     lhs = prediction_loss(problem, truth, fit.beta_hat)
     rhs = 4.0 * fit.lam * float(np.sum(np.abs(truth.beta_star))) / problem.n
@@ -285,7 +286,7 @@ def reference_penalty(problem: RegressionProblem, truth: GroundTruth,
                       u_hat: float, c: float,
                       kappa1: float = 2.0, kappa2: float = 8.0) -> float:
     """Data-plus-oracle penalty max{kappa1 * u_hat, (kappa2 / c) * noise dual}."""
-    noise = float(np.max(np.abs(problem.x.T @ truth.epsilon)))
+    noise = noise_dual(problem, truth)
     return max(kappa1 * u_hat, kappa2 * noise / c)
 
 
@@ -309,7 +310,7 @@ def verify_trex_fast_via_lasso(problem: RegressionProblem, truth: GroundTruth,
     a_small, u_gate = _fast_gates(problem, truth, fit, kappa1, kappa2)
     lam = reference_penalty(problem, truth, fit.u_hat, fit.config.c, kappa1, kappa2)
     ref = fit_lasso(problem, lam)
-    noise = float(np.max(np.abs(problem.x.T @ truth.epsilon)))
+    noise = noise_dual(problem, truth)
     n = problem.n
     loss_ref = prediction_loss(problem, truth, ref.beta_hat)
     l1_err = float(np.sum(np.abs(ref.beta_hat - truth.beta_star)))
@@ -357,10 +358,10 @@ def verify_trex_fast_compat(problem: RegressionProblem, truth: GroundTruth,
                                "s": s, "constant": coef})
 
 
-def trex_slow_rhs(noise_dual: float, u_hat: float, c: float,
+def trex_slow_rhs(noise: float, u_hat: float, c: float,
                   signal_norm: float, n: int) -> float:
-    """Right-hand side (2 d + max{u_hat, 2 d / c}) * signal_norm / n."""
-    return (2.0 * noise_dual + max(u_hat, 2.0 * noise_dual / c)) * signal_norm / n
+    """Right-hand side (2 d + max{u_hat, 2 d / c}) * signal_norm / n, d the noise dual."""
+    return (2.0 * noise + max(u_hat, 2.0 * noise / c)) * signal_norm / n
 
 
 def verify_trex_slow(problem: RegressionProblem, truth: GroundTruth,
@@ -371,7 +372,7 @@ def verify_trex_slow(problem: RegressionProblem, truth: GroundTruth,
     (the formulas coincide for the l1 spec).
     """
     spec = spec or fit.spec
-    noise = _noise_dual(problem, truth, spec)
+    noise = noise_dual(problem, truth, spec)
     main, implied = check_assumption_signal_strength(truth, problem, fit.config.c,
                                                      spec)
     data_dual = omega_dual(spec, problem.x.T @ problem.y)

@@ -18,6 +18,7 @@ import json
 import os
 import pickle
 import signal
+from dataclasses import replace
 
 import numpy as np
 
@@ -57,11 +58,10 @@ def run_cell(config: ExperimentConfig, scenario_idx: int, replicate: int) -> lis
     """Evaluate every requested theorem on one synthetic instance."""
     scenario = config.scenarios[scenario_idx]
     seed = derive_seed(scenario.seed, f"replicate={replicate}")
-    from dataclasses import replace
     inst_spec = replace(scenario, seed=seed)
     problem, truth = generate(inst_spec)
     spec = config.norm or l1_spec()
-    noise_dual = float(np.max(np.abs(problem.x.T @ truth.epsilon)))
+    noise_dual = bd.noise_dual(problem, truth)
 
     trex_fit = None
     if _TREX_THEOREMS & set(config.theorems):

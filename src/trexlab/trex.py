@@ -41,12 +41,15 @@ Every start is one row of the same batched engine, with the group prox in
 place of soft thresholding; group rows are neither certified, pruned nor
 polished. So every fit, sign or group, is one engine call.
 
+Exact copies, x_k = +-x_j with equal weights, make rows (k, s) and (j, +-s)
+the same function, so a sign fit solves only the first copy (``_copy_sets``).
+
 A row is defined once. Every stage reads the constants of the fit (G = x.T x,
-x.T y, y.y, c, the weights, delta, the bound, ||G||_2 and the copies) from
-one record (``_Constants``, built by ``_constants``); q = x.T (y - x b) and
-rss of any rows come from ``_residuals``, a sign row's gradient and the y.z
-of its dual bound from ``_sign_gradient``, and every penalty, dual norm and
-soft threshold from ``norms``.
+x.T y, y.y, c, the weights, delta, the bound and ||G||_2) from one record
+(``_Constants``, built by ``_constants``); q = x.T (y - x b) and rss of any
+rows come from ``_residuals``, a sign row's gradient and the y.z of its dual
+bound from ``_sign_gradient``, and every penalty, dual norm and soft
+threshold from ``norms``.
 
 The engine's cost at the sizes of ``trexlab verify`` is its number of batched
 rounds, not arithmetic: each backtracking round (``_ladder``) holds at least
@@ -167,27 +170,34 @@ def _near_margin(f):
     return max(1e-6 * (1.0 + abs(f)), 1e-8)
 
 
-def _copies(G, pen_w):
-    """The sets of copies, columns equal up to sign: a 0/1 matrix (p, m)
-    whose column c marks the c-th set, or None if there is none.
-
-    i and k are copies when |G_ik| >= (1 - 1e-9) max(G_ii, G_kk) and
-    w_i = w_k; each coordinate joins the set of its first copy. Any split of
-    a coefficient between copies has the same objective in every sign row,
-    and two copies in a support make G_SS singular.
-    """
-    g = np.diag(G)
-    same = (np.abs(G) >= (1.0 - 1e-9) * np.maximum.outer(g, g)) & (pen_w[:, None] == pen_w)
-    first = np.argmax(same, axis=1)
-    lead = np.unique(first[first != np.arange(g.size)])
-    return (first[:, None] == lead).astype(float) if lead.size else None
+def _copy_sets(x, w):
+    """The sets of copies: columns of x equal up to sign, bit for bit, with
+    equal weights w. Returns (keep, pos, flip) with x == x[:, keep][:, pos] *
+    flip, keep the first column of every set. Copies share |v.x_k| for a
+    fixed v, summed elementwise (a BLAS product need not give copies equal
+    values); ``np.array_equal`` confirms each among the columns sharing it."""
+    n, p = x.shape
+    key = np.abs((x * np.cos(np.arange(n))[:, None]).sum(axis=0))
+    # a stable sort keeps the column order within a run of equal keys
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    lead, flip = np.arange(p), np.ones(p)
+    for i in np.flatnonzero(key[1:] == key[:-1]) + 1:
+        m = order[i]
+        for k in order[np.searchsorted(key, key[i]):i]:
+            if lead[m] == m and lead[k] == k and w[k] == w[m]:
+                if np.array_equal(x[:, m], x[:, k]):
+                    lead[m] = k
+                elif np.array_equal(x[:, m], -x[:, k]):
+                    lead[m], flip[m] = k, -1.0
+    keep = np.flatnonzero(lead == np.arange(p))
+    return keep, np.searchsorted(keep, lead), flip
 
 
 class _Constants(NamedTuple):
     """What every stage of one fit reads, built once by ``_constants``: G = x.T x,
-    xty = x.T y, yty = y.y, c, the ``spec`` of every penalty and dual norm (a
-    group spec of singletons as its equal weighted-l1 spec), the weights w and
-    ``copies`` of a sign decomposition (None for a group penalty), dual0 =
+    xty = x.T y, yty = y.y, c, the ``spec`` of every penalty and dual norm,
+    the weights w of a sign decomposition (None for a group penalty), dual0 =
     dual(x.T y), delta = ``DELTA`` dual0, the ``bound`` (None for none), the
     estimate Lg of ||G||_2 and the ``seed`` of the group starts."""
 
@@ -197,7 +207,6 @@ class _Constants(NamedTuple):
     c: float
     spec: NormSpec
     w: np.ndarray
-    copies: np.ndarray
     dual0: float
     delta: float
     bound: float
@@ -210,17 +219,11 @@ def _constants(problem: RegressionProblem, config: SolverConfig, spec: NormSpec,
     x, y = problem.x, problem.y
     G = x.T @ x
     xty = x.T @ y
-    w = copies = None
-    # a group penalty with a group of two or more has no sign decomposition
-    if spec.kind != norms.GROUP or all(len(g) == 1 for g in spec.partition):
-        w = penalty_weight_vector(spec, problem.p)
-        if spec.kind == norms.GROUP:
-            spec = norms.weighted_l1_spec(w)
-        copies = _copies(G, w)
+    w = None if spec.kind == norms.GROUP else penalty_weight_vector(spec, problem.p)
     dual0 = omega_dual(spec, xty)
     if dual0 <= 0.0:
         raise DomainError("dual norm of x.T y is zero; the objective is undefined at 0")
-    return _Constants(G, xty, float(y @ y), config.c, spec, w, copies, dual0,
+    return _Constants(G, xty, float(y @ y), config.c, spec, w, dual0,
                       DELTA * dual0, bound, _spectral_norm_estimate(G), config.seed)
 
 
@@ -260,10 +263,8 @@ def _face_points(C: _Constants, j, s, S, sig, face):
         G_AS b_S             = xty_A - face_A w_A,
 
     a bordered system solved for three right-hand sides by ``solve``. A row
-    whose support holds two copies (``copies``, from ``_copies``), or whose
-    ``solve`` fails, takes the pseudo-inverse: there G_SS is singular, and
-    ``solve`` can pass its residual test with an arbitrary split between the
-    copies, where the pseudo-inverse gives the least-norm one. With no faces
+    whose ``solve`` fails its residual test takes the pseudo-inverse, the
+    least-norm solution of a singular system. With no faces
     this is the polish of ``_solve_subproblems``. With the row's own face j
     in A_r, D is fixed and the system is linear in b; otherwise D is affine
     in alpha, so alpha solves one quadratic. The root with D > 0 and the
@@ -295,12 +296,9 @@ def _face_points(C: _Constants, j, s, S, sig, face):
     rhs[:, :mS, 2] = pen_w[Sidx] * sig[rr, Sidx]
     rhs *= val[:, :, None]
     U, bad = np.zeros_like(rhs), np.zeros(R, dtype=bool)
-    if C.copies is not None:
-        bad = (S @ C.copies > 1.0).any(axis=1)
-    if n and not bad.all():
-        go = ~bad if bad.any() else slice(None)
+    if n:
         try:
-            U[go] = np.linalg.solve(Mx[go], rhs[go])
+            U = np.linalg.solve(Mx, rhs)
         except np.linalg.LinAlgError:
             bad[:] = True
         with np.errstate(invalid="ignore", over="ignore"):
@@ -399,9 +397,8 @@ def _face_finish(C: _Constants, j, s, B, incumbent):
     An active-set iteration on the support S with signs sig and the active
     faces, the nonzero entries of their sides tau. Every support starts from
     one shared seed, the signs of the weighted lasso at lam = c bound / 2 on
-    (G, xty) (``_lasso_signs``), less the later copies of each set of
-    ``copies`` and the other copies of j; the
-    row's own coordinate j joins with the sign of B_j unless B_j = 0. The
+    (G, xty) (``_lasso_signs``); the row's own coordinate j joins with the
+    sign of B_j unless B_j = 0. The
     seed changes how many rounds a row takes, not the KKT point it reaches.
     The faces start as those B lies within a relative 1e-6 of. Each round
     moves every row to the stationary point of its current sets
@@ -414,8 +411,7 @@ def _face_finish(C: _Constants, j, s, B, incumbent):
       |(g - G m)_i| / w_i - 1 is positive and at least half the row's
       largest (after 10 rounds only the largest, which damps a row that
       cycles), with sign -sign((g - G m)_i), g the gradient of the smooth
-      part; of a set of copies (``copies``, columns equal up to sign)
-      only the first, and none while one of the set is in the support;
+      part;
     - adds the face the point violates most, if any; a row that meets a new
       face keeps its support and signs, since the face stops the move
       before a sign changes.
@@ -440,7 +436,7 @@ def _face_finish(C: _Constants, j, s, B, incumbent):
     bound that pruned them; rows with status 0 reached none of these within
     ``MAX_FACE_ROUNDS``. ``rounds`` counts the rounds each row took part in.
     """
-    G, c, pen_w, bound, copies = C.G, C.c, C.w, C.bound, C.copies
+    G, c, pen_w, bound = C.G, C.c, C.w, C.bound
     R, p = B.shape
     out_B, out_M = B.copy(), np.zeros((R, p))
     lower = np.full(R, -np.inf)
@@ -452,12 +448,7 @@ def _face_finish(C: _Constants, j, s, B, incumbent):
     # better one for every row
     rows = np.arange(R)
     sig = np.tile(_lasso_signs(C), (R, 1))
-    if copies is not None:
-        # a support adds only the first of a set of copies, and none of a set it holds
-        later = (np.cumsum(copies, axis=0) * copies).sum(axis=1) > 1.0
-        sig[:, later] = 0.0
-        sig[copies[j] @ copies.T > 0.0] = 0.0
-    own = B[rows, j] != 0.0
+    own =B[rows, j] != 0.0
     sig[rows[own], j[own]] = np.sign(B[rows[own], j[own]])
     S = sig != 0.0
     tau = np.sign(q) * (np.abs(q) >= bound * (1.0 - 1e-6) * pen_w)
@@ -493,8 +484,6 @@ def _face_finish(C: _Constants, j, s, B, incumbent):
         over = np.where(Sr, 0.0, resid / pen_w - 1.0)
         share = 0.5 if round_ < 10 else 1.0
         add_S = (over > 1e-12) & (over >= share * over.max(axis=1, keepdims=True))
-        if copies is not None:
-            add_S &= ~later & (Sr @ copies @ copies.T == 0.0)
         keep_A = Ar & (tau[run] * Mt > 0.0)
         # the most violated face only: a far point violates many
         over = np.where(Ar, 0.0, np.abs(qt) / pen_w - bound)
@@ -1097,17 +1086,32 @@ def _solve(problem: RegressionProblem, config: SolverConfig, spec: NormSpec,
            bound=None) -> TrexFit:
     """The fit of ``solve_trex``, under ``bound`` (None, or positive and
     finite) when given; the caller checks the problem. Every stage reads the
-    constants of the fit from one record (``_constants``)."""
-    C = _constants(problem, config, spec, bound)
-    heuristic = C.w is None
+    constants of the fit from one record (``_constants``), built for a sign
+    fit on the first column of every set of copies only (``_copy_sets``),
+    with a group spec of singletons as its weighted-l1 spec. Row (k, s) of a
+    copy x_k = flip_k x_j is row (j, flip_k s), and has its record."""
+    heuristic = spec.kind == norms.GROUP and any(len(g) > 1 for g in spec.partition)
+    fit_problem, fit_spec = problem, spec
+    if heuristic:
+        identities = [(gi,) for gi in range(len(spec.partition))]
+        sub = np.arange(len(identities))
+    else:
+        w = penalty_weight_vector(spec, problem.p)
+        keep, pos, flip = _copy_sets(problem.x, w)
+        if keep.size < problem.p:
+            fit_problem = RegressionProblem(problem.x[:, keep], problem.y)
+        if keep.size < problem.p or spec.kind == norms.GROUP:
+            fit_spec = spec if spec.kind == norms.L1 else norms.weighted_l1_spec(w[keep])
+        j_arr, s_arr = np.repeat(np.arange(problem.p), 2), np.tile([-1.0, 1.0], problem.p)
+        identities = [(int(j), int(s)) for j, s in zip(j_arr, s_arr)]
+        # every subproblem's row among the fitted rows: the first 2 m of
+        # (0, -1), (0, 1), (1, -1), ... for m fitted columns
+        sub = 2 * pos[j_arr] + (flip[j_arr] * s_arr > 0.0)
+    C = _constants(fit_problem, config, fit_spec, bound)
     if heuristic:
         rows, B, feasible = _group_rows(C)
-        identities = [(gi,) for gi in range(len(spec.partition))]
     else:
-        j_arr = np.repeat(np.arange(problem.p), 2)
-        s_arr = np.tile([-1.0, 1.0], problem.p)
-        rows, B, feasible = _sign_rows(C, j_arr, s_arr)
-        identities = [(int(j), int(s)) for j, s in zip(j_arr, s_arr)]
+        rows, B, feasible = _sign_rows(C, j_arr[:2 * keep.size], s_arr[:2 * keep.size])
     res = _solve_subproblems(C, rows, B, feasible)
 
     if not np.isfinite(np.min(res.objective)):
@@ -1117,16 +1121,17 @@ def _solve(problem: RegressionProblem, config: SolverConfig, spec: NormSpec,
         raise DomainError("all subproblems infeasible; input is degenerate")
 
     # one record per subproblem: the best of its per_sub consecutive rows
-    n_sub = len(identities)
-    per_sub = len(B) // n_sub
-    top = (np.argmin(res.objective.reshape(n_sub, per_sub), axis=1)
-           + per_sub * np.arange(n_sub))
+    n_sub, per_sub = len(identities), (MULTISTARTS if heuristic else 1)
+    n_fit = len(B) // per_sub
+    top = (np.argmin(res.objective.reshape(n_fit, per_sub), axis=1)
+           + per_sub * np.arange(n_fit))[sub]
     objs = res.objective[top]
     converged, pruned = res.converged[top], res.pruned[top]
-    feasible = res.feasible.reshape(n_sub, per_sub).any(axis=1)
+    feasible = res.feasible.reshape(n_fit, per_sub).any(axis=1)[sub]
     records = tuple(SubproblemRecord(identities[k], float(objs[k]), bool(converged[k]),
                                      bool(feasible[k]), bool(pruned[k])) for k in range(n_sub))
 
+    # a copy ties with its first copy, which comes first: the winner is a first copy
     win = int(np.flatnonzero(objs <= np.min(objs) + TIE_TOL)[0])
     beta = res.beta[top[win]]
     u_hat = omega_dual(C.spec, res.q[top[win]])
@@ -1135,8 +1140,11 @@ def _solve(problem: RegressionProblem, config: SolverConfig, spec: NormSpec,
                                       "constrained variant or check the problem scaling")
     # the residual itself: near an exact fit of y, y.y - 2 b.x.T y + b.G b
     # loses the small rss to cancellation
-    r = problem.y - problem.x @ beta
+    r = fit_problem.y - fit_problem.x @ beta
     objective = float(r @ r) / (C.c * u_hat) + omega(C.spec, beta)
+    if fit_problem is not problem:
+        beta = np.zeros(problem.p)
+        beta[keep] = res.beta[top[win]]
     winner = identities[win]
     if spec.kind == norms.GROUP and not heuristic:
         winner = (next(gi for gi, g in enumerate(spec.partition) if g[0] == winner[0]),)

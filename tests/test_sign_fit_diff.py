@@ -181,3 +181,26 @@ class TestCases:
         assert rec["objective"] == pytest.approx(fit.objective, rel=1e-12)
         assert rec["winner"] == list(fit.winner)
         assert np.isfinite(rec["cpu"])
+
+    def test_copies_family_plants_pairs_triples_and_weights(self):
+        cases = sign_fit_diff.build_cases(["copies"])
+        assert len(cases) == 48 and {c["family"] for c in cases} == {"copies"}
+        pairs, triples, equal, unequal = set(), 0, 0, 0
+        for free, bounded in zip(cases[::2], cases[1::2]):
+            # each problem unconstrained and at the default bound
+            assert not free["constrained"] and bounded["constrained"]
+            assert bounded["bound"] is None and free["x"] is bounded["x"]
+            x, w = free["x"], free["w"]
+            p = x.shape[1]
+            copies = [(i, k) for i in range(p) for k in range(i + 1, p)
+                      if np.array_equal(x[:, i], x[:, k]) or np.array_equal(x[:, i], -x[:, k])]
+            pairs.add(sum(k == i + 1 for i, k in copies))
+            triples += (0, p - 1) in copies
+            if w is not None:
+                equal += sum(w[i] == w[k] for i, k in copies)
+                unequal += sum(w[i] != w[k] for i, k in copies)
+        assert pairs == {1, 2, 3, 4} and triples == 6
+        assert equal and unequal
+        # random column sign flips: the first pair is flipped in some designs
+        flipped = sum(np.array_equal(c["x"][:, 0], -c["x"][:, 1]) for c in cases)
+        assert 0 < flipped < len(cases)

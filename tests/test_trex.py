@@ -1,5 +1,6 @@
 import collections
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -55,11 +56,9 @@ def _settles_nothing(C, j, s, B, incumbent):
 
 
 def _stalling_instance():
-    """Duplicated columns, pairs (0, 1) and (2, 3): under the default bound and
-    without the face finish, one sign row's line search stalls on a face."""
-    problem, _ = generate(ScenarioSpec(
-        n=15, p=10, s=2, seed=31,
-        design=DesignSpec(kind="duplicated_columns", duplicates=2)))
+    """An iid design without copies: under the default bound and without the
+    face finish, one sign row's line search stalls on a face."""
+    problem, _ = generate(ScenarioSpec(n=15, p=10, s=2, seed=43))
     return problem
 
 
@@ -373,6 +372,87 @@ class TestEquivariance:
             assert moved.winner == image
 
 
+# a design with planted copies: column k is SOURCE[k] of ten iid columns
+# times SIGNS[k]; columns 3 and 12 are flipped copies of 0 and 2, and 1, 6
+# and 10 are a triple. The first copies are columns 0-2, 4, 5, 7-9, 11 and 13,
+# in the order of the ten iid columns
+SOURCE = np.array([0, 1, 2, 0, 3, 4, 1, 5, 6, 7, 1, 8, 2, 9])
+SIGNS = np.array([1, 1, 1, -1, 1, 1, 1, 1, 1, 1, -1, 1, -1, 1.0])
+LATER = [3, 6, 10, 12]
+FIRST = [0, 1, 2, 4, 5, 7, 8, 9, 11, 13]
+
+# the three estimators; the unpenalized one leaves the last column, no copy,
+# unpenalized
+COPY_SOLVERS = {
+    "trex": solve_trex,
+    "constrained": solve_trex_constrained,
+    "unpenalized": lambda problem: solve_trex_unpenalized(problem,
+                                                          unpenalized=(problem.p - 1,)),
+}
+
+
+class TestCopies:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), p=st.integers(1, 8),
+           planted=st.integers(0, 8), zeros=st.integers(0, 3), weighted=st.booleans())
+    def test_copy_sets_are_exact_and_complete(self, seed, n, p, planted, zeros, weighted):
+        # unnormalized columns: p iid, ``planted`` copies of earlier columns
+        # (copies of copies too) with random signs and ``zeros`` zero
+        # columns, shuffled; weights 1 or 2, so some copies differ in weight
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, p))
+        for _ in range(planted):
+            x = np.column_stack([x, rng.choice([-1.0, 1.0]) * x[:, rng.integers(x.shape[1])]])
+        x = np.column_stack([x, np.zeros((n, zeros))])[:, rng.permutation(p + planted + zeros)]
+        w = rng.choice([1.0, 2.0], x.shape[1]) if weighted else np.ones(x.shape[1])
+        keep, pos, flip = trex._copy_sets(x, w)
+        assert np.array_equal(x, x[:, keep][:, pos] * flip)
+        assert np.array_equal(w, w[keep][pos])
+        assert (np.diff(keep) > 0).all() and (keep[pos] <= np.arange(x.shape[1])).all()
+        for a, k in enumerate(keep):
+            for m in keep[a + 1:]:
+                assert not (w[k] == w[m] and (np.array_equal(x[:, k], x[:, m])
+                                              or np.array_equal(x[:, k], -x[:, m])))
+
+    def test_zero_columns_of_an_unnormalized_problem(self, rng):
+        # three zero columns merge into one, whose rows are infeasible
+        problem = random_problem(rng, 12, 5)
+        x = np.column_stack([problem.x[:, :2], np.zeros((12, 2)), problem.x[:, 2:],
+                             np.zeros(12)])
+        fit = trex._solve(RegressionProblem(x, problem.y), SolverConfig(), l1_spec())
+        ref = trex._solve(problem, SolverConfig(), l1_spec())
+        assert fit.objective == pytest.approx(ref.objective, rel=1e-12)
+        records = {r.identity: r for r in fit.per_subproblem}
+        for k in (2, 3, 7):
+            assert fit.beta_hat[k] == 0.0
+            assert not (records[(k, -1)].feasible or records[(k, 1)].feasible)
+
+    @pytest.mark.parametrize("solver", COPY_SOLVERS)
+    def test_planted_copies_match_the_design_without_them(self, solver):
+        solve = COPY_SOLVERS[solver]
+        # the signal lies on the sources of the copies
+        problem = random_problem(np.random.default_rng(5), 30, 10,
+                                 beta=np.append([2.0, -1.5, 1.0], np.zeros(7)))
+        x = problem.x[:, SOURCE] * SIGNS
+        fit = solve(RegressionProblem(x, problem.y, normalized=True))
+        ref = solve(problem)
+        f = fit.objective
+        assert f == pytest.approx(ref.objective, rel=1e-12)
+        for each in (fit, ref):
+            assert each.diagnostics["all_converged"]
+            assert each.diagnostics["certified_gap"] <= trex.TOLERANCE * (1.0 + abs(f))
+        assert (fit.beta_hat[LATER] == 0.0).all() and fit.beta_hat[:3].all()
+        np.testing.assert_allclose(fit.beta_hat[FIRST], ref.beta_hat, rtol=1e-9, atol=1e-12)
+        assert fit.winner == (FIRST[ref.winner[0]], ref.winner[1])
+        # row (k, s) of a copy is row (j, flip s) of its first copy j
+        records = {r.identity: r for r in fit.per_subproblem}
+        for k in LATER:
+            j = FIRST[SOURCE[k]]
+            for s in (-1, 1):
+                lead = records[(j, int(SIGNS[k] * SIGNS[j]) * s)]
+                assert records[(k, s)] == replace(lead, identity=(k, s))
+
+
 class TestGroupPenalty:
     def test_group_solution_no_worse_than_coordinate_one(self, rng):
         problem = random_problem(rng, 12, 4)
@@ -477,13 +557,13 @@ class TestPruning:
         assert 0.0 <= fit.diagnostics["certified_gap"] <= 1e-12 * (1.0 + abs(fit.objective))
 
     def test_stalled_rows_count_as_unconverged(self, monkeypatch, tmp_path):
-        # duplicated columns under the dual constraint: the face finish solves
-        # every row, but without it the line search stalls on 1 row, and a
-        # stalled row whose certificate does not close is not converged
+        # under the dual constraint the face finish solves every row, but
+        # without it the line search stalls on 1 row, and a stalled row whose
+        # certificate does not close is not converged
         problem = _stalling_instance()
         fit = solve_trex_constrained(problem)
         assert fit.diagnostics["stalled"] == 0 and fit.diagnostics["all_converged"]
-        assert fit.objective == pytest.approx(2.3382695743712616, rel=1e-9)
+        assert fit.objective == pytest.approx(3.701163474318186, rel=1e-9)
         assert solve_trex(problem).diagnostics["stalled"] == 0
 
         monkeypatch.setattr(trex, "_face_finish", _settles_nothing)
@@ -567,19 +647,6 @@ class TestCertificateFinish:
         assert ok[0]
         np.testing.assert_allclose(polished[0], ref, rtol=1e-6, atol=1e-8)
         assert subproblem_objective(problem, polished[0], 0.5, j, s) <= ref_f + 1e-12 * ref_f
-        # one more column, a sign-flipped copy of support coordinate k: with
-        # both in the support G_SS is singular, and the point is the least-norm
-        # restricted optimum, ref with ref_k split evenly between the copies
-        x = problem.x
-        for k in np.setdiff1d(np.flatnonzero(b), [j]):
-            xk = np.column_stack([x, -x[:, k]])
-            split = np.append(start, -0.5 * start[k])
-            split[k] *= 0.5
-            polished, ok = _polish(RegressionProblem(xk, problem.y), j, s, split[None, :])
-            want = np.append(ref, -0.5 * ref[k])
-            want[k] *= 0.5
-            assert ok[0]
-            np.testing.assert_allclose(polished[0], want, rtol=1e-6, atol=1e-8)
 
     def test_polish_returns_none_when_a_sign_flips(self):
         # at the row optimum every coordinate i off the support has
@@ -595,15 +662,18 @@ class TestCertificateFinish:
         assert not ok.any()
 
     def test_duplicated_columns_certified(self):
-        # the winning support holds a duplicated pair, so G_SS is singular
+        # pairs (0, 1) and (2, 3): the fit solves the design without the
+        # later copies and puts each coefficient on the first copy
         problem, _ = generate(ScenarioSpec(
             n=50, p=100, s=5, seed=2,
             design=DesignSpec(kind="duplicated_columns", duplicates=2)))
         fit = solve_trex(problem)
-        S = np.flatnonzero(fit.beta_hat)
-        G_SS = problem.x[:, S].T @ problem.x[:, S]
-        assert np.linalg.matrix_rank(G_SS) < S.size
-        assert 0.0 <= fit.diagnostics["certified_gap"] <= 1e-12 * (1.0 + abs(fit.objective))
+        f = fit.objective
+        assert 0.0 <= fit.diagnostics["certified_gap"] <= 1e-12 * (1.0 + abs(f))
+        assert fit.beta_hat[1] == fit.beta_hat[3] == 0.0 != fit.beta_hat[2]
+        rest = np.setdiff1d(np.arange(problem.p), [1, 3])
+        dropped = solve_trex(RegressionProblem(problem.x[:, rest], problem.y, normalized=True))
+        assert f == pytest.approx(dropped.objective, rel=1e-12)
 
     @staticmethod
     def _criterion_03_instance(k):
@@ -871,8 +941,8 @@ def _plain_ladder(t, t_floor, cap, trial, out, dest):
 
 def _engine_case(kind, rng, monkeypatch):
     """Engine inputs: all 2p l1 rows, all 2p rows of a stalling constrained
-    instance (duplicated columns under the default bound, one row moved to
-    the iterate before it stalls), or group rows."""
+    instance (under the default bound, one row moved to the iterate before it
+    stalls), or group rows."""
     config = SolverConfig()
     if kind == "bound":
         problem = _stalling_instance()
@@ -889,13 +959,13 @@ def _engine_case(kind, rng, monkeypatch):
         rows, B, feasible = trex._sign_rows(C, np.repeat(np.arange(p), 2),
                                             np.tile([-1.0, 1.0], p))
     if kind == "bound":
-        # no row stalls at its first step from its start, but row 17 (j = 8,
-        # s = +1) stalls at its eighth step without the face finish: it
+        # no row stalls at its first step from its start, but row 1 (j = 0,
+        # s = +1) stalls at its seventh step without the face finish: it
         # starts from the iterate before that step, the others from their starts
         with mock.patch.object(trex, "_face_finish", _settles_nothing), \
-                mock.patch.object(trex, "MAX_ITERATIONS", 7):
+                mock.patch.object(trex, "MAX_ITERATIONS", 6):
             res = trex._solve_subproblems(C, rows, B.copy(), feasible)
-        B[17] = res.beta[17]
+        B[1] = res.beta[1]
     # the engine calls of the case take one iteration
     monkeypatch.setattr(trex, "MAX_ITERATIONS", 1)
     return (C, rows, B, feasible), bound

@@ -24,7 +24,13 @@ families, every fit at c = 1/2 unless stated:
   weighted l1 penalty, constrained at 0.2-1 of dual(x.T y);
 - ``group``: the ``fit_group`` items of seed 11, passes 0-1 (groups of 4),
   each solved by ``solve_trex`` and by ``solve_trex_constrained`` with the
-  default bound.
+  default bound;
+- ``copies``: 24 ``duplicated_columns`` designs, n 15-40, p 10-30, with 1-4
+  pairs and random column sign flips; every fourth has a triple (its last
+  column a copy of column 0), and every third a weighted l1 penalty whose
+  even pairs and triple have equal weights and whose odd pairs do not; each
+  solved by ``solve_trex`` and by ``solve_trex_constrained`` with the default
+  bound.
 
 Per family it prints the fits, the identical ones (objective, winner and
 ``certified_gap`` exactly equal on both sides), the fits with
@@ -63,7 +69,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from bench_pairs import base_checkout  # noqa: E402
 
 FAMILIES = ("fit_l1", "fit_l1_c1", "fit_constrained", "item1", "wide", "noise", "tiny",
-            "group")
+            "group", "copies")
 CERTIFIED = 1e-9
 # the engine's work counters of a fit's diagnostics, summed per family and side
 COUNTS = ("iterations", "row_iterations", "trial_rounds")
@@ -111,8 +117,8 @@ def _case(family, problem, constrained, w=None, bound=None, partition=None, c=0.
 
 def build_cases(families) -> list:
     """Every problem of the named families, in a fixed order."""
-    from trexlab.datagen import ScenarioSpec, generate
-    from trexlab.model import make_problem
+    from trexlab.datagen import DesignSpec, ScenarioSpec, generate
+    from trexlab.model import RegressionProblem, make_problem
     from workloads import FitConstrained, FitGroup, FitL1
 
     cases = []
@@ -152,6 +158,24 @@ def build_cases(families) -> list:
             w = rng.uniform(0.5, 2.0, p) if k % 3 == 0 else np.ones(p)
             bound = float(rng.uniform(0.2, 1.0) * np.max(np.abs(problem.x.T @ problem.y) / w))
             cases.append(_case("tiny", problem, True, None if k % 3 else w, bound))
+    if "copies" in families:
+        for k in range(24):
+            rng = np.random.default_rng([23, k])
+            n, p, pairs = int(rng.integers(15, 41)), int(rng.integers(10, 31)), 1 + k % 4
+            problem = generate(ScenarioSpec(n=n, p=p, s=3, seed=k, design=DesignSpec(
+                kind="duplicated_columns", duplicates=pairs)))[0]
+            x = problem.x * rng.choice([-1.0, 1.0], p)
+            if k % 4 == 3:
+                x[:, -1] = rng.choice([-1.0, 1.0]) * x[:, 0]
+            w = None
+            if k % 3 == 0:
+                w = rng.uniform(0.5, 2.0, p)
+                w[1:2 * pairs:4] = w[0:2 * pairs:4]
+                if k % 4 == 3:
+                    w[-1] = w[0]
+            problem = RegressionProblem(x, problem.y, normalized=True)
+            for constrained in (False, True):
+                cases.append(_case("copies", problem, constrained, w))
     return cases
 
 
