@@ -1059,7 +1059,8 @@ def solve_trex(problem: RegressionProblem, config: SolverConfig = None,
       the feasible subproblems, an upper bound on the distance to the global
       optimum, under the bound of ``solve_trex_constrained`` too (there the
       bound accounts for the constraint); None for heuristic fits;
-    - ``pruned``: the number of pruned subproblems;
+    - ``pruned``: the number of pruned subproblems solved (a set of copies
+      is solved once);
     - ``stalled``: the number of rows stopped because the line-search step
       fell below its floor; such a row counts as converged only if its
       certificate closed;
